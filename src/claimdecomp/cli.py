@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import conllu as conllu_mod
@@ -61,9 +61,9 @@ class RunConfig:
     max_inflight: int = 8
     chunk_words: int = 256
     retrieval_k: int = 5
-    context_window: int = 4096
-    max_tokens: int = 512
-    temperature: float = 0.7
+    context_window: int = GenerationSettings.context_window
+    max_tokens: int = GenerationSettings.max_tokens
+    temperature: float = GenerationSettings.temperature
     drop_invalid: bool = False
 
 
@@ -174,39 +174,55 @@ def _decomposition_settings(cfg: RunConfig) -> GenerationSettings:
 
 
 # --- JSONL records ---------------------------------------------------------------
+# A subclaim record holds the Subclaim fields; a judgment record holds the
+# SupportJudgment fields with its subclaim's fields in place of ``claim``.
 
-def _claim_record(c: Subclaim) -> dict:
-    return {"topic": c.topic, "generator": c.generator, "method": c.method,
-            "sentence_index": c.sentence_index, "ordinal": c.ordinal, "text": c.text}
+_CLAIM_FIELDS = frozenset(f.name for f in fields(Subclaim))
+_JUDGMENT_FIELDS = _CLAIM_FIELDS | ({f.name for f in fields(SupportJudgment)} - {"claim"})
+
+# Per stage: the prefix of the JSONL file it writes per method, and the
+# report columns of a judgment stage as (csv file, LmMetrics field, scale).
+# The writers and `audit_outputs` both read these.
+JSONL_FILES = {"decompose": "subclaims", "decompscore": "sentence-judgments",
+               "factscore": "knowledge-judgments"}
+REPORT_COLUMNS = {
+    "decompscore": (("decompscore.csv", "decomp_score", 1.0),
+                    ("avg_subclaims.csv", "avg_subclaims", 1.0),
+                    ("coherence.csv", "coherence_pct", 1.0)),
+    "factscore": (("factscore.csv", "fact_score", 100.0),
+                  ("filtered_factscore.csv", "filtered_fact_score", 100.0)),
+}
 
 
-def _claim_from_record(r: dict) -> Subclaim:
-    return Subclaim(text=r["text"], topic=r["topic"], generator=r["generator"],
-                    sentence_index=r["sentence_index"], method=r["method"],
-                    ordinal=r["ordinal"])
-
-
-def _judgment_record(j: SupportJudgment) -> dict:
-    record = _claim_record(j.claim)
-    record.update({"context_kind": j.context_kind, "supported": j.supported,
-                   "validator_id": j.validator_id,
-                   "context_snapshot": j.context_snapshot})
+def _record(item: Subclaim | SupportJudgment) -> dict:
+    record = dict(vars(item))
+    if "claim" in record:
+        record.update(vars(record.pop("claim")))
     return record
 
 
-def _judgment_from_record(r: dict) -> SupportJudgment:
-    return SupportJudgment(claim=_claim_from_record(r),
-                           context_kind=r["context_kind"], supported=r["supported"],
-                           validator_id=r["validator_id"],
-                           context_snapshot=r["context_snapshot"])
+def _judgment(record: dict) -> SupportJudgment:
+    claim = Subclaim(**{name: record.pop(name) for name in _CLAIM_FIELDS})
+    return SupportJudgment(claim=claim, **record)
 
 
-def _read_jsonl(path: Path) -> list[dict]:
+def _read_jsonl(path: Path, expected_fields: frozenset[str]) -> list[dict]:
+    """Records of a JSONL file written by this module. A line that is not a
+    JSON object with exactly ``expected_fields``, such as one cut short by an
+    interrupted write, is a ConfigError naming the path and line."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}:{number}: malformed JSON: {exc}") from exc
+            if not isinstance(record, dict) or record.keys() != expected_fields:
+                raise ConfigError(
+                    f"{path}:{number}: expected a record with fields {sorted(expected_fields)}")
+            records.append(record)
     return records
 
 
@@ -214,16 +230,8 @@ def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def subclaims_path(outdir: Path, method: str) -> Path:
-    return outdir / f"subclaims-{method}.jsonl"
-
-
-def sentence_judgments_path(outdir: Path, method: str) -> Path:
-    return outdir / f"sentence-judgments-{method}.jsonl"
-
-
-def knowledge_judgments_path(outdir: Path, method: str) -> Path:
-    return outdir / f"knowledge-judgments-{method}.jsonl"
+def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
+    return outdir / f"{JSONL_FILES[stage]}-{method}.jsonl"
 
 
 # --- commands --------------------------------------------------------------------
@@ -237,10 +245,10 @@ def cmd_decompose(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     for name, method in methods.items():
-        path = subclaims_path(outdir, name)
+        path = jsonl_path(outdir, "decompose", name)
         done: set[tuple[str, str]] = set()
         if path.exists():
-            done = {(r["generator"], r["topic"]) for r in _read_jsonl(path)}
+            done = {(r["generator"], r["topic"]) for r in _read_jsonl(path, _CLAIM_FIELDS)}
         with open(path, "a", encoding="utf-8") as fh:
             for passage in passages:
                 if (passage.generator, passage.topic) in done:
@@ -249,75 +257,56 @@ def cmd_decompose(cfg: RunConfig) -> int:
                                            max_workers=cfg.max_inflight)
                 # one buffered write per passage so an interrupt never leaves
                 # a partially decomposed passage behind
-                fh.write("".join(_dump_line(_claim_record(c)) for c in claims))
+                fh.write("".join(_dump_line(_record(c)) for c in claims))
                 fh.flush()
         print(f"decompose[{name}]: {path}")
     return EXIT_OK
 
 
-def _sentence_texts(passages: list[Passage]) -> dict[tuple[str, str, int], str]:
-    return {
-        (p.generator, p.topic, s.index): s.text
-        for p in passages for s in p.sentences
-    }
-
-
 def _load_subclaims(outdir: Path, method: str) -> list[Subclaim]:
-    path = subclaims_path(outdir, method)
+    path = jsonl_path(outdir, "decompose", method)
     if not path.exists():
         raise ConfigError(f"missing subclaims file {path}; run decompose first")
-    return [_claim_from_record(r) for r in _read_jsonl(path)]
+    return [Subclaim(**r) for r in _read_jsonl(path, _CLAIM_FIELDS)]
 
 
-def cmd_decompscore(cfg: RunConfig) -> int:
-    passages = _load_passages(cfg)
-    texts = _sentence_texts(passages)
-    client = _build_client(cfg, "validator")
-    validator_id = _validator_id(cfg)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    reports: dict[str, MethodReport] = {}
-    stats = ValidationStats()
-    for name in cfg.methods:
-        claims = _load_subclaims(outdir, name)
-        if not claims:
-            logger.warning("method %s produced no subclaims; column omitted", name)
-            continue
-        judgments: list[SupportJudgment] = []
-        by_sentence: dict[tuple[str, str, int], list[Subclaim]] = {}
-        for claim in claims:
-            by_sentence.setdefault(
-                (claim.generator, claim.topic, claim.sentence_index), []).append(claim)
-        for key in sorted(by_sentence):
-            if key not in texts:
-                raise ConfigError(f"no source sentence for subclaim group {key}")
-            judgments.extend(judge_decomposition(
-                client, texts[key], by_sentence[key],
-                validator_id=validator_id, settings=VALIDATOR_SETTINGS, stats=stats))
-        with open(sentence_judgments_path(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write("".join(_dump_line(_judgment_record(j)) for j in judgments))
-        results = results_from_judgments(claims, sentence_judgments=judgments)
-        reports[name] = method_report(results)
-
-    if stats.unparseable:
-        print(f"warning: {stats.unparseable} unparseable validator answers "
-              "counted as unsupported")
-    _write_report_csv(outdir / "decompscore.csv", reports, "decomp_score")
-    _write_report_csv(outdir / "avg_subclaims.csv", reports, "avg_subclaims")
-    _write_report_csv(outdir / "coherence.csv", reports, "coherence_pct")
-    print(f"decompscore: {outdir / 'decompscore.csv'}")
-    return EXIT_OK
+def _load_judgments(outdir: Path, stage: str, method: str) -> list[SupportJudgment] | None:
+    path = jsonl_path(outdir, stage, method)
+    if not path.exists():
+        return None
+    return [_judgment(r) for r in _read_jsonl(path, _JUDGMENT_FIELDS)]
 
 
-def cmd_factscore(cfg: RunConfig) -> int:
-    passages = _load_passages(cfg)
-    if cfg.index_path:
-        index = load_index(cfg.index_path)
-    elif cfg.knowledge:
-        index = build_index(load_knowledge(cfg.knowledge), cfg.chunk_words)
-    else:
-        raise ConfigError("factscore needs --index or --knowledge")
+def _judge_sentences(client: CompletionClient, passage: Passage, claims: list[Subclaim],
+                     validator_id: str, stats: ValidationStats) -> list[SupportJudgment]:
+    texts = {s.index: s.text for s in passage.sentences}
+    by_sentence: dict[int, list[Subclaim]] = {}
+    for claim in claims:
+        by_sentence.setdefault(claim.sentence_index, []).append(claim)
+    judgments: list[SupportJudgment] = []
+    for index in sorted(by_sentence):
+        if index not in texts:
+            raise ConfigError(f"no source sentence for subclaim group "
+                              f"{(passage.generator, passage.topic, index)}")
+        judgments.extend(judge_decomposition(
+            client, texts[index], by_sentence[index],
+            validator_id=validator_id, settings=VALIDATOR_SETTINGS, stats=stats))
+    return judgments
+
+
+def cmd_judge(stage: str, cfg: RunConfig) -> int:
+    """Judge every subclaim, write the judgments and the stage's report CSVs.
+    ``decompscore`` judges against the sentence a subclaim came from,
+    ``factscore`` against knowledge retrieved for it."""
+    passages = {(p.generator, p.topic): p for p in _load_passages(cfg)}
+    index = None
+    if stage == "factscore":
+        if cfg.index_path:
+            index = load_index(cfg.index_path)
+        elif cfg.knowledge:
+            index = build_index(load_knowledge(cfg.knowledge), cfg.chunk_words)
+        else:
+            raise ConfigError("factscore needs --index or --knowledge")
     client = _build_client(cfg, "validator")
     validator_id = _validator_id(cfg)
     outdir = Path(cfg.output_dir)
@@ -333,35 +322,41 @@ def cmd_factscore(cfg: RunConfig) -> int:
         by_passage: dict[tuple[str, str], list[Subclaim]] = {}
         for claim in claims:
             by_passage.setdefault((claim.generator, claim.topic), []).append(claim)
-        passage_map = {(p.generator, p.topic): p for p in passages}
         judgments: list[SupportJudgment] = []
         for key in sorted(by_passage):
-            if key not in passage_map:
+            if key not in passages:
                 raise ConfigError(f"no passage for subclaim group {key}")
-            judgments.extend(judge_facts(
-                client, index, passage_map[key], by_passage[key], k=cfg.retrieval_k,
-                validator_id=validator_id, settings=VALIDATOR_SETTINGS, stats=stats))
-        with open(knowledge_judgments_path(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write("".join(_dump_line(_judgment_record(j)) for j in judgments))
+            if stage == "decompscore":
+                judgments.extend(_judge_sentences(
+                    client, passages[key], by_passage[key], validator_id, stats))
+            else:
+                judgments.extend(judge_facts(
+                    client, index, passages[key], by_passage[key], k=cfg.retrieval_k,
+                    validator_id=validator_id, settings=VALIDATOR_SETTINGS, stats=stats))
+        with open(jsonl_path(outdir, stage, name), "w", encoding="utf-8") as fh:
+            fh.write("".join(_dump_line(_record(j)) for j in judgments))
 
-        sentence_path = sentence_judgments_path(outdir, name)
-        sentence_judgments = None
-        if sentence_path.exists():
-            sentence_judgments = [_judgment_from_record(r) for r in _read_jsonl(sentence_path)]
+        if stage == "decompscore":
+            results = results_from_judgments(claims, sentence_judgments=judgments)
         else:
-            logger.warning("no sentence judgments for %s; filtered scores use "
-                           "zero-supported counts", name)
-        results = results_from_judgments(claims, sentence_judgments=sentence_judgments,
-                                         knowledge_judgments=judgments)
+            sentence_judgments = _load_judgments(outdir, "decompscore", name)
+            if sentence_judgments is None:
+                logger.warning("no sentence judgments for %s; filtered scores use "
+                               "zero-supported counts", name)
+            results = results_from_judgments(claims, sentence_judgments=sentence_judgments,
+                                             knowledge_judgments=judgments)
         reports[name] = method_report(results)
 
+    if stats.unparseable:
+        print(f"warning: {stats.unparseable} unparseable validator answers "
+              "counted as unsupported")
     if stats.empty_context:
         print(f"warning: {stats.empty_context} claims had empty retrieval context")
-    _write_report_csv(outdir / "factscore.csv", reports, "fact_score", scale=100.0)
-    _write_report_csv(outdir / "filtered_factscore.csv", reports,
-                      "filtered_fact_score", scale=100.0)
-    _write_scatter_csv(outdir / "scatter.csv", reports)
-    print(f"factscore: {outdir / 'factscore.csv'}")
+    for filename, metric, scale in REPORT_COLUMNS[stage]:
+        _write_report_csv(outdir / filename, reports, metric, scale)
+    if stage == "factscore":
+        _write_scatter_csv(outdir / "scatter.csv", reports)
+    print(f"{stage}: {outdir / REPORT_COLUMNS[stage][0][0]}")
     return EXIT_OK
 
 
@@ -459,23 +454,15 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
     outdir = Path(outdir)
     reports: dict[str, MethodReport] = {}
     for name in methods:
-        claims = _load_subclaims(outdir, name)
-        sentence = [_judgment_from_record(r)
-                    for r in _read_jsonl(sentence_judgments_path(outdir, name))]
-        knowledge_path = knowledge_judgments_path(outdir, name)
-        knowledge = None
-        if knowledge_path.exists():
-            knowledge = [_judgment_from_record(r) for r in _read_jsonl(knowledge_path)]
-        results = results_from_judgments(claims, sentence_judgments=sentence,
-                                         knowledge_judgments=knowledge)
+        sentence = _load_judgments(outdir, "decompscore", name)
+        if sentence is None:
+            raise ConfigError(f"missing {jsonl_path(outdir, 'decompscore', name)}")
+        results = results_from_judgments(
+            _load_subclaims(outdir, name), sentence_judgments=sentence,
+            knowledge_judgments=_load_judgments(outdir, "factscore", name))
         reports[name] = method_report(results)
 
-    for filename, metric, scale in (
-            ("decompscore.csv", "decomp_score", 1.0),
-            ("avg_subclaims.csv", "avg_subclaims", 1.0),
-            ("coherence.csv", "coherence_pct", 1.0),
-            ("factscore.csv", "fact_score", 100.0),
-            ("filtered_factscore.csv", "filtered_fact_score", 100.0)):
+    for filename, metric, scale in (c for cols in REPORT_COLUMNS.values() for c in cols):
         path = outdir / filename
         if not path.exists():
             continue
@@ -563,10 +550,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "decompose":
             return cmd_decompose(_merge_config(args))
-        if args.command == "decompscore":
-            return cmd_decompscore(_merge_config(args))
-        if args.command == "factscore":
-            return cmd_factscore(_merge_config(args))
+        if args.command in REPORT_COLUMNS:
+            return cmd_judge(args.command, _merge_config(args))
         if args.command == "correlate":
             return cmd_correlate(args.file_a, args.file_b,
                                  [c.strip() for c in args.columns.split(",") if c.strip()],

@@ -27,9 +27,6 @@ from .predarg import PredArgMethod, extract_predications, fluency_rewrite, rende
 
 logger = logging.getLogger(__name__)
 
-DECOMPOSITION_SETTINGS = GenerationSettings(
-    temperature=0.7, max_tokens=512, context_window=4096)
-
 
 class DecomposeError(ValueError):
     """Bad method configuration or unusable inputs."""
@@ -91,8 +88,6 @@ def builtin_configs() -> dict[str, MethodConfig]:
     return {c.name: c for c in configs}
 
 
-METHOD_NAMES = ("factscore", "wice", "chen", "conllu", "rnd", "fs2", "predpatt")
-
 Method = MethodConfig | PredArgMethod
 
 
@@ -121,10 +116,6 @@ class Subclaim:
     def __post_init__(self) -> None:
         if not self.text or "\n" in self.text:
             raise DecomposeError(f"subclaim text must be a non-empty single line: {self.text!r}")
-
-    @property
-    def passage_id(self) -> str:
-        return f"{self.generator}/{self.topic}"
 
 
 # --- in-context example retrieval ---------------------------------------------
@@ -359,7 +350,7 @@ def _predarg_claim_texts(method: PredArgMethod, parse,
 
 def decompose_sentence(method: Method, sentence: Sentence | str,
                        client: CompletionClient,
-                       settings: GenerationSettings = DECOMPOSITION_SETTINGS,
+                       settings: GenerationSettings = GenerationSettings(),
                        topic: str = "", generator: str = "") -> list[Subclaim]:
     """Decompose one sentence into subclaims via the given method."""
     if isinstance(sentence, Sentence):
@@ -382,7 +373,7 @@ def decompose_sentence(method: Method, sentence: Sentence | str,
 
 def decompose_passage(method: Method, passage: Passage,
                       client: CompletionClient,
-                      settings: GenerationSettings = DECOMPOSITION_SETTINGS,
+                      settings: GenerationSettings = GenerationSettings(),
                       max_workers: int | None = None) -> list[Subclaim]:
     """Decompose every sentence of a passage; output ordered by sentence."""
     needs_parse = isinstance(method, PredArgMethod) or (

@@ -13,7 +13,6 @@ import logging
 import os
 import threading
 import time
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -87,16 +86,7 @@ def complete_text(client: CompletionClient, prompt: str,
 
 
 def cache_key(request: CompletionRequest) -> str:
-    payload = json.dumps(
-        {
-            "model": request.model,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    payload = json.dumps(vars(request), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -104,49 +94,43 @@ class ResponseCache:
     """Content-addressed directory of JSON response files; eviction is manual.
 
     The key covers every request field, so distinct requests can never
-    conflate. Writes are serialized per key.
+    conflate. Each write goes to a temp file of its own and is renamed into
+    place, so concurrent writers of one key, in any process, cannot clobber
+    each other and readers never see a partial entry. An unreadable entry
+    counts as a miss.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._locks: dict[str, threading.Lock] = defaultdict(threading.Lock)
-        self._locks_guard = threading.Lock()
-
-    def _lock_for(self, key: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks[key]
 
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
     def get(self, request: CompletionRequest) -> CompletionResponse | None:
         path = self._path(cache_key(request))
-        if not path.exists():
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            return CompletionResponse(text=data["text"], finish_reason=data["finish_reason"])
+        except FileNotFoundError:
             return None
-        data = json.loads(path.read_text(encoding="utf-8"))
-        return CompletionResponse(text=data["text"], finish_reason=data["finish_reason"])
+        except (ValueError, KeyError, TypeError) as exc:
+            logger.warning("unreadable cache entry %s (%s); treated as a miss", path, exc)
+            return None
 
     def put(self, request: CompletionRequest, response: CompletionResponse) -> None:
         key = cache_key(request)
-        with self._lock_for(key):
-            tmp = self._path(key).with_suffix(".tmp")
+        tmp = self.cache_dir / f"{key}.{os.urandom(8).hex()}.tmp"
+        try:
             tmp.write_text(
-                json.dumps(
-                    {
-                        "model": request.model,
-                        "prompt": request.prompt,
-                        "max_tokens": request.max_tokens,
-                        "temperature": request.temperature,
-                        "text": response.text,
-                        "finish_reason": response.finish_reason,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                ),
+                json.dumps({**vars(request), **vars(response)}, sort_keys=True,
+                           ensure_ascii=False),
                 encoding="utf-8",
             )
             os.replace(tmp, self._path(key))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 class MockCompletionClient:
@@ -247,12 +231,7 @@ class HttpCompletionClient:
         self._semaphore = threading.BoundedSemaphore(max_inflight)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        payload = {
-            "model": request.model,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-        }
+        payload = dict(vars(request))
         headers = {}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

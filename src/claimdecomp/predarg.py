@@ -44,7 +44,7 @@ class PredArgError(ValueError):
     """Extraction was asked to run on an invalid parse."""
 
 
-class FluencyRewriteError(RuntimeError):
+class FluencyRewriteError(CompletionError):
     def __init__(self, utterance: str, reason: str):
         super().__init__(f"fluency rewrite failed for {utterance!r}: {reason}")
         self.utterance = utterance
@@ -345,16 +345,13 @@ FLUENCY_PROMPT_TEMPLATE = (
     "Output:"
 )
 
-REWRITE_SETTINGS = GenerationSettings(temperature=0.7, max_tokens=512,
-                                      context_window=4096)
-
 
 def fluency_prompt(utterance: str) -> str:
     return FLUENCY_PROMPT_TEMPLATE.format(utterance=utterance)
 
 
 def fluency_rewrite(client: CompletionClient, utterance: str,
-                    settings: GenerationSettings = REWRITE_SETTINGS) -> str:
+                    settings: GenerationSettings = GenerationSettings()) -> str:
     """Rewrite one raw predication rendering into fluent English via the
     completion client; returns the completion trimmed to its first line."""
     if not utterance:

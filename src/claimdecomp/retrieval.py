@@ -15,6 +15,7 @@ import json
 import math
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .corpus import KnowledgeDoc
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 DEFAULT_CHUNK_WORDS = 256
-DEFAULT_TOP_K = 5
 
 INDEX_FORMAT_VERSION = 1
 
@@ -77,25 +77,27 @@ def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS
     if len(titles) != len(set(titles)):
         raise RetrievalError("duplicate document titles")
 
-    chunks: list[Chunk] = []
+    pieces = []
     for doc in docs:
         words = doc.text.split()
         for ordinal, start in enumerate(range(0, len(words), chunk_words)):
-            piece = " ".join(words[start: start + chunk_words])
-            chunks.append(Chunk(
-                doc_title=doc.title,
-                ordinal=ordinal,
-                text=piece,
-                term_counts=Counter(tokenize(piece)),
-            ))
+            pieces.append((doc.title, ordinal, " ".join(words[start: start + chunk_words])))
+    return _index(pieces, chunk_words, k1, b)
 
+
+def _index(pieces: Iterable[tuple[str, int, str]], chunk_words: int,
+           k1: float, b: float) -> Index:
+    """Index over (doc_title, ordinal, text) chunks with their term statistics."""
+    chunks = tuple(Chunk(doc_title=title, ordinal=ordinal, text=text,
+                         term_counts=Counter(tokenize(text)))
+                   for title, ordinal, text in pieces)
     doc_freq: dict[str, int] = {}
     for chunk in chunks:
         for term in chunk.term_counts:
             doc_freq[term] = doc_freq.get(term, 0) + 1
     total_len = sum(c.length for c in chunks)
     avg = total_len / len(chunks) if chunks else 0.0
-    return Index(chunks=tuple(chunks), doc_freq=doc_freq, avg_length=avg,
+    return Index(chunks=chunks, doc_freq=doc_freq, avg_length=avg,
                  chunk_words=chunk_words, k1=k1, b=b)
 
 
@@ -155,16 +157,5 @@ def load_index(path: str | Path) -> Index:
     version = payload.get("version")
     if version != INDEX_FORMAT_VERSION:
         raise RetrievalError(f"unsupported index version {version!r}")
-    chunks = tuple(
-        Chunk(doc_title=c["doc_title"], ordinal=c["ordinal"], text=c["text"],
-              term_counts=Counter(tokenize(c["text"])))
-        for c in payload["chunks"]
-    )
-    doc_freq: dict[str, int] = {}
-    for chunk in chunks:
-        for term in chunk.term_counts:
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    total_len = sum(c.length for c in chunks)
-    avg = total_len / len(chunks) if chunks else 0.0
-    return Index(chunks=chunks, doc_freq=doc_freq, avg_length=avg,
-                 chunk_words=payload["chunk_words"], k1=payload["k1"], b=payload["b"])
+    return _index(((c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]),
+                  payload["chunk_words"], payload["k1"], payload["b"])

@@ -28,11 +28,8 @@ from .retrieval import Index, search
 
 logger = logging.getLogger(__name__)
 
-NLI_URL_ENV = "CLAIMDECOMP_NLI_URL"
-
 CONTEXT_ORIGINAL_SENTENCE = "original_sentence"
 CONTEXT_KNOWLEDGE_SOURCE = "knowledge_source"
-CONTEXT_NLI = "nli"
 
 VALIDATOR_SETTINGS = GenerationSettings(
     temperature=0.0, max_tokens=128, context_window=2048)

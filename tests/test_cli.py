@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from claimdecomp import cli
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -117,6 +122,37 @@ class TestExitCodes:
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
         assert cli.main(["factscore", *_common(data_dir, out)]) == 2
 
+    @pytest.mark.parametrize("stage, damaged", [
+        ("decompose", "subclaims-rnd.jsonl"),
+        ("decompscore", "subclaims-rnd.jsonl"),
+        ("factscore", "sentence-judgments-rnd.jsonl"),
+    ])
+    def test_truncated_jsonl_line(self, data_dir, tmp_path, capsys, stage, damaged):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        path = out / damaged
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + lines[-1][:len(lines[-1]) // 2],
+                        encoding="utf-8")
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl")]
+        assert cli.main([stage, *_common(data_dir, out, extra=extra)]) == 2
+        assert f"{damaged}:{len(lines)}: malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        lambda r: r.pop("ordinal"),
+        lambda r: r.update(passage_id="alpha/Ada Example"),
+    ], ids=["missing", "extra"])
+    def test_record_with_wrong_fields(self, data_dir, tmp_path, capsys, change):
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        path = out / "subclaims-rnd.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        change(records[1])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert cli.main(["decompscore", *_common(data_dir, out)]) == 2
+        assert "subclaims-rnd.jsonl:2: expected a record with fields" in \
+            capsys.readouterr().err
+
 
 class TestCorrelate:
     @pytest.fixture()
@@ -217,6 +253,22 @@ class TestDegenerateInputs:
         assert (out / "filtered_factscore.csv").read_text() == \
             (out / "factscore.csv").read_text()
 
+    def test_unparseable_verdicts_reported_by_both_stages(self, data_dir, tmp_path, capsys):
+        spec = json.loads((data_dir / "mock_responses.json").read_text())
+        spec["validator"] = {"default": "Maybe"}
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(spec))
+        args = ["--generations", str(data_dir / "generations_small.jsonl"),
+                "--mock-responses", str(mock), "--method", "rnd",
+                "--output-dir", str(tmp_path / "out")]
+        assert cli.main(["decompose", *args]) == 0
+        capsys.readouterr()
+        for stage, extra in (("decompscore", []), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+            assert cli.main([stage, *args, *extra]) == 0
+            assert "unparseable validator answers counted as unsupported" in \
+                capsys.readouterr().out, stage
+
 
 class TestCacheModes:
     def test_cache_only_serves_warm_runs_and_fails_cold(self, data_dir, tmp_path):
@@ -236,6 +288,16 @@ class TestCacheModes:
         cold_out = tmp_path / "cold"
         rc = cli.main(["decompose", *_common(data_dir, cold_out),
                        "--cache-dir", str(tmp_path / "empty-cache"), "--cache-only"])
+        assert rc == 3
+
+    def test_cache_only_with_unreadable_entry_is_endpoint_error(self, data_dir, tmp_path):
+        cache = tmp_path / "cache"
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm"),
+                         "--cache-dir", str(cache)]) == 0
+        entry = sorted((cache / "decomposer").glob("*.json"))[0]
+        entry.write_text(entry.read_text(encoding="utf-8")[:10], encoding="utf-8")
+        rc = cli.main(["decompose", *_common(data_dir, tmp_path / "replay"),
+                       "--cache-dir", str(cache), "--cache-only"])
         assert rc == 3
 
 
@@ -262,7 +324,8 @@ class TestConfigFile:
 
 
 class TestPredpattPipeline:
-    def test_decompose_with_parses(self, data_dir, tmp_path):
+    @staticmethod
+    def _decompose(data_dir, tmp_path, mock) -> int:
         # passages whose sentences align with hand-written parses
         generations = tmp_path / "gen.jsonl"
         generations.write_text(json.dumps({
@@ -275,14 +338,44 @@ class TestPredpattPipeline:
         parse_file = tmp_path / "one.conllu"
         parse_file.write_text(block, encoding="utf-8")
 
+        return cli.main(["decompose",
+                         "--generations", str(generations),
+                         "--parses", str(parse_file),
+                         "--mock-responses", str(mock),
+                         "--method", "predpatt",
+                         "--output-dir", str(tmp_path / "out")])
+
+    def test_decompose_with_parses(self, data_dir, tmp_path):
+        assert self._decompose(data_dir, tmp_path, data_dir / "mock_responses.json") == 0
         out = tmp_path / "out"
-        rc = cli.main(["decompose",
-                       "--generations", str(generations),
-                       "--parses", str(parse_file),
-                       "--mock-responses", str(data_dir / "mock_responses.json"),
-                       "--method", "predpatt",
-                       "--output-dir", str(out)])
-        assert rc == 0
         records = [json.loads(l) for l in
                    (out / "subclaims-predpatt.jsonl").read_text().splitlines()]
         assert len(records) == 1
+
+    def test_rewrite_failure_is_endpoint_error(self, data_dir, tmp_path):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps({"length_error_substrings": ["Input:"]}))
+        assert self._decompose(data_dir, tmp_path, mock) == 3
+
+
+class TestBenchmarkHooks:
+    """The benchmark's tracer wraps functions by the module-global names the
+    judgment stages call; a refactor that stops calling them through those
+    names detaches its per-layer metrics."""
+
+    def test_tracer_sees_the_judgment_layers(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        spans = set()
+        for stage, extra in (("decompscore", []), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+            trace = tmp_path / f"{stage}.trace.json"
+            proc = subprocess.run(
+                [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(trace), stage,
+                 "--", stage, *_common(data_dir, out, extra=extra)],
+                cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            spans |= {span[2] for span in json.loads(trace.read_text())["spans"]}
+        assert {"validate.judge_decomposition", "validate.judge_facts",
+                "metrics.results_from_judgments", "metrics.method_report"} <= spans

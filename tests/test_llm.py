@@ -1,4 +1,7 @@
 import json
+import logging
+import multiprocessing
+import sys
 import threading
 
 import pytest
@@ -24,6 +27,33 @@ class CountingClient:
     def complete(self, request):
         self.calls += 1
         return CompletionResponse(text=self.text)
+
+
+def _put_one_key(cache_dir: str, writer: int, threads: int, rounds: int) -> None:
+    """Worker process: ``threads`` threads each put one shared key ``rounds``
+    times. Exits non-zero if any put raised."""
+    cache = ResponseCache(cache_dir)
+    errors = []
+
+    def put(thread: int) -> None:
+        for i in range(rounds):
+            try:
+                cache.put(req("shared"), CompletionResponse(text=f"w{writer}t{thread}r{i}"))
+            except Exception as exc:
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=put, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+    finally:
+        sys.setswitchinterval(interval)
+    if errors:
+        raise SystemExit(f"{len(errors)} puts raised, first: {errors[0]!r}")
 
 
 class TestRequest:
@@ -112,6 +142,35 @@ class TestCache:
         for t in threads:
             t.join()
         assert cache.get(req("p0")).text == "t0"
+
+    def test_unreadable_entry_is_a_logged_miss_then_rewritten(self, tmp_path, caplog):
+        request = req("p")
+        entry = tmp_path / f"{cache_key(request)}.json"
+        entry.write_text('{"text": "out", "finish_re', encoding="utf-8")
+        inner = CountingClient("fresh")
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            assert CachingClient(inner, tmp_path).complete(request).text == "fresh"
+        assert inner.calls == 1
+        assert "unreadable cache entry" in caplog.text
+        assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "fresh"
+
+    def test_writers_in_two_processes_share_a_key(self, tmp_path):
+        ctx = multiprocessing.get_context("spawn")
+        procs = [ctx.Process(target=_put_one_key, args=(str(tmp_path), w, 4, 150))
+                 for w in range(2)]
+        for proc in procs:
+            proc.start()
+        try:
+            for proc in procs:
+                proc.join(timeout=120)
+            assert not any(proc.is_alive() for proc in procs)
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        assert [p.name for p in tmp_path.iterdir()] == [f"{cache_key(req('shared'))}.json"]
+        assert ResponseCache(tmp_path).get(req("shared")).text.startswith("w")
 
 
 class FakeResponse:
