@@ -48,13 +48,14 @@ claims, sentence_judgments, knowledge_judgments = [], [], []
 for passage in passages:
     passage_claims = decompose_passage(config, passage, decomposer)
     claims.extend(passage_claims)
-    for sentence in passage.sentences:
-        mine = [c for c in passage_claims if c.sentence_index == sentence.index]
-        sentence_judgments.extend(
-            judge_decomposition(validator, sentence.text, mine, validator_id="demo"))
+    # each subclaim is judged against the sentence it came from ...
+    text_of = {sentence.index: sentence.text for sentence in passage.sentences}
+    sentence_judgments.extend(judge_decomposition(
+        validator, [(c, text_of[c.sentence_index]) for c in passage_claims],
+        validator_id="demo"))
+    # ... and against knowledge retrieved from its topic's document
     knowledge_judgments.extend(
-        judge_facts(validator, index, passage, passage_claims,
-                    k=3, validator_id="demo"))
+        judge_facts(validator, index, passage_claims, k=3, validator_id="demo"))
 
 # ---------------------------------------------------------------------------
 results = results_from_judgments(claims, sentence_judgments, knowledge_judgments)

@@ -15,7 +15,9 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import conllu as conllu_mod
@@ -24,7 +26,7 @@ from .corpus import (CorpusError, Passage, attach_parses, load_example_bank,
 from .decompose import (DecomposeError, GenerationSettings, Subclaim,
                         decompose_passage, default_bank, method_registry)
 from .llm import (CachingClient, CompletionClient, CompletionError,
-                  HttpCompletionClient, MockCompletionClient)
+                  HttpCompletionClient, MapFn, MockCompletionClient)
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
 from .predarg import PredArgMethod
@@ -123,8 +125,7 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
                 "no endpoint configured: pass --endpoint, set "
                 "CLAIMDECOMP_ENDPOINT_URL, or use --mock-responses")
         model = cfg.validator_model if role == "validator" and cfg.validator_model else cfg.model
-        client = HttpCompletionClient(url=cfg.endpoint_url, model=model,
-                                      max_inflight=cfg.max_inflight)
+        client = HttpCompletionClient(url=cfg.endpoint_url, model=model)
     if cfg.cache_dir:
         client = CachingClient(client, Path(cfg.cache_dir) / role,
                                cache_only=cfg.cache_only)
@@ -236,7 +237,20 @@ def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
 
 # --- commands --------------------------------------------------------------------
 
-def cmd_decompose(cfg: RunConfig) -> int:
+def run_stage(stage: str, cfg: RunConfig) -> int:
+    """Run ``decompose``, ``decompscore`` or ``factscore`` with the stage's one
+    request pool: ``cfg.max_inflight`` threads, the only concurrency in the
+    pipeline. Its ordered map returns results in submission order, so the
+    outputs do not depend on the pool's width."""
+    if cfg.max_inflight < 1:
+        raise ConfigError(f"max_inflight must be >= 1, got {cfg.max_inflight}")
+    with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
+        if stage == "decompose":
+            return cmd_decompose(cfg, pool.map)
+        return cmd_judge(stage, cfg, pool.map)
+
+
+def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
     passages = _load_passages(cfg)
     methods = _resolve_methods(cfg)
     client = _build_client(cfg, "decomposer")
@@ -249,12 +263,10 @@ def cmd_decompose(cfg: RunConfig) -> int:
         done: set[tuple[str, str]] = set()
         if path.exists():
             done = {(r["generator"], r["topic"]) for r in _read_jsonl(path, _CLAIM_FIELDS)}
+        pending = [p for p in passages if (p.generator, p.topic) not in done]
+        decompose = partial(decompose_passage, method, client=client, settings=settings)
         with open(path, "a", encoding="utf-8") as fh:
-            for passage in passages:
-                if (passage.generator, passage.topic) in done:
-                    continue
-                claims = decompose_passage(method, passage, client, settings,
-                                           max_workers=cfg.max_inflight)
+            for claims in map_fn(decompose, pending):
                 # one buffered write per passage so an interrupt never leaves
                 # a partially decomposed passage behind
                 fh.write("".join(_dump_line(_record(c)) for c in claims))
@@ -277,28 +289,25 @@ def _load_judgments(outdir: Path, stage: str, method: str) -> list[SupportJudgme
     return [_judgment(r) for r in _read_jsonl(path, _JUDGMENT_FIELDS)]
 
 
-def _judge_sentences(client: CompletionClient, passage: Passage, claims: list[Subclaim],
-                     validator_id: str, stats: ValidationStats) -> list[SupportJudgment]:
-    texts = {s.index: s.text for s in passage.sentences}
-    by_sentence: dict[int, list[Subclaim]] = {}
+def _with_sentences(claims: list[Subclaim],
+                    sentences: dict[tuple[str, str, int], str]) -> list[tuple[Subclaim, str]]:
+    pairs = []
     for claim in claims:
-        by_sentence.setdefault(claim.sentence_index, []).append(claim)
-    judgments: list[SupportJudgment] = []
-    for index in sorted(by_sentence):
-        if index not in texts:
-            raise ConfigError(f"no source sentence for subclaim group "
-                              f"{(passage.generator, passage.topic, index)}")
-        judgments.extend(judge_decomposition(
-            client, texts[index], by_sentence[index],
-            validator_id=validator_id, settings=VALIDATOR_SETTINGS, stats=stats))
-    return judgments
+        key = (claim.generator, claim.topic, claim.sentence_index)
+        if key not in sentences:
+            raise ConfigError(f"no source sentence for subclaim group {key}")
+        pairs.append((claim, sentences[key]))
+    return pairs
 
 
-def cmd_judge(stage: str, cfg: RunConfig) -> int:
+def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     """Judge every subclaim, write the judgments and the stage's report CSVs.
     ``decompscore`` judges against the sentence a subclaim came from,
-    ``factscore`` against knowledge retrieved for it."""
-    passages = {(p.generator, p.topic): p for p in _load_passages(cfg)}
+    ``factscore`` against knowledge retrieved for it. Each method's requests
+    go through ``map_fn`` as one batch."""
+    passages = _load_passages(cfg)
+    known = {(p.generator, p.topic) for p in passages}
+    sentences = {(p.generator, p.topic, s.index): s.text for p in passages for s in p.sentences}
     index = None
     if stage == "factscore":
         if cfg.index_path:
@@ -319,20 +328,22 @@ def cmd_judge(stage: str, cfg: RunConfig) -> int:
         if not claims:
             logger.warning("method %s produced no subclaims; column omitted", name)
             continue
-        by_passage: dict[tuple[str, str], list[Subclaim]] = {}
-        for claim in claims:
-            by_passage.setdefault((claim.generator, claim.topic), []).append(claim)
-        judgments: list[SupportJudgment] = []
-        for key in sorted(by_passage):
-            if key not in passages:
-                raise ConfigError(f"no passage for subclaim group {key}")
-            if stage == "decompscore":
-                judgments.extend(_judge_sentences(
-                    client, passages[key], by_passage[key], validator_id, stats))
-            else:
-                judgments.extend(judge_facts(
-                    client, index, passages[key], by_passage[key], k=cfg.retrieval_k,
-                    validator_id=validator_id, settings=VALIDATOR_SETTINGS, stats=stats))
+        missing = sorted({(c.generator, c.topic) for c in claims} - known)
+        if missing:
+            raise ConfigError(f"no passage for subclaim group {missing[0]}")
+        # Judgments are written grouped by passage in sorted (generator,
+        # topic) order, and for decompscore by ascending sentence index within
+        # a passage; the stable sort keeps the file order inside a group.
+        if stage == "decompscore":
+            ordered = sorted(claims, key=lambda c: (c.generator, c.topic, c.sentence_index))
+            judgments = judge_decomposition(
+                client, _with_sentences(ordered, sentences), validator_id=validator_id,
+                settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
+        else:
+            ordered = sorted(claims, key=lambda c: (c.generator, c.topic))
+            judgments = judge_facts(
+                client, index, ordered, k=cfg.retrieval_k, validator_id=validator_id,
+                settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
         with open(jsonl_path(outdir, stage, name), "w", encoding="utf-8") as fh:
             fh.write("".join(_dump_line(_record(j)) for j in judgments))
 
@@ -548,10 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "decompose":
-            return cmd_decompose(_merge_config(args))
-        if args.command in REPORT_COLUMNS:
-            return cmd_judge(args.command, _merge_config(args))
+        if args.command in JSONL_FILES:
+            return run_stage(args.command, _merge_config(args))
         if args.command == "correlate":
             return cmd_correlate(args.file_a, args.file_b,
                                  [c.strip() for c in args.columns.split(",") if c.strip()],

@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -373,9 +372,9 @@ def decompose_sentence(method: Method, sentence: Sentence | str,
 
 def decompose_passage(method: Method, passage: Passage,
                       client: CompletionClient,
-                      settings: GenerationSettings = GenerationSettings(),
-                      max_workers: int | None = None) -> list[Subclaim]:
-    """Decompose every sentence of a passage; output ordered by sentence."""
+                      settings: GenerationSettings = GenerationSettings()) -> list[Subclaim]:
+    """Decompose every sentence of a passage, one after another; output
+    ordered by sentence."""
     needs_parse = isinstance(method, PredArgMethod) or (
         isinstance(method, MethodConfig) and method.include_parse)
     if needs_parse:
@@ -385,14 +384,6 @@ def decompose_passage(method: Method, passage: Passage,
                     f"method {method.name!r} requires a parse but sentence "
                     f"{sentence.index} of {passage.generator}/{passage.topic} has none")
 
-    def work(sentence: Sentence) -> list[Subclaim]:
-        return decompose_sentence(method, sentence, client, settings,
-                                  topic=passage.topic, generator=passage.generator)
-
-    if max_workers and max_workers > 1 and len(passage.sentences) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            per_sentence = list(pool.map(work, passage.sentences))
-    else:
-        per_sentence = [work(s) for s in passage.sentences]
-
-    return [claim for claims in per_sentence for claim in claims]
+    return [claim for sentence in passage.sentences
+            for claim in decompose_sentence(method, sentence, client, settings,
+                                            topic=passage.topic, generator=passage.generator)]

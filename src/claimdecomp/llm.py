@@ -11,8 +11,8 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import time
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -74,15 +74,35 @@ class CompletionClient(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
 
-def complete_text(client: CompletionClient, prompt: str,
-                  settings: GenerationSettings) -> CompletionResponse:
-    request = CompletionRequest(
+# An ordered map, such as the builtin or a thread pool's: results come back
+# in the order of the items, however the calls overlap.
+MapFn = Callable[[Callable, Iterable], Iterator]
+
+
+def completion_request(client: CompletionClient, prompt: str,
+                       settings: GenerationSettings) -> CompletionRequest:
+    return CompletionRequest(
         model=getattr(client, "model", "default"),
         prompt=prompt,
         max_tokens=settings.max_tokens,
         temperature=settings.temperature,
     )
-    return client.complete(request)
+
+
+def complete_text(client: CompletionClient, prompt: str,
+                  settings: GenerationSettings) -> CompletionResponse:
+    return client.complete(completion_request(client, prompt, settings))
+
+
+def complete_all(client: CompletionClient, requests: Sequence[CompletionRequest],
+                 map_fn: MapFn = map) -> list[CompletionResponse]:
+    """Responses to ``requests``, in order. The calls go through ``map_fn``,
+    so a pool's map overlaps them; a client with its own ``complete_all``,
+    such as the cache, decides which requests reach it."""
+    batch = getattr(client, "complete_all", None)
+    if batch is not None:
+        return batch(requests, map_fn)
+    return list(map_fn(client.complete, requests))
 
 
 def cache_key(request: CompletionRequest) -> str:
@@ -172,6 +192,10 @@ class CachingClient:
     Cache hits never reach the inner client, so a warm cache makes a whole
     run reproducible with zero network calls. ``cache_only`` turns misses
     into errors instead of forwarding them.
+
+    ``complete_all`` reads the cache in the calling thread and sends only
+    the distinct misses through the map, writing each to the cache as its
+    response arrives; ``complete`` is its one-request case.
     """
 
     def __init__(self, inner: CompletionClient, cache_dir: str | Path,
@@ -185,14 +209,18 @@ class CachingClient:
         return getattr(self.inner, "model", "default")
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        hit = self.cache.get(request)
-        if hit is not None:
-            return hit
-        if self.cache_only:
-            raise CompletionError("cache miss in cache-only mode")
-        response = self.inner.complete(request)
-        self.cache.put(request, response)
-        return response
+        return self.complete_all([request])[0]
+
+    def complete_all(self, requests: Sequence[CompletionRequest],
+                     map_fn: MapFn = map) -> list[CompletionResponse]:
+        found = {request: self.cache.get(request) for request in dict.fromkeys(requests)}
+        misses = [request for request, hit in found.items() if hit is None]
+        if misses and self.cache_only:
+            raise CompletionError(f"cache miss in cache-only mode ({len(misses)} requests)")
+        for request, response in zip(misses, map_fn(self.inner.complete, misses)):
+            self.cache.put(request, response)
+            found[request] = response
+        return [found[request] for request in requests]
 
 
 _CONTEXT_LENGTH_MARKERS = ("context_length", "context length", "maximum context",
@@ -206,18 +234,28 @@ def _looks_like_context_overflow(status: int, body: str) -> bool:
     return any(marker in lowered for marker in _CONTEXT_LENGTH_MARKERS)
 
 
+def _retry_after_s(resp) -> float | None:
+    """The delta-seconds ``Retry-After`` of a response, or None (absent, or
+    the HTTP-date form)."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 class HttpCompletionClient:
-    """Completions-endpoint client with bounded concurrency and retries.
+    """Completions-endpoint client with retries.
 
     Transient failures (connection errors, 429, 5xx) are retried with
-    exponential backoff; window rejections surface as ContextLengthError so
-    callers can shrink their prompts.
+    exponential backoff, or after the delay a 429 or 503 names in a
+    delta-seconds ``Retry-After``; window rejections surface as
+    ContextLengthError so callers can shrink their prompts. The client
+    bounds nothing itself: concurrency is the width of the pool whose map
+    calls ``complete``.
     """
 
     def __init__(self, url: str | None = None, model: str = "default",
                  api_key: str | None = None, max_retries: int = 3,
                  backoff_s: float = 0.5, timeout_s: float = 60.0,
-                 max_inflight: int = 8, session: requests.Session | None = None):
+                 session: requests.Session | None = None):
         self.url = url or os.environ.get(ENDPOINT_URL_ENV)
         if not self.url:
             raise CompletionError(
@@ -228,7 +266,6 @@ class HttpCompletionClient:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
         self._session = session or requests.Session()
-        self._semaphore = threading.BoundedSemaphore(max_inflight)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         payload = dict(vars(request))
@@ -236,32 +273,36 @@ class HttpCompletionClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error = "no attempt made"
-        with self._semaphore:
-            for attempt in range(self.max_retries + 1):
-                if attempt:
-                    time.sleep(self.backoff_s * 2 ** (attempt - 1))
-                try:
-                    resp = self._session.post(
-                        self.url, json=payload, headers=headers, timeout=self.timeout_s)
-                except requests.RequestException as exc:
-                    last_error = f"request failed: {exc}"
-                    logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
-                    continue
-                if _looks_like_context_overflow(resp.status_code, resp.text):
-                    raise ContextLengthError(resp.text[:500])
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last_error = f"HTTP {resp.status_code}"
-                    logger.warning("completion attempt %d got HTTP %d",
-                                   attempt + 1, resp.status_code)
-                    continue
-                if resp.status_code != 200:
-                    raise CompletionError(f"HTTP {resp.status_code}: {resp.text[:500]}")
-                try:
-                    choice = resp.json()["choices"][0]
-                    return CompletionResponse(
-                        text=choice.get("text", ""),
-                        finish_reason=choice.get("finish_reason", FINISH_STOP),
-                    )
-                except (KeyError, IndexError, ValueError) as exc:
-                    raise CompletionError(f"malformed endpoint response: {exc}") from exc
+        delay_s = 0.0
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(delay_s)
+            delay_s = self.backoff_s * 2 ** attempt
+            try:
+                resp = self._session.post(
+                    self.url, json=payload, headers=headers, timeout=self.timeout_s)
+            except requests.RequestException as exc:
+                last_error = f"request failed: {exc}"
+                logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
+                continue
+            if _looks_like_context_overflow(resp.status_code, resp.text):
+                raise ContextLengthError(resp.text[:500])
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_error = f"HTTP {resp.status_code}"
+                logger.warning("completion attempt %d got HTTP %d",
+                               attempt + 1, resp.status_code)
+                retry_after_s = _retry_after_s(resp) if resp.status_code in (429, 503) else None
+                if retry_after_s is not None:
+                    delay_s = retry_after_s
+                continue
+            if resp.status_code != 200:
+                raise CompletionError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+            try:
+                choice = resp.json()["choices"][0]
+                return CompletionResponse(
+                    text=choice.get("text", ""),
+                    finish_reason=choice.get("finish_reason", FINISH_STOP),
+                )
+            except (KeyError, IndexError, ValueError) as exc:
+                raise CompletionError(f"malformed endpoint response: {exc}") from exc
         raise CompletionError(f"retries exhausted: {last_error}")

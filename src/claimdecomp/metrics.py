@@ -132,9 +132,15 @@ def pearson(xs: list[float], ys: list[float]) -> float:
     y = np.asarray(ys, dtype=float)
     dx = x - x.mean()
     dy = y - y.mean()
-    denom = float(np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
-    if denom == 0.0:
+    # Scale each centred column to unit max before squaring, so tiny or huge
+    # inputs neither underflow into subnormals nor overflow.
+    sx = float(np.max(np.abs(dx)))
+    sy = float(np.max(np.abs(dy)))
+    if sx == 0.0 or sy == 0.0:
         raise MetricsError("zero variance in an input column")
+    dx /= sx
+    dy /= sy
+    denom = float(np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy)))
     return float(np.sum(dx * dy) / denom)
 
 

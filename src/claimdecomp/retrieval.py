@@ -61,12 +61,13 @@ class Index:
     chunks: tuple[Chunk, ...]
     doc_freq: dict[str, int]
     avg_length: float
+    titles: frozenset[str]
     chunk_words: int
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
 
     def has_title(self, title: str) -> bool:
-        return any(c.doc_title == title for c in self.chunks)
+        return title in self.titles
 
 
 def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS,
@@ -87,7 +88,8 @@ def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS
 
 def _index(pieces: Iterable[tuple[str, int, str]], chunk_words: int,
            k1: float, b: float) -> Index:
-    """Index over (doc_title, ordinal, text) chunks with their term statistics."""
+    """Index over (doc_title, ordinal, text) chunks with their term
+    statistics and the set of their titles."""
     chunks = tuple(Chunk(doc_title=title, ordinal=ordinal, text=text,
                          term_counts=Counter(tokenize(text)))
                    for title, ordinal, text in pieces)
@@ -98,6 +100,7 @@ def _index(pieces: Iterable[tuple[str, int, str]], chunk_words: int,
     total_len = sum(c.length for c in chunks)
     avg = total_len / len(chunks) if chunks else 0.0
     return Index(chunks=chunks, doc_freq=doc_freq, avg_length=avg,
+                 titles=frozenset(c.doc_title for c in chunks),
                  chunk_words=chunk_words, k1=k1, b=b)
 
 
@@ -153,9 +156,18 @@ def save_index(index: Index, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> Index:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = payload.get("version")
+    """The index saved at ``path``; a file that is not a whole index of this
+    format version, such as one cut short, is a RetrievalError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise RetrievalError(f"malformed index file {path}: {exc}") from exc
+    version = payload.get("version") if isinstance(payload, dict) else None
     if version != INDEX_FORMAT_VERSION:
         raise RetrievalError(f"unsupported index version {version!r}")
-    return _index(((c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]),
-                  payload["chunk_words"], payload["k1"], payload["b"])
+    try:
+        return _index(((c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]),
+                      payload["chunk_words"], payload["k1"], payload["b"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise RetrievalError(f"malformed index file {path}: bad or missing field "
+                             f"{exc}") from exc

@@ -21,9 +21,11 @@ from dataclasses import dataclass
 
 import requests
 
-from .corpus import Passage
 from .decompose import Subclaim
-from .llm import CompletionClient, GenerationSettings, complete_text
+from .llm import (CompletionClient, GenerationSettings, MapFn, complete_all,
+                  completion_request)
+# Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
+from .llm import complete_text  # noqa: F401
 from .retrieval import Index, search
 
 logger = logging.getLogger(__name__)
@@ -75,37 +77,52 @@ def parse_verdict(completion: str) -> bool | None:
     return None
 
 
+def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
+              settings: GenerationSettings, stats: ValidationStats | None,
+              map_fn: MapFn) -> list[bool]:
+    """Support verdicts for (context, claim) pairs, in order. Only the
+    requests go through ``map_fn``; verdict parsing and counting stay in
+    this thread."""
+    requests = [completion_request(client, build_support_prompt(context, claim), settings)
+                for context, claim in pairs]
+    verdicts = []
+    for (_, claim), response in zip(pairs, complete_all(client, requests, map_fn)):
+        verdict = parse_verdict(response.text)
+        if verdict is None:
+            logger.debug("unparseable validator answer %r for claim %.60s",
+                         response.text[:40], claim)
+            if stats is not None:
+                stats.unparseable += 1
+        verdicts.append(verdict is True)
+    return verdicts
+
+
 def judge_support(client: CompletionClient, context: str, claim: str,
                   settings: GenerationSettings = VALIDATOR_SETTINGS,
                   stats: ValidationStats | None = None) -> bool:
     if not claim:
         raise ValidateError("claim must be non-empty")
-    response = complete_text(client, build_support_prompt(context, claim), settings)
-    verdict = parse_verdict(response.text)
-    if verdict is None:
-        logger.warning("unparseable validator answer %r for claim %.60s",
-                       response.text[:40], claim)
-        if stats is not None:
-            stats.unparseable += 1
-        return False
-    return verdict
+    return _verdicts(client, [(context, claim)], settings, stats, map)[0]
 
 
-def judge_decomposition(client: CompletionClient, sentence: str,
-                        subclaims: list[Subclaim],
+def judge_decomposition(client: CompletionClient, claims: list[tuple[Subclaim, str]],
                         validator_id: str = "llm",
                         settings: GenerationSettings = VALIDATOR_SETTINGS,
-                        stats: ValidationStats | None = None) -> list[SupportJudgment]:
-    """Judge each subclaim against the sentence it was decomposed from."""
+                        stats: ValidationStats | None = None,
+                        map_fn: MapFn = map) -> list[SupportJudgment]:
+    """Judge each (subclaim, source sentence) pair: is the subclaim supported
+    by the sentence it was decomposed from?"""
+    verdicts = _verdicts(client, [(sentence, claim.text) for claim, sentence in claims],
+                         settings, stats, map_fn)
     return [
         SupportJudgment(
             claim=claim,
             context_kind=CONTEXT_ORIGINAL_SENTENCE,
-            supported=judge_support(client, sentence, claim.text, settings, stats),
+            supported=supported,
             validator_id=validator_id,
             context_snapshot=sentence,
         )
-        for claim in subclaims
+        for (claim, sentence), supported in zip(claims, verdicts)
     ]
 
 
@@ -119,30 +136,35 @@ def _truncate_context(context: str, claim: str,
     return context[:allowed]
 
 
-def judge_facts(client: CompletionClient, index: Index, passage: Passage,
-                subclaims: list[Subclaim], k: int = 5,
-                validator_id: str = "llm",
+def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim],
+                k: int = 5, validator_id: str = "llm",
                 settings: GenerationSettings = VALIDATOR_SETTINGS,
-                stats: ValidationStats | None = None) -> list[SupportJudgment]:
+                stats: ValidationStats | None = None,
+                map_fn: MapFn = map) -> list[SupportJudgment]:
     """Judge each subclaim against retrieved knowledge-source chunks.
 
-    Retrieval is restricted to the passage's topic document when the index
-    has one, falling back to the whole corpus. An empty context yields an
-    unsupported judgment without a validator call.
+    Retrieval is restricted to the document titled with the subclaim's
+    topic when the index has one, falling back to the whole corpus. An empty
+    context yields an unsupported judgment without a validator call.
     """
-    restrict = passage.topic if index.has_title(passage.topic) else None
-    judgments = []
+    contexts = []
     for claim in subclaims:
+        restrict = claim.topic if index.has_title(claim.topic) else None
         hits = search(index, claim.text, k, restrict_title=restrict) if index.chunks else []
-        context = _truncate_context(
-            "\n\n".join(chunk.text for chunk, _ in hits), claim.text, settings)
-        if not context:
-            logger.warning("empty retrieval context for claim %.60s", claim.text)
+        contexts.append(_truncate_context(
+            "\n\n".join(chunk.text for chunk, _ in hits), claim.text, settings))
+    verdicts = iter(_verdicts(
+        client, [(context, claim.text) for claim, context in zip(subclaims, contexts) if context],
+        settings, stats, map_fn))
+    judgments = []
+    for claim, context in zip(subclaims, contexts):
+        if context:
+            supported = next(verdicts)
+        else:
+            logger.debug("empty retrieval context for claim %.60s", claim.text)
             if stats is not None:
                 stats.empty_context += 1
             supported = False
-        else:
-            supported = judge_support(client, context, claim.text, settings, stats)
         judgments.append(SupportJudgment(
             claim=claim,
             context_kind=CONTEXT_KNOWLEDGE_SOURCE,

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from claimdecomp import cli
+from claimdecomp.llm import CompletionError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -25,12 +27,22 @@ def _common(data_dir, out_dir, extra=()):
             "--output-dir", str(out_dir), *extra]
 
 
-def run_pipeline(data_dir, out_dir):
-    assert cli.main(["decompose", *_common(data_dir, out_dir)]) == 0
-    assert cli.main(["decompscore", *_common(data_dir, out_dir)]) == 0
+def run_pipeline(data_dir, out_dir, extra=()):
+    assert cli.main(["decompose", *_common(data_dir, out_dir, extra)]) == 0
+    assert cli.main(["decompscore", *_common(data_dir, out_dir, extra)]) == 0
     assert cli.main(["factscore", *_common(
         data_dir, out_dir,
-        extra=["--knowledge", str(data_dir / "knowledge_small.jsonl")])]) == 0
+        extra=["--knowledge", str(data_dir / "knowledge_small.jsonl"), *extra])]) == 0
+
+
+def _first_passage_only(full: Path, resumed: Path) -> None:
+    """Write to ``resumed`` the subclaims file an interrupt after the first
+    passage of ``full`` leaves behind."""
+    lines = (full / "subclaims-rnd.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    resumed.mkdir(parents=True)
+    (resumed / "subclaims-rnd.jsonl").write_text(
+        "".join(l for l in lines if '"topic": "Ada Example"' in l
+                and '"generator": "alpha"' in l), encoding="utf-8")
 
 
 class TestPipeline:
@@ -62,12 +74,7 @@ class TestPipeline:
         full = (full_dir / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
 
         # simulate an interrupt: only the first passage was written
-        lines = full.splitlines(keepends=True)
-        first_passage = [l for l in lines if '"topic": "Ada Example"' in l
-                         and '"generator": "alpha"' in l]
-        resumed_dir.mkdir()
-        (resumed_dir / "subclaims-rnd.jsonl").write_text(
-            "".join(first_passage), encoding="utf-8")
+        _first_passage_only(full_dir, resumed_dir)
         assert cli.main(["decompose", *_common(data_dir, resumed_dir)]) == 0
         resumed = (resumed_dir / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
         assert resumed == full
@@ -117,6 +124,24 @@ class TestExitCodes:
                        "--output-dir", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_max_inflight_below_one(self, data_dir, tmp_path):
+        rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
+                       "--max-inflight", "0"])
+        assert rc == 2
+
+    def test_truncated_index_file(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        index = tmp_path / "index.json"
+        assert cli.main(["index", "build", "--knowledge",
+                         str(data_dir / "knowledge_small.jsonl"), "--out", str(index)]) == 0
+        text = index.read_text(encoding="utf-8")
+        index.write_text(text[:text.index('"chunks": [') + len('"chunks": [')],
+                         encoding="utf-8")
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["factscore", *_common(data_dir, out, ["--index", str(index)])]) == 2
+        assert "malformed index file" in capsys.readouterr().err
+
     def test_factscore_requires_knowledge_or_index(self, data_dir, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
@@ -152,6 +177,106 @@ class TestExitCodes:
         assert cli.main(["decompscore", *_common(data_dir, out)]) == 2
         assert "subclaims-rnd.jsonl:2: expected a record with fields" in \
             capsys.readouterr().err
+
+
+class FailingOnCall:
+    """Delegates to ``inner`` but raises CompletionError on call number ``n``
+    (counting from 1) and every call after it."""
+
+    def __init__(self, inner, n):
+        self.inner, self.n, self.calls = inner, n, 0
+        self.model = inner.model
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            failing = self.calls >= self.n
+        if failing:
+            raise CompletionError(f"injected failure on call {self.n}")
+        return self.inner.complete(request)
+
+
+class TestStagePool:
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    def test_outputs_independent_of_max_inflight(self, data_dir, tmp_path, cache):
+        trees = []
+        for width in ("1", "8"):
+            out = tmp_path / f"width-{width}"
+            extra = ["--max-inflight", width]
+            if cache:
+                extra += ["--cache-dir", str(out / "cache")]
+            run_pipeline(data_dir, out, extra)
+            trees.append(_tree_bytes(out))
+        assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    def test_each_judgment_gets_its_own_verdict(self, data_dir, tmp_path, cache):
+        # the canned validator refutes exactly these two claims
+        refuted = {"His death occurred in 1980.", "The number of films she directed is nine."}
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out, ["--cache-dir", str(tmp_path / "cache")] if cache else [])
+        for stage in ("decompscore", "factscore"):
+            lines = cli.jsonl_path(out, stage, "rnd").read_text(encoding="utf-8").splitlines()
+            records = [json.loads(line) for line in lines]
+            assert {r["text"] for r in records} > refuted
+            for r in records:
+                expected = r["text"] not in refuted and bool(r["context_snapshot"])
+                assert r["supported"] is expected, (stage, r["text"])
+
+    def test_resume_independent_of_max_inflight(self, data_dir, tmp_path):
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "full")]) == 0
+        full = (tmp_path / "full" / "subclaims-rnd.jsonl").read_bytes()
+        for width in ("1", "8"):
+            resumed = tmp_path / f"resumed-{width}"
+            _first_passage_only(tmp_path / "full", resumed)
+            assert cli.main(["decompose", *_common(
+                data_dir, resumed, ["--max-inflight", width])]) == 0
+            assert (resumed / "subclaims-rnd.jsonl").read_bytes() == full
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_endpoint_failure_leaves_whole_passages(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch, n):
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "full")]) == 0
+        full = (tmp_path / "full" / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
+        passages = []
+        for line in full.splitlines(keepends=True):
+            record = json.loads(line)
+            key = (record["generator"], record["topic"])
+            if not passages or passages[-1][0] != key:
+                passages.append((key, []))
+            passages[-1][1].append(line)
+        prefixes = {"".join(l for _, lines in passages[:i] for l in lines)
+                    for i in range(len(passages))}
+
+        build_client = cli._build_client
+        monkeypatch.setattr(cli, "_build_client",
+                            lambda cfg, role: FailingOnCall(build_client(cfg, role), n))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["decompose", *_common(data_dir, out, ["--max-inflight", "4"])]) == 3
+        err = capsys.readouterr().err
+        assert "endpoint error: injected failure" in err and "Traceback" not in err
+        assert (out / "subclaims-rnd.jsonl").read_text(encoding="utf-8") in prefixes
+
+        monkeypatch.setattr(cli, "_build_client", build_client)
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        assert (out / "subclaims-rnd.jsonl").read_text(encoding="utf-8") == full
+
+    @pytest.mark.parametrize("stage", ["decompscore", "factscore"])
+    def test_endpoint_failure_in_judgment_stage(self, data_dir, tmp_path, capsys,
+                                                monkeypatch, stage):
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        build_client = cli._build_client
+        monkeypatch.setattr(cli, "_build_client",
+                            lambda cfg, role: FailingOnCall(build_client(cfg, role), 3))
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"), "--max-inflight", "4"]
+        capsys.readouterr()
+        assert cli.main([stage, *_common(data_dir, out, extra)]) == 3
+        err = capsys.readouterr().err
+        assert "endpoint error: injected failure" in err and "Traceback" not in err
+        assert not cli.jsonl_path(out, stage, "rnd").exists()
 
 
 class TestCorrelate:

@@ -312,22 +312,6 @@ class TestDecomposePassage:
         assert [c.text for c in claims] == ["Nash earned degrees"]
         assert claims[0].method == "predpatt"
 
-    def test_concurrent_matches_serial(self, rnd_bank):
-        passage = make_passage(
-            "T", "g", "First sentence here. Second one here. Third thing here.")
-        config = _bound("rnd", rnd_bank)
-
-        def client():
-            return MockCompletionClient(rules=[
-                ("First sentence here.", "- a\n- b"),
-                ("Second one here.", "- c"),
-                ("Third thing here.", "- d\n- e"),
-            ])
-
-        serial = decompose_passage(config, passage, client())
-        threaded = decompose_passage(config, passage, client(), max_workers=4)
-        assert serial == threaded
-
 
 def test_decompose_reproducible_with_cached_completions(rnd_bank, tmp_path):
     from claimdecomp import CachingClient

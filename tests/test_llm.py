@@ -9,7 +9,7 @@ import pytest
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError,
                              HttpCompletionClient, MockCompletionClient,
-                             ResponseCache, cache_key)
+                             ResponseCache, cache_key, complete_all)
 
 
 def req(prompt="p", **kw):
@@ -130,6 +130,43 @@ class TestCache:
         with pytest.raises(CompletionError, match="cache-only"):
             client.complete(req("never seen"))
 
+    def test_batch_sends_each_distinct_miss_once(self, tmp_path):
+        inner = CountingClient()
+        client = CachingClient(inner, tmp_path)
+        client.complete(req("warm"))
+        mapped = []
+
+        def recording_map(fn, items):
+            mapped.extend(items)
+            return map(fn, items)
+
+        batch = [req("a"), req("warm"), req("b"), req("a"), req("b"), req("a")]
+        responses = complete_all(client, batch, recording_map)
+        assert [r.text for r in responses] == ["out"] * 6
+        assert inner.calls == 1 + 2
+        assert mapped == [req("a"), req("b")]
+        assert ResponseCache(tmp_path).get(req("b")).text == "out"
+
+    def test_batch_in_cache_only_mode_fails_before_any_call(self, tmp_path):
+        CachingClient(CountingClient(), tmp_path).complete(req("warm"))
+        inner = CountingClient()
+        client = CachingClient(inner, tmp_path, cache_only=True)
+        mapped = []
+
+        def recording_map(fn, items):
+            mapped.extend(items)
+            return map(fn, items)
+
+        with pytest.raises(CompletionError, match="cache-only"):
+            complete_all(client, [req("warm"), req("cold")], recording_map)
+        assert inner.calls == 0 and mapped == []
+        assert complete_all(client, [req("warm")], recording_map)[0].text == "out"
+
+    def test_batch_without_cache_maps_every_request(self):
+        inner = CountingClient()
+        responses = complete_all(inner, [req("a"), req("a")])
+        assert len(responses) == 2 and inner.calls == 2
+
     def test_concurrent_writes(self, tmp_path):
         cache = ResponseCache(tmp_path)
 
@@ -174,10 +211,11 @@ class TestCache:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or (json.dumps(payload) if payload else "")
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -220,6 +258,33 @@ class TestHttpClient:
         response = self._client(session, max_retries=3).complete(req())
         assert response.text == "ok"
         assert session.calls == 3
+
+    @pytest.mark.parametrize("status, retry_after, slept", [
+        (429, "2", [2.0]),
+        (503, "0", [0.0]),
+        (429, None, [0.5]),
+        (500, "2", [0.5]),  # only a 429 or 503 names the delay
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5]),  # HTTP-date form: backoff
+    ])
+    def test_retry_after_replaces_backoff(self, monkeypatch, status, retry_after, slept):
+        sleeps = []
+        monkeypatch.setattr("claimdecomp.llm.time.sleep", sleeps.append)
+        headers = {"Retry-After": retry_after} if retry_after is not None else {}
+        session = FakeSession([
+            FakeResponse(status_code=status, headers=headers),
+            FakeResponse(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
+        ])
+        response = self._client(session, backoff_s=0.5).complete(req())
+        assert response.text == "ok"
+        assert sleeps == slept
+
+    def test_backoff_doubles_per_attempt(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("claimdecomp.llm.time.sleep", sleeps.append)
+        session = FakeSession([FakeResponse(status_code=500)] * 4)
+        with pytest.raises(CompletionError, match="retries exhausted"):
+            self._client(session, backoff_s=0.5, max_retries=3).complete(req())
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_retries_exhausted(self):
         session = FakeSession([FakeResponse(status_code=500)] * 3)

@@ -137,6 +137,30 @@ class TestPersistence:
         assert [(c.doc_title, c.ordinal, s) for c, s in original] == [
             (c.doc_title, c.ordinal, s) for c, s in reloaded]
 
+    def test_titles_survive_round_trip(self, tmp_path):
+        index = build_index(FIVE_DOCS, 8)
+        path = tmp_path / "index.json"
+        save_index(index, path)
+        for candidate in (index, load_index(path)):
+            assert all(candidate.has_title(d.title) for d in FIVE_DOCS)
+            assert not candidate.has_title("Nobody")
+
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "index.json"
+        save_index(build_index(FIVE_DOCS, 8), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:text.index('"chunks": [') + len('"chunks": [')],
+                        encoding="utf-8")
+        with pytest.raises(RetrievalError, match="malformed index file"):
+            load_index(path)
+
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "index.json"
+        path.write_text('{"version": 1, "chunk_words": 8, "k1": 0.9, "b": 0.4, '
+                        '"chunks": [{"doc_title": "T", "ordinal": 0}]}')
+        with pytest.raises(RetrievalError, match="'text'"):
+            load_index(path)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": 99, "chunks": []}')

@@ -3,7 +3,6 @@ import pytest
 from claimdecomp import (KnowledgeDoc, MockCompletionClient, build_index,
                          judge_decomposition, judge_facts, judge_support,
                          nli_entails)
-from claimdecomp.corpus import make_passage
 from claimdecomp.decompose import Subclaim
 from claimdecomp.llm import GenerationSettings
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
@@ -67,12 +66,12 @@ class TestJudgeSupport:
 
 class TestJudgeDecomposition:
     def test_empty_list(self):
-        assert judge_decomposition(MockCompletionClient(default="True"), "s", []) == []
+        assert judge_decomposition(MockCompletionClient(default="True"), []) == []
 
     def test_all_true(self):
         client = MockCompletionClient(default="True")
         claims = [claim("a", 0), claim("b", 1), claim("c", 2)]
-        judgments = judge_decomposition(client, "The sentence.", claims)
+        judgments = judge_decomposition(client, [(c, "The sentence.") for c in claims])
         assert len(judgments) == 3
         assert all(j.supported for j in judgments)
         assert all(j.context_kind == CONTEXT_ORIGINAL_SENTENCE for j in judgments)
@@ -85,7 +84,7 @@ class TestJudgeDecomposition:
             ("Claim: unsupported one", "False"),
         ])
         judgments = judge_decomposition(
-            client, "s", [claim("supported one", 0), claim("unsupported one", 1)])
+            client, [(claim("supported one", 0), "s"), (claim("unsupported one", 1), "s")])
         assert [j.supported for j in judgments] == [True, False]
 
 
@@ -99,9 +98,8 @@ class TestJudgeFacts:
     def test_empty_index_all_unsupported_without_calls(self):
         index = build_index([], 16)
         client = MockCompletionClient(default="True")
-        passage = make_passage("T", "g", "A sentence.")
         stats = ValidationStats()
-        judgments = judge_facts(client, index, passage, [claim("composer claim")],
+        judgments = judge_facts(client, index, [claim("composer claim")],
                                 stats=stats)
         assert [j.supported for j in judgments] == [False]
         assert stats.empty_context == 1
@@ -109,9 +107,7 @@ class TestJudgeFacts:
 
     def test_all_true(self):
         client = MockCompletionClient(default="True")
-        passage = make_passage("T", "g", "A sentence.")
-        judgments = judge_facts(client, self._index(), passage,
-                                [claim("The composer lived in Zurich.")])
+        judgments = judge_facts(client, self._index(), [claim("The composer lived in Zurich.")])
         assert all(j.supported for j in judgments)
         assert all(j.context_kind == CONTEXT_KNOWLEDGE_SOURCE for j in judgments)
 
@@ -119,15 +115,12 @@ class TestJudgeFacts:
         doc = KnowledgeDoc("T", "Only chunk text mentioning a composer.")
         index = build_index([doc], 32)
         client = MockCompletionClient(default="True")
-        passage = make_passage("T", "g", "A sentence.")
-        judgments = judge_facts(client, index, passage, [claim("composer claim")])
+        judgments = judge_facts(client, index, [claim("composer claim")])
         assert judgments[0].context_snapshot == doc.text
 
     def test_restricted_to_topic_document(self):
         client = MockCompletionClient(default="True")
-        passage = make_passage("T", "g", "A sentence.")
-        judgments = judge_facts(client, self._index(), passage,
-                                [claim("films and composer")])
+        judgments = judge_facts(client, self._index(), [claim("films and composer")])
         assert "topic document" in judgments[0].context_snapshot
         assert "Unrelated" not in judgments[0].context_snapshot
 
@@ -135,18 +128,16 @@ class TestJudgeFacts:
         doc = KnowledgeDoc("T", "composer " + "filler " * 5000)
         index = build_index([doc], 6000)
         client = MockCompletionClient(default="True")
-        passage = make_passage("T", "g", "A sentence.")
         settings = GenerationSettings(temperature=0.0, max_tokens=128,
                                       context_window=2048)
-        judgments = judge_facts(client, index, passage, [claim("composer claim")],
+        judgments = judge_facts(client, index, [claim("composer claim")],
                                 settings=settings)
         prompt = client.calls[0].prompt
         assert len(prompt) <= (2048 - 128) * settings.chars_per_token + 64
 
     def test_claim_verbatim_once_in_prompt(self):
         client = MockCompletionClient(default="True")
-        passage = make_passage("T", "g", "A sentence.")
-        judge_facts(client, self._index(), passage, [claim("a very unique claim")])
+        judge_facts(client, self._index(), [claim("a very unique claim")])
         assert client.calls[0].prompt.count("a very unique claim") == 1
 
 
