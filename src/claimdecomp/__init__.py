@@ -10,9 +10,9 @@ from .decompose import (MethodConfig, Subclaim, assemble_prompt, builtin_configs
 from .llm import (CachingClient, CompletionRequest, CompletionResponse,
                   ContextLengthError, GenerationSettings, HttpCompletionClient,
                   MockCompletionClient, ResponseCache)
-from .metrics import (LmMetrics, MethodReport, PassageResult, apply_filter,
-                      coherence_pct, decomp_score, fact_score, macro_average,
-                      method_report, pearson, results_from_judgments)
+from .metrics import (LmMetrics, MethodReport, PassageResult, coherence_pct,
+                      decomp_score, fact_score, macro_average, method_report,
+                      pearson, results_from_judgments)
 from .predarg import (ExtractionOptions, PredArgMethod, Predication,
                       extract_predications, fluency_rewrite, render_predication)
 from .retrieval import Chunk, Index, build_index, load_index, save_index, search

@@ -15,6 +15,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -70,6 +72,22 @@ class RunConfig:
 
 
 _CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _fits(kind, value) -> bool:
+    """Whether a config-file value has the field type ``kind``; a bool is
+    not an int, and an int is a float."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return any(_fits(k, value) for k in args)
+    if origin is list:
+        return isinstance(value, list) and all(_fits(args[0], v) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(args[1], v) for v in value.values())
+    if kind is float:
+        kind = (int, float)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -80,10 +98,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
+            if not _fits(_CONFIG_TYPES[key], value):
+                raise ConfigError(f"config key {key!r} must be "
+                                  f"{RunConfig.__dataclass_fields__[key].type}, got {value!r}")
             setattr(cfg, key, value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
@@ -323,6 +346,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
 
     reports: dict[str, MethodReport] = {}
     stats = ValidationStats()
+    unfiltered_passages = 0
     for name in cfg.methods:
         claims = _load_subclaims(outdir, name)
         if not claims:
@@ -356,6 +380,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
                                "zero-supported counts", name)
             results = results_from_judgments(claims, sentence_judgments=sentence_judgments,
                                              knowledge_judgments=judgments)
+            unfiltered_passages += sum(r.n_supported_by_sentence == 0 for r in results)
         reports[name] = method_report(results)
 
     if stats.unparseable:
@@ -363,6 +388,9 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
               "counted as unsupported")
     if stats.empty_context:
         print(f"warning: {stats.empty_context} claims had empty retrieval context")
+    if unfiltered_passages:
+        print(f"warning: {unfiltered_passages} passages have no sentence-supported "
+              "subclaims; filtered factscore counts them as 0")
     for filename, metric, scale in REPORT_COLUMNS[stage]:
         _write_report_csv(outdir / filename, reports, metric, scale)
     if stage == "factscore":

@@ -8,16 +8,17 @@ POST ``{model, prompt, max_tokens, temperature}`` returning
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import time
+import urllib.error
+import urllib.request
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -234,17 +235,34 @@ def _looks_like_context_overflow(status: int, body: str) -> bool:
     return any(marker in lowered for marker in _CONTEXT_LENGTH_MARKERS)
 
 
-def _retry_after_s(resp) -> float | None:
+def _retry_after_s(headers: http.client.HTTPMessage) -> float | None:
     """The delta-seconds ``Retry-After`` of a response, or None (absent, or
     the HTTP-date form)."""
-    value = resp.headers.get("Retry-After", "").strip()
+    value = headers.get("Retry-After", "").strip()
     return float(value) if value.isascii() and value.isdigit() else None
+
+
+def post_json(url: str, payload: dict, headers: dict[str, str],
+              timeout_s: float) -> tuple[int, http.client.HTTPMessage, str]:
+    """POST ``payload`` as JSON; the response's status, headers and body text,
+    error statuses included. No response raises OSError or HTTPException."""
+    try:
+        request = urllib.request.Request(
+            url, json.dumps(payload).encode(), method="POST",
+            headers={"Content-Type": "application/json", **headers})
+        with urllib.request.urlopen(request, timeout=timeout_s) as resp:
+            return resp.status, resp.headers, resp.read().decode("utf-8", "replace")
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.headers, exc.read().decode("utf-8", "replace")
+    except ValueError as exc:  # a URL without a scheme never gets a response
+        raise urllib.error.URLError(exc) from exc
 
 
 class HttpCompletionClient:
     """Completions-endpoint client with retries.
 
-    Transient failures (connection errors, 429, 5xx) are retried with
+    Transient failures (no response, 429, 5xx) are retried with
     exponential backoff, or after the delay a 429 or 503 names in a
     delta-seconds ``Retry-After``; window rejections surface as
     ContextLengthError so callers can shrink their prompts. The client
@@ -254,8 +272,7 @@ class HttpCompletionClient:
 
     def __init__(self, url: str | None = None, model: str = "default",
                  api_key: str | None = None, max_retries: int = 3,
-                 backoff_s: float = 0.5, timeout_s: float = 60.0,
-                 session: requests.Session | None = None):
+                 backoff_s: float = 0.5, timeout_s: float = 60.0):
         self.url = url or os.environ.get(ENDPOINT_URL_ENV)
         if not self.url:
             raise CompletionError(
@@ -265,7 +282,6 @@ class HttpCompletionClient:
         self.max_retries = max_retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self._session = session or requests.Session()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         payload = dict(vars(request))
@@ -279,30 +295,28 @@ class HttpCompletionClient:
                 time.sleep(delay_s)
             delay_s = self.backoff_s * 2 ** attempt
             try:
-                resp = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout_s)
-            except requests.RequestException as exc:
-                last_error = f"request failed: {exc}"
-                logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
+                status, resp_headers, body = post_json(self.url, payload, headers, self.timeout_s)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = f"request failed: {exc!r}"
+                logger.warning("completion attempt %d failed: %r", attempt + 1, exc)
                 continue
-            if _looks_like_context_overflow(resp.status_code, resp.text):
-                raise ContextLengthError(resp.text[:500])
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                logger.warning("completion attempt %d got HTTP %d",
-                               attempt + 1, resp.status_code)
-                retry_after_s = _retry_after_s(resp) if resp.status_code in (429, 503) else None
+            if _looks_like_context_overflow(status, body):
+                raise ContextLengthError(body[:500])
+            if status == 429 or status >= 500:
+                last_error = f"HTTP {status}"
+                logger.warning("completion attempt %d got HTTP %d", attempt + 1, status)
+                retry_after_s = _retry_after_s(resp_headers) if status in (429, 503) else None
                 if retry_after_s is not None:
                     delay_s = retry_after_s
                 continue
-            if resp.status_code != 200:
-                raise CompletionError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+            if status != 200:
+                raise CompletionError(f"HTTP {status}: {body[:500]}")
             try:
-                choice = resp.json()["choices"][0]
-                return CompletionResponse(
-                    text=choice.get("text", ""),
-                    finish_reason=choice.get("finish_reason", FINISH_STOP),
-                )
-            except (KeyError, IndexError, ValueError) as exc:
-                raise CompletionError(f"malformed endpoint response: {exc}") from exc
+                choice = json.loads(body)["choices"][0]
+                text, finish_reason = choice["text"], choice.get("finish_reason", FINISH_STOP)
+            except (ValueError, LookupError, TypeError) as exc:
+                raise CompletionError(f"malformed endpoint response: {exc!r}") from exc
+            if not isinstance(text, str) or not isinstance(finish_reason, str):
+                raise CompletionError(f"malformed endpoint response: {body[:500]}")
+            return CompletionResponse(text=text, finish_reason=finish_reason)
         raise CompletionError(f"retries exhausted: {last_error}")

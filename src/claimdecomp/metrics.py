@@ -15,9 +15,9 @@ generators.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from statistics import fmean
 
 from .decompose import Subclaim
 from .validate import SupportJudgment
@@ -60,12 +60,12 @@ def _require_results(results: list[PassageResult]) -> None:
 def decomp_score(results: list[PassageResult]) -> float:
     """Mean sentence-supported subclaim count per passage."""
     _require_results(results)
-    return float(np.mean([r.n_supported_by_sentence for r in results]))
+    return fmean(r.n_supported_by_sentence for r in results)
 
 
 def avg_subclaims(results: list[PassageResult]) -> float:
     _require_results(results)
-    return float(np.mean([r.n_subclaims for r in results]))
+    return fmean(r.n_subclaims for r in results)
 
 
 def fact_score(results: list[PassageResult], use_filter: bool = False,
@@ -85,15 +85,15 @@ def fact_score(results: list[PassageResult], use_filter: bool = False,
         else:
             numerator, denominator = r.n_supported_by_knowledge, r.n_subclaims
         if denominator == 0:
-            logger.warning("passage %s/%s has zero denominator; scoring 0",
-                           r.generator, r.topic)
+            logger.debug("passage %s/%s has zero denominator; scoring 0",
+                         r.generator, r.topic)
             score = 0.0
         else:
             score = numerator / denominator
         if length_penalty_gamma:
             score *= min(1.0, r.n_subclaims / length_penalty_gamma)
         scores.append(score)
-    return float(np.mean(scores))
+    return fmean(scores)
 
 
 def coherence_pct(results: list[PassageResult]) -> float:
@@ -106,20 +106,11 @@ def coherence_pct(results: list[PassageResult]) -> float:
     return 100.0 * supported / total
 
 
-def apply_filter(subclaims: list[Subclaim],
-                 sentence_judgments: list[SupportJudgment]) -> list[Subclaim]:
-    """Keep exactly the subclaims judged supported by their sentence."""
-    if len(subclaims) != len(sentence_judgments):
-        raise MetricsError(
-            f"{len(subclaims)} subclaims but {len(sentence_judgments)} judgments")
-    return [c for c, j in zip(subclaims, sentence_judgments) if j.supported]
-
-
 def macro_average(per_lm: dict[str, float]) -> float:
     """Arithmetic mean across generators."""
     if not per_lm:
         raise MetricsError("empty per-generator map")
-    return float(np.mean(list(per_lm.values())))
+    return fmean(per_lm.values())
 
 
 def pearson(xs: list[float], ys: list[float]) -> float:
@@ -128,20 +119,19 @@ def pearson(xs: list[float], ys: list[float]) -> float:
         raise MetricsError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise MetricsError("need at least 2 pairs")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    dx = x - x.mean()
-    dy = y - y.mean()
+    mx, my = fmean(xs), fmean(ys)
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
     # Scale each centred column to unit max before squaring, so tiny or huge
     # inputs neither underflow into subnormals nor overflow.
-    sx = float(np.max(np.abs(dx)))
-    sy = float(np.max(np.abs(dy)))
+    sx = max(map(abs, dx))
+    sy = max(map(abs, dy))
     if sx == 0.0 or sy == 0.0:
         raise MetricsError("zero variance in an input column")
-    dx /= sx
-    dy /= sy
-    denom = float(np.sqrt(np.sum(dx * dx)) * np.sqrt(np.sum(dy * dy)))
-    return float(np.sum(dx * dy) / denom)
+    dx = [d / sx for d in dx]
+    dy = [d / sy for d in dy]
+    denom = math.sqrt(math.fsum(d * d for d in dx)) * math.sqrt(math.fsum(d * d for d in dy))
+    return math.fsum(a * b for a, b in zip(dx, dy)) / denom
 
 
 # --- aggregation ----------------------------------------------------------------

@@ -15,15 +15,15 @@ a flaky model cannot abort a long run.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import re
 from dataclasses import dataclass
 
-import requests
-
 from .decompose import Subclaim
 from .llm import (CompletionClient, GenerationSettings, MapFn, complete_all,
-                  completion_request)
+                  completion_request, post_json)
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
 from .retrieval import Index, search
@@ -200,27 +200,27 @@ class HttpNliClient:
     """POST {premise, hypothesis} to an NLI service returning the three
     class probabilities."""
 
-    def __init__(self, url: str, timeout_s: float = 60.0,
-                 session: requests.Session | None = None):
+    def __init__(self, url: str, timeout_s: float = 60.0):
         self.url = url
         self.timeout_s = timeout_s
-        self._session = session or requests.Session()
 
     def classify(self, premise: str, hypothesis: str) -> NliVerdict:
         try:
-            resp = self._session.post(
-                self.url, json={"premise": premise, "hypothesis": hypothesis},
-                timeout=self.timeout_s)
-        except requests.RequestException as exc:
-            raise ValidateError(f"NLI request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise ValidateError(f"NLI service HTTP {resp.status_code}")
-        data = resp.json()
-        return NliVerdict(
-            entailment=data["entailment"],
-            neutral=data["neutral"],
-            contradiction=data["contradiction"],
-        )
+            status, _, body = post_json(
+                self.url, {"premise": premise, "hypothesis": hypothesis}, {}, self.timeout_s)
+        except (OSError, http.client.HTTPException) as exc:
+            raise ValidateError(f"NLI request failed: {exc!r}") from exc
+        if status != 200:
+            raise ValidateError(f"NLI service HTTP {status}")
+        try:
+            data = json.loads(body)
+            return NliVerdict(
+                entailment=data["entailment"],
+                neutral=data["neutral"],
+                contradiction=data["contradiction"],
+            )
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ValidateError(f"malformed NLI response: {exc!r}") from exc
 
 
 class StaticNliClient:

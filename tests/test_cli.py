@@ -178,6 +178,24 @@ class TestExitCodes:
         assert "subclaims-rnd.jsonl:2: expected a record with fields" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage, config", [
+        ("decompose", {"max_inflight": "8"}),
+        ("factscore", {"retrieval_k": "5"}),
+        ("decompose", {"max_inflight": True}),
+        ("decompose", {"methods": "rnd"}),
+        ("decompose", {"temperature": "0.5"}),
+    ], ids=["str-for-int", "str-for-int-factscore", "bool-for-int", "str-for-list",
+            "str-for-float"])
+    def test_config_value_of_wrong_type(self, data_dir, tmp_path, capsys, stage, config):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        extra = ["--config", str(config_path), "--knowledge",
+                 str(data_dir / "knowledge_small.jsonl")]
+        assert cli.main([stage, *_common(data_dir, tmp_path / "out", extra)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {next(iter(config))!r} must be ")
+        assert "Traceback" not in err
+
 
 class FailingOnCall:
     """Delegates to ``inner`` but raises CompletionError on call number ``n``
@@ -394,6 +412,28 @@ class TestDegenerateInputs:
             assert "unparseable validator answers counted as unsupported" in \
                 capsys.readouterr().out, stage
 
+    def test_maybe_validator_run_reports_counts_not_lines(self, data_dir, tmp_path):
+        spec = json.loads((data_dir / "mock_responses.json").read_text())
+        spec["validator"] = {"default": "Maybe"}
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(spec))
+        args = ["--generations", str(data_dir / "generations_small.jsonl"),
+                "--mock-responses", str(mock), "--method", "rnd",
+                "--output-dir", str(tmp_path / "out")]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        stdout = {}
+        for stage, extra in (("decompose", []), ("decompscore", []), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+            proc = subprocess.run(
+                [sys.executable, "-m", "claimdecomp.cli", stage, *args, *extra],
+                cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), stage
+            stdout[stage] = proc.stdout
+        line = ("warning: 4 passages have no sentence-supported subclaims; "
+                "filtered factscore counts them as 0")
+        assert line in stdout["factscore"].splitlines()
+        assert "sentence-supported" not in stdout["decompscore"]
+
 
 class TestCacheModes:
     def test_cache_only_serves_warm_runs_and_fails_cold(self, data_dir, tmp_path):
@@ -446,6 +486,12 @@ class TestConfigFile:
         config_path = tmp_path / "run.json"
         config_path.write_text('{"no_such_key": 1}')
         assert cli.main(["decompose", "--config", str(config_path)]) == 2
+
+    def test_int_accepted_for_float_and_null_for_optional(self, data_dir, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"temperature": 0, "endpoint_url": null}')
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
+                         "--config", str(config_path)]) == 0
 
 
 class TestPredpattPipeline:
@@ -504,3 +550,14 @@ class TestBenchmarkHooks:
             spans |= {span[2] for span in json.loads(trace.read_text())["spans"]}
         assert {"validate.judge_decomposition", "validate.judge_facts",
                 "metrics.results_from_judgments", "metrics.method_report"} <= spans
+
+
+class TestStdlibRuntime:
+    def test_cli_imports_no_third_party_runtime(self):
+        code = ("import sys, claimdecomp.cli; "
+                "print(sorted({'numpy', 'requests', 'urllib3'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=REPO,
+                              env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,8 +1,11 @@
+import http.client
 import json
 import logging
 import multiprocessing
 import sys
 import threading
+import urllib.error
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -10,6 +13,7 @@ from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError,
                              HttpCompletionClient, MockCompletionClient,
                              ResponseCache, cache_key, complete_all)
+from claimdecomp.validate import HttpNliClient, NliVerdict, ValidateError
 
 
 def req(prompt="p", **kw):
@@ -210,54 +214,62 @@ class TestCache:
         assert ResponseCache(tmp_path).get(req("shared")).text.startswith("w")
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (json.dumps(payload) if payload else "")
-        self.headers = headers or {}
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+def reply(status=200, payload=None, text="", headers=None):
+    """A ``post_json`` result: status, headers and body text."""
+    return status, headers or {}, text or (json.dumps(payload) if payload else "")
 
 
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
+class FakePost:
+    """Stands in for ``llm.post_json``: returns (or raises) the scripted
+    items in turn."""
+
+    def __init__(self, items):
+        self.items = list(items)
         self.calls = 0
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def __call__(self, url, payload, headers, timeout_s):
         self.calls += 1
-        item = self.responses.pop(0)
+        item = self.items.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
 
 
 class TestHttpClient:
-    def _client(self, session, **kw):
+    def _client(self, monkeypatch, post, **kw):
+        monkeypatch.setattr("claimdecomp.llm.post_json", post)
         kw.setdefault("backoff_s", 0.0)
         return HttpCompletionClient(url="http://example.test/v1/completions",
-                                    model="m", session=session, **kw)
+                                    model="m", **kw)
 
-    def test_success(self):
-        session = FakeSession([FakeResponse(payload={
+    def test_success(self, monkeypatch):
+        post = FakePost([reply(payload={
             "choices": [{"text": "hello", "finish_reason": "stop"}]})])
-        response = self._client(session).complete(req())
+        response = self._client(monkeypatch, post).complete(req())
         assert response.text == "hello"
         assert response.finish_reason == "stop"
 
-    def test_retries_transient_then_succeeds(self):
-        session = FakeSession([
-            FakeResponse(status_code=500),
-            FakeResponse(status_code=429),
-            FakeResponse(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
+    def test_retries_transient_then_succeeds(self, monkeypatch):
+        post = FakePost([
+            reply(status=500),
+            reply(status=429),
+            reply(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
         ])
-        response = self._client(session, max_retries=3).complete(req())
+        response = self._client(monkeypatch, post, max_retries=3).complete(req())
         assert response.text == "ok"
-        assert session.calls == 3
+        assert post.calls == 3
+
+    @pytest.mark.parametrize("failure", [
+        http.client.IncompleteRead(b""),
+        http.client.RemoteDisconnected("closed"),
+        urllib.error.URLError("refused"),
+        TimeoutError("timed out"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_no_response_is_retried(self, monkeypatch, failure):
+        post = FakePost([failure, reply(payload={"choices": [{"text": "ok"}]})])
+        response = self._client(monkeypatch, post).complete(req())
+        assert response == CompletionResponse(text="ok", finish_reason="stop")
+        assert post.calls == 2
 
     @pytest.mark.parametrize("status, retry_after, slept", [
         (429, "2", [2.0]),
@@ -270,42 +282,58 @@ class TestHttpClient:
         sleeps = []
         monkeypatch.setattr("claimdecomp.llm.time.sleep", sleeps.append)
         headers = {"Retry-After": retry_after} if retry_after is not None else {}
-        session = FakeSession([
-            FakeResponse(status_code=status, headers=headers),
-            FakeResponse(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
+        post = FakePost([
+            reply(status=status, headers=headers),
+            reply(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
         ])
-        response = self._client(session, backoff_s=0.5).complete(req())
+        response = self._client(monkeypatch, post, backoff_s=0.5).complete(req())
         assert response.text == "ok"
         assert sleeps == slept
 
     def test_backoff_doubles_per_attempt(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr("claimdecomp.llm.time.sleep", sleeps.append)
-        session = FakeSession([FakeResponse(status_code=500)] * 4)
+        post = FakePost([reply(status=500)] * 4)
         with pytest.raises(CompletionError, match="retries exhausted"):
-            self._client(session, backoff_s=0.5, max_retries=3).complete(req())
+            self._client(monkeypatch, post, backoff_s=0.5, max_retries=3).complete(req())
         assert sleeps == [0.5, 1.0, 2.0]
 
-    def test_retries_exhausted(self):
-        session = FakeSession([FakeResponse(status_code=500)] * 3)
+    def test_retries_exhausted(self, monkeypatch):
+        post = FakePost([reply(status=500)] * 3)
         with pytest.raises(CompletionError, match="retries exhausted"):
-            self._client(session, max_retries=2).complete(req())
+            self._client(monkeypatch, post, max_retries=2).complete(req())
 
-    def test_context_length_error_kind(self):
-        session = FakeSession([FakeResponse(
-            status_code=400, text='{"error": {"code": "context_length_exceeded"}}')])
+    def test_context_length_error_kind(self, monkeypatch):
+        post = FakePost([reply(
+            status=400, text='{"error": {"code": "context_length_exceeded"}}')])
         with pytest.raises(ContextLengthError):
-            self._client(session).complete(req())
+            self._client(monkeypatch, post).complete(req())
 
-    def test_other_400_is_plain_error(self):
-        session = FakeSession([FakeResponse(status_code=400, text="bad request")])
+    def test_other_400_is_plain_error(self, monkeypatch):
+        post = FakePost([reply(status=400, text="bad request")])
         with pytest.raises(CompletionError):
-            self._client(session).complete(req())
+            self._client(monkeypatch, post).complete(req())
 
-    def test_malformed_body(self):
-        session = FakeSession([FakeResponse(payload={"nope": []})])
+    def test_malformed_body(self, monkeypatch):
+        post = FakePost([reply(payload={"nope": []})])
         with pytest.raises(CompletionError, match="malformed"):
-            self._client(session).complete(req())
+            self._client(monkeypatch, post).complete(req())
+
+    @pytest.mark.parametrize("body", [
+        "[]",
+        '{"choices": [null]}',
+        '{"choices": ["x"]}',
+        '{"choices": [{"text": 5}]}',
+        '{"choices": [{"finish_reason": "stop"}]}',
+        '{"choices": [{"text": "x", "finish_reason": 3}]}',
+        '{"choices": []}',
+        "not json",
+    ], ids=["list", "null-choice", "str-choice", "int-text", "no-text", "int-finish",
+            "no-choice", "not-json"])
+    def test_body_of_the_wrong_shape(self, monkeypatch, body):
+        post = FakePost([reply(text=body)])
+        with pytest.raises(CompletionError, match="malformed"):
+            self._client(monkeypatch, post).complete(req())
 
     def test_requires_url(self, monkeypatch):
         monkeypatch.delenv("CLAIMDECOMP_ENDPOINT_URL", raising=False)
@@ -316,3 +344,94 @@ class TestHttpClient:
         monkeypatch.setenv("CLAIMDECOMP_ENDPOINT_URL", "http://env.test")
         client = HttpCompletionClient()
         assert client.url == "http://env.test"
+
+    def test_url_without_scheme_fails_as_no_response(self, monkeypatch):
+        monkeypatch.setattr("claimdecomp.llm.time.sleep", lambda s: None)
+        client = HttpCompletionClient(url="example.test/v1/completions", max_retries=1)
+        with pytest.raises(CompletionError, match="retries exhausted: request failed"):
+            client.complete(req())
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next (status, headers, body) of the
+    server's ``script`` and records the request."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((dict(self.headers), json.loads(body)))
+        status, headers, text = self.server.script.pop(0)
+        data = text.encode("utf-8")
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback():
+    """A scripted HTTP server on 127.0.0.1; yields (server, url)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), ScriptedHandler)
+    server.script, server.received = [], []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/v1"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+class TestLoopback:
+    """The real ``post_json`` against a local server: urllib's HTTPError
+    path must reach the clients as statuses."""
+
+    def test_retry_after_then_success(self, loopback):
+        server, url = loopback
+        server.script = [(429, {"Retry-After": "0"}, "slow down"),
+                         (200, {}, '{"choices": [{"text": "hi", "finish_reason": "length"}]}')]
+        client = HttpCompletionClient(url=url, model="m", api_key="k", backoff_s=5.0)
+        assert client.complete(req("p", max_tokens=8)) == \
+            CompletionResponse(text="hi", finish_reason="length")
+        assert len(server.received) == 2
+        headers, payload = server.received[-1]
+        assert payload == {"model": "m", "prompt": "p", "max_tokens": 8, "temperature": 0.7}
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Authorization"] == "Bearer k"
+
+    def test_context_length_rejection(self, loopback):
+        server, url = loopback
+        server.script = [(400, {}, '{"error": {"code": "context_length_exceeded"}}')]
+        with pytest.raises(ContextLengthError):
+            HttpCompletionClient(url=url).complete(req())
+
+    def test_server_errors_exhaust_retries(self, loopback):
+        server, url = loopback
+        server.script = [(500, {}, "boom")] * 3
+        with pytest.raises(CompletionError, match="retries exhausted: HTTP 500"):
+            HttpCompletionClient(url=url, max_retries=2, backoff_s=0.0).complete(req())
+        assert len(server.received) == 3
+
+    def test_non_json_success_body(self, loopback):
+        server, url = loopback
+        server.script = [(200, {}, "<html>not json</html>")]
+        with pytest.raises(CompletionError, match="malformed"):
+            HttpCompletionClient(url=url).complete(req())
+
+    def test_nli_client(self, loopback):
+        server, url = loopback
+        server.script = [(200, {}, '{"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}'),
+                         (503, {}, "unavailable"),
+                         (200, {}, "not json")]
+        client = HttpNliClient(url)
+        assert client.classify("p", "h") == NliVerdict(0.7, 0.2, 0.1)
+        assert server.received[0][1] == {"premise": "p", "hypothesis": "h"}
+        with pytest.raises(ValidateError, match="HTTP 503"):
+            client.classify("p", "h")
+        with pytest.raises(ValidateError, match="malformed"):
+            client.classify("p", "h")

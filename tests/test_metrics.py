@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from claimdecomp.decompose import Subclaim
 from claimdecomp.metrics import (LmMetrics, MetricsError, PassageResult,
-                                 apply_filter, avg_subclaims, coherence_pct,
-                                 decomp_score, fact_score, macro_average,
-                                 method_report, pearson, results_from_judgments)
+                                 avg_subclaims, coherence_pct, decomp_score,
+                                 fact_score, macro_average, method_report,
+                                 pearson, results_from_judgments)
 from claimdecomp.validate import SupportJudgment
 
 
@@ -100,36 +100,6 @@ class TestCoherence:
     def test_zero_total_rejected(self):
         with pytest.raises(MetricsError):
             coherence_pct([result(total=0)])
-
-
-class TestApplyFilter:
-    def _claims(self, texts):
-        return [Subclaim(text=t, topic="t", generator="g", sentence_index=0,
-                         method="m", ordinal=i) for i, t in enumerate(texts)]
-
-    def _judgments(self, claims, pattern):
-        return [SupportJudgment(claim=c, context_kind="original_sentence",
-                                supported=s, validator_id="mock",
-                                context_snapshot="s")
-                for c, s in zip(claims, pattern)]
-
-    def test_identity_when_all_supported(self):
-        claims = self._claims(["a", "b"])
-        assert apply_filter(claims, self._judgments(claims, [True, True])) == claims
-
-    def test_empty_when_none_supported(self):
-        claims = self._claims(["a", "b"])
-        assert apply_filter(claims, self._judgments(claims, [False, False])) == []
-
-    def test_pattern(self):
-        claims = self._claims(["a", "b", "c"])
-        kept = apply_filter(claims, self._judgments(claims, [True, False, True]))
-        assert [c.text for c in kept] == ["a", "c"]
-
-    def test_misaligned_rejected(self):
-        claims = self._claims(["a", "b"])
-        with pytest.raises(MetricsError):
-            apply_filter(claims, self._judgments(claims, [True])[:1])
 
 
 class TestMacroAverage:

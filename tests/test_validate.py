@@ -1,3 +1,5 @@
+import http.client
+
 import pytest
 
 from claimdecomp import (KnowledgeDoc, MockCompletionClient, build_index,
@@ -162,32 +164,38 @@ class TestNli:
         endpoint = StaticNliClient(verdict=NliVerdict(0.1, 0.1, 0.8))
         assert nli_entails(endpoint, "premise", "hypothesis") is False
 
-    def test_http_client_parses_response(self):
-        class FakeResponse:
-            status_code = 200
+    def test_http_client_parses_response(self, monkeypatch):
+        def post_json(url, payload, headers, timeout_s):
+            assert payload == {"premise": "p", "hypothesis": "h"}
+            return 200, {}, '{"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}'
 
-            @staticmethod
-            def json():
-                return {"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}
-
-        class FakeSession:
-            def post(self, url, json=None, timeout=None):
-                assert json == {"premise": "p", "hypothesis": "h"}
-                return FakeResponse()
-
-        client = HttpNliClient("http://nli.test", session=FakeSession())
+        monkeypatch.setattr("claimdecomp.validate.post_json", post_json)
+        client = HttpNliClient("http://nli.test")
         verdict = client.classify("p", "h")
         assert verdict.entailment == 0.7
         assert nli_entails(client, "p", "h") is True
 
-    def test_http_client_error_status(self):
-        class FakeResponse:
-            status_code = 503
-            text = "unavailable"
-
-        class FakeSession:
-            def post(self, url, json=None, timeout=None):
-                return FakeResponse()
-
+    def test_http_client_error_status(self, monkeypatch):
+        monkeypatch.setattr("claimdecomp.validate.post_json",
+                            lambda *args: (503, {}, "unavailable"))
         with pytest.raises(ValidateError):
-            HttpNliClient("http://nli.test", session=FakeSession()).classify("p", "h")
+            HttpNliClient("http://nli.test").classify("p", "h")
+
+    @pytest.mark.parametrize("body", [
+        "not json",
+        '{"entailment": 0.7, "neutral": 0.3}',
+        '{"entailment": "0.7", "neutral": 0.2, "contradiction": 0.1}',
+        "[]",
+    ], ids=["not-json", "missing-field", "str-field", "list"])
+    def test_http_client_malformed_body(self, monkeypatch, body):
+        monkeypatch.setattr("claimdecomp.validate.post_json", lambda *args: (200, {}, body))
+        with pytest.raises(ValidateError, match="malformed"):
+            HttpNliClient("http://nli.test").classify("p", "h")
+
+    def test_http_client_no_response(self, monkeypatch):
+        def post_json(*args):
+            raise http.client.IncompleteRead(b"")
+
+        monkeypatch.setattr("claimdecomp.validate.post_json", post_json)
+        with pytest.raises(ValidateError, match="NLI request failed"):
+            HttpNliClient("http://nli.test").classify("p", "h")
