@@ -1,13 +1,13 @@
 """Decompose via syntax instead of prompting: predicate-argument extraction.
 
 A dependency parse in CoNLL-U format is enough to pull out predications;
-an optional LLM pass rewrites the raw renderings into fluent sentences.
+an LLM pass then rewrites the raw renderings into fluent sentences.
 """
 
 from claimdecomp import (extract_predications, fluency_rewrite, parse_conllu,
                          render_predication)
 from claimdecomp.llm import CompletionResponse
-from claimdecomp.predarg import ExtractionOptions, fluency_prompt
+from claimdecomp.predarg import fluency_prompt
 
 CONLLU = """\
 # text = Mary 's dog chased the young cat .
@@ -24,13 +24,9 @@ CONLLU = """\
 parse = parse_conllu(CONLLU)[0]
 
 # ---------------------------------------------------------------------------
-# with every rule enabled: verbal, possessive, and adjectival predications
-print("all rules on:")
-for pred in extract_predications(parse, ExtractionOptions()):
-    print(f"  {pred.kind:11s} {render_predication(parse, pred)}")
-
-print("\nall optional rules off:")
-for pred in extract_predications(parse, ExtractionOptions.none()):
+# every rule runs: verbal, possessive, and adjectival predications
+print("predications:")
+for pred in extract_predications(parse):
     print(f"  {pred.kind:11s} {render_predication(parse, pred)}")
 
 # ---------------------------------------------------------------------------

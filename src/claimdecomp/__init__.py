@@ -13,8 +13,8 @@ from .llm import (CachingClient, CompletionRequest, CompletionResponse,
 from .metrics import (LmMetrics, MethodReport, PassageResult, coherence_pct,
                       decomp_score, fact_score, macro_average, method_report,
                       pearson, results_from_judgments)
-from .predarg import (ExtractionOptions, PredArgMethod, Predication,
-                      extract_predications, fluency_rewrite, render_predication)
+from .predarg import (PredArgMethod, Predication, extract_predications,
+                      fluency_rewrite, render_predication)
 from .retrieval import Chunk, Index, build_index, load_index, save_index, search
 from .validate import (NliVerdict, SupportJudgment, judge_decomposition,
                        judge_facts, judge_support, nli_entails)

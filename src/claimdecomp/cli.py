@@ -107,7 +107,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             if not _fits(_CONFIG_TYPES[key], value):
                 raise ConfigError(f"config key {key!r} must be "
                                   f"{RunConfig.__dataclass_fields__[key].type}, got {value!r}")
-            setattr(cfg, key, value)
+            # as the flag's type=float does, so both send and cache 1.0, not 1
+            setattr(cfg, key, float(value) if _CONFIG_TYPES[key] is float else value)
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value not in (None, [], {}):
@@ -265,8 +266,9 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
     request pool: ``cfg.max_inflight`` threads, the only concurrency in the
     pipeline. Its ordered map returns results in submission order, so the
     outputs do not depend on the pool's width."""
-    if cfg.max_inflight < 1:
-        raise ConfigError(f"max_inflight must be >= 1, got {cfg.max_inflight}")
+    for key, least in (("max_inflight", 1), ("max_tokens", 1), ("temperature", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
         if stage == "decompose":
             return cmd_decompose(cfg, pool.map)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 FIELD_COUNT = 10
-FIELD_NAMES = ("id", "form", "lemma", "upos", "xpos", "feats", "head", "deprel", "deps", "misc")
 
 
 class ConlluError(ValueError):
@@ -86,18 +85,12 @@ class SentenceParse:
                 return body.split("=", 1)[1].strip()
         return None
 
-    def word_by_id(self, word_id: int) -> Token:
-        for token in self.words:
-            if token.id_value == word_id:
-                return token
-        raise ConlluError(f"no word with id {word_id}")
 
-
-def parse_conllu(text: str, validate: bool = True) -> list[SentenceParse]:
+def parse_conllu(text: str) -> list[SentenceParse]:
     """Parse CoNLL-U text into sentences separated by blank lines.
 
-    Raises ConlluError (naming the offending line) on field-count errors and,
-    when ``validate`` is true, on any structural invariant violation.
+    Raises ConlluError (naming the offending line) on field-count errors and
+    on any structural invariant violation.
     """
     parses: list[SentenceParse] = []
     comments: list[str] = []
@@ -111,11 +104,9 @@ def parse_conllu(text: str, validate: bool = True) -> list[SentenceParse]:
         if not tokens:
             raise ConlluError(f"line {first_line}: comments without token lines")
         parse = SentenceParse(tokens=tuple(tokens), comments=tuple(comments))
-        if validate:
-            violations = validate_parse(parse)
-            if violations:
-                raise ConlluError(
-                    f"sentence ending at line {lineno}: " + "; ".join(violations))
+        violations = validate_parse(parse)
+        if violations:
+            raise ConlluError(f"sentence ending at line {lineno}: " + "; ".join(violations))
         parses.append(parse)
         comments, tokens = [], []
 
@@ -144,8 +135,8 @@ def parse_conllu(text: str, validate: bool = True) -> list[SentenceParse]:
     return parses
 
 
-def parse_conllu_file(path: str | Path, validate: bool = True) -> list[SentenceParse]:
-    return parse_conllu(Path(path).read_text(encoding="utf-8"), validate=validate)
+def parse_conllu_file(path: str | Path) -> list[SentenceParse]:
+    return parse_conllu(Path(path).read_text(encoding="utf-8"))
 
 
 def serialize(parses: list[SentenceParse] | tuple[SentenceParse, ...]) -> str:

@@ -3,7 +3,6 @@
 File formats are JSON Lines throughout:
 
 * generations: ``{"topic": ..., "generator": ..., "output": ...}``
-  (alternative field names via a mapping config)
 * example bank: ``{"sentence": ..., "subclaims": [...], "conllu": optional}``
 * knowledge corpus: ``{"title": ..., "text": ...}``
 """
@@ -13,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -128,8 +128,6 @@ def split_sentences(text: str) -> list[str]:
 
 # --- passages ----------------------------------------------------------------
 
-DEFAULT_FIELD_MAP = {"topic": "topic", "generator": "generator", "output": "output"}
-
 _INVALID_RESPONSE = re.compile(
     r"^\s*(i'?m sorry|i am sorry|i do not have|i don't have)", re.IGNORECASE)
 
@@ -147,42 +145,20 @@ def make_passage(topic: str, generator: str, text: str) -> Passage:
     return Passage(topic=topic, generator=generator, text=text, sentences=sentences)
 
 
-def load_generations(path: str | Path,
-                     field_map: dict[str, str] | None = None,
-                     drop_invalid: bool = False) -> list[Passage]:
+def load_generations(path: str | Path, drop_invalid: bool = False) -> list[Passage]:
     """Load one passage per JSONL record; invalid LM responses are retained
     unless ``drop_invalid`` is set."""
-    fields = dict(DEFAULT_FIELD_MAP)
-    if field_map:
-        fields.update(field_map)
     passages: list[Passage] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: malformed record: {exc}") from exc
-            row = {}
-            for canonical, name in fields.items():
-                if name not in record:
-                    raise CorpusError(f"line {lineno}: missing field {name!r}")
-                row[canonical] = record[name]
-            if drop_invalid and is_invalid_response(row["output"]):
-                continue
-            try:
-                passages.append(make_passage(row["topic"], row["generator"], row["output"]))
-            except CorpusError as exc:
-                raise CorpusError(f"line {lineno}: {exc}") from exc
+    for where, record in _records(path):
+        topic, generator, output = (_text(where, record, name)
+                                    for name in ("topic", "generator", "output"))
+        if drop_invalid and is_invalid_response(output):
+            continue
+        try:
+            passages.append(make_passage(topic, generator, output))
+        except CorpusError as exc:
+            raise CorpusError(f"{where}: {exc}") from exc
     return passages
-
-
-def save_generations(passages: list[Passage], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in passages:
-            record = {"topic": p.topic, "generator": p.generator, "output": p.text}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def attach_parses(passages: list[Passage], parses: list[SentenceParse]) -> list[Passage]:
@@ -217,47 +193,61 @@ def attach_parses(passages: list[Passage], parses: list[SentenceParse]) -> list[
 def load_example_bank(path: str | Path) -> ExampleBank:
     entries: list[ExampleEntry] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: malformed record: {exc}") from exc
-            sentence = record.get("sentence")
-            subclaims = record.get("subclaims")
-            if not sentence:
-                raise CorpusError(f"line {lineno}: missing field 'sentence'")
-            if not subclaims:
-                raise CorpusError(f"line {lineno}: entry has no subclaims")
-            if sentence in seen:
-                raise CorpusError(f"line {lineno}: duplicate sentence {sentence!r}")
-            seen.add(sentence)
-            entries.append(ExampleEntry(
-                sentence=sentence,
-                subclaims=tuple(subclaims),
-                conllu=record.get("conllu"),
-            ))
+    for where, record in _records(path):
+        sentence = _text(where, record, "sentence")
+        subclaims = record.get("subclaims")
+        conllu = record.get("conllu")
+        if not sentence:
+            raise CorpusError(f"{where}: missing field 'sentence'")
+        if not subclaims:
+            raise CorpusError(f"{where}: entry has no subclaims")
+        if not (isinstance(subclaims, list) and all(isinstance(c, str) for c in subclaims)):
+            raise CorpusError(f"{where}: field 'subclaims' must be a list of strings")
+        if conllu is not None and not isinstance(conllu, str):
+            raise CorpusError(f"{where}: field 'conllu' must be a string")
+        if sentence in seen:
+            raise CorpusError(f"{where}: duplicate sentence {sentence!r}")
+        seen.add(sentence)
+        entries.append(ExampleEntry(sentence=sentence, subclaims=tuple(subclaims),
+                                    conllu=conllu))
     return ExampleBank(entries=tuple(entries))
 
 
 def load_knowledge(path: str | Path) -> list[KnowledgeDoc]:
     docs: list[KnowledgeDoc] = []
     seen: set[str] = set()
+    for where, record in _records(path):
+        title, text = _text(where, record, "title"), _text(where, record, "text")
+        if title in seen:
+            raise CorpusError(f"{where}: duplicate title {title!r}")
+        seen.add(title)
+        docs.append(KnowledgeDoc(title=title, text=text))
+    return docs
+
+
+# --- JSONL reading -------------------------------------------------------------
+
+def _records(path: str | Path) -> Iterator[tuple[str, dict]]:
+    """("<path>: line <n>", record) for each non-blank line of a JSONL file.
+    A line that is not a JSON object is a CorpusError naming the path and
+    line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CorpusError(f"line {lineno}: malformed record: {exc}") from exc
-            title, text = record.get("title"), record.get("text")
-            if title is None or text is None:
-                raise CorpusError(f"line {lineno}: missing field 'title' or 'text'")
-            if title in seen:
-                raise CorpusError(f"line {lineno}: duplicate title {title!r}")
-            seen.add(title)
-            docs.append(KnowledgeDoc(title=title, text=text))
-    return docs
+                raise CorpusError(f"{where}: malformed record: {exc}") from exc
+            if not isinstance(record, dict):
+                raise CorpusError(f"{where}: expected a JSON object, got {line.strip()[:60]}")
+            yield where, record
+
+
+def _text(where: str, record: dict, name: str) -> str:
+    if record.get(name) is None:
+        raise CorpusError(f"{where}: missing field {name!r}")
+    if not isinstance(record[name], str):
+        raise CorpusError(f"{where}: field {name!r} must be a string, got {record[name]!r}")
+    return record[name]

@@ -20,8 +20,8 @@ from importlib import resources
 
 from . import conllu as conllu_mod
 from .corpus import ExampleBank, ExampleEntry, Passage, Sentence, load_example_bank
-from .llm import (CompletionClient, ContextLengthError, GenerationSettings,
-                  complete_text)
+from .llm import (CHARS_PER_TOKEN, CompletionClient, ContextLengthError,
+                  GenerationSettings, complete_text)
 from .predarg import PredArgMethod, extract_predications, fluency_rewrite, render_predication
 
 logger = logging.getLogger(__name__)
@@ -178,8 +178,8 @@ class AssembledPrompt:
     over_budget: bool
 
 
-def estimate_tokens(text: str, chars_per_token: float = 4.0) -> int:
-    return math.ceil(len(text) / chars_per_token)
+def estimate_tokens(text: str) -> int:
+    return math.ceil(len(text) / CHARS_PER_TOKEN)
 
 
 def _parse_text(parse) -> str | None:
@@ -201,8 +201,7 @@ def _block(instruction: str, sentence: str, subclaims=None, parse_text=None) -> 
 
 def assemble_prompt(config: MethodConfig, sentence: str,
                     retrieved: list[ExampleEntry], budget: int,
-                    parse=None, chars_per_token: float = 4.0,
-                    example_cap: int | None = None) -> AssembledPrompt:
+                    parse=None, example_cap: int | None = None) -> AssembledPrompt:
     """Build the prompt, dropping examples until the estimate fits ``budget``.
 
     ``example_cap`` additionally limits the total example count before the
@@ -233,7 +232,7 @@ def assemble_prompt(config: MethodConfig, sentence: str,
         ]
         final = _block(config.instruction, sentence, parse_text=target_parse)
         text = "\n\n".join(blocks + [final])
-        fits = estimate_tokens(text, chars_per_token) <= budget
+        fits = estimate_tokens(text) <= budget
         if fits or not (static or dynamic):
             return AssembledPrompt(
                 text=text,
@@ -307,9 +306,8 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
 
     cap: int | None = None
     while True:
-        assembled = assemble_prompt(
-            config, sentence_text, retrieved, budget,
-            parse=parse, chars_per_token=settings.chars_per_token, example_cap=cap)
+        assembled = assemble_prompt(config, sentence_text, retrieved, budget,
+                                    parse=parse, example_cap=cap)
         if assembled.over_budget:
             # Even the zero-example prompt does not fit: the sentence itself
             # becomes the single subclaim.
@@ -330,8 +328,7 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
     return claims
 
 
-def _predarg_claim_texts(method: PredArgMethod, parse,
-                         client: CompletionClient | None,
+def _predarg_claim_texts(parse, client: CompletionClient,
                          settings: GenerationSettings) -> list[str]:
     if parse is None:
         raise DecomposeError("predicate-argument decomposition requires a parse")
@@ -340,11 +337,8 @@ def _predarg_claim_texts(method: PredArgMethod, parse,
         if len(parsed) != 1:
             raise DecomposeError("expected exactly one parse")
         parse = parsed[0]
-    rendered = [render_predication(parse, p)
-                for p in extract_predications(parse, method.options)]
-    if method.rewrite and client is not None:
-        return [fluency_rewrite(client, text, settings) for text in rendered]
-    return rendered
+    return [fluency_rewrite(client, render_predication(parse, p), settings)
+            for p in extract_predications(parse)]
 
 
 def decompose_sentence(method: Method, sentence: Sentence | str,
@@ -358,7 +352,7 @@ def decompose_sentence(method: Method, sentence: Sentence | str,
         text, index, parse = sentence, 0, None
 
     if isinstance(method, PredArgMethod):
-        claims = _predarg_claim_texts(method, parse, client, settings)
+        claims = _predarg_claim_texts(parse, client, settings)
     else:
         claims = _prompted_claim_texts(method, text, parse, client, settings)
 

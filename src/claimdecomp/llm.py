@@ -26,8 +26,9 @@ ENDPOINT_URL_ENV = "CLAIMDECOMP_ENDPOINT_URL"
 API_KEY_ENV = "CLAIMDECOMP_API_KEY"
 
 FINISH_STOP = "stop"
-FINISH_LENGTH = "length"
-FINISH_ERROR = "error"
+
+# Characters per token, the one estimate behind every prompt budget.
+CHARS_PER_TOKEN = 4.0
 
 
 class CompletionError(RuntimeError):
@@ -60,13 +61,12 @@ class CompletionResponse:
 
 @dataclass(frozen=True)
 class GenerationSettings:
-    """Sampling parameters plus the window/token-estimation knobs that drive
-    prompt budgeting."""
+    """Sampling parameters plus the model window that prompt budgeting
+    fills."""
 
     temperature: float = 0.7
     max_tokens: int = 512
     context_window: int = 4096
-    chars_per_token: float = 4.0
 
 
 class CompletionClient(Protocol):

@@ -68,14 +68,12 @@ def avg_subclaims(results: list[PassageResult]) -> float:
     return fmean(r.n_subclaims for r in results)
 
 
-def fact_score(results: list[PassageResult], use_filter: bool = False,
-               length_penalty_gamma: float | None = None) -> float:
-    """Mean per-passage supported fraction, in [0, 1].
+def fact_score(results: list[PassageResult], use_filter: bool = False) -> float:
+    """Mean per-passage supported fraction, in [0, 1], with no length
+    penalty.
 
     With ``use_filter`` the score is computed over only the subclaims the
-    sentence validator kept. ``length_penalty_gamma`` enables the optional
-    short-passage penalty multiplier min(1, n_subclaims / gamma); off by
-    default.
+    sentence validator kept.
     """
     _require_results(results)
     scores = []
@@ -87,12 +85,9 @@ def fact_score(results: list[PassageResult], use_filter: bool = False,
         if denominator == 0:
             logger.debug("passage %s/%s has zero denominator; scoring 0",
                          r.generator, r.topic)
-            score = 0.0
+            scores.append(0.0)
         else:
-            score = numerator / denominator
-        if length_penalty_gamma:
-            score *= min(1.0, r.n_subclaims / length_penalty_gamma)
-        scores.append(score)
+            scores.append(numerator / denominator)
     return fmean(scores)
 
 

@@ -3,8 +3,8 @@
 Each extracted predication is a set of predicate token ids plus ordered
 argument token-id sets. Renderings keep tokens in surface order and may
 insert exactly two marker strings: "is/are" for being and "poss" for
-possession. An LLM pass (`fluency_rewrite`) can turn the raw renderings
-into grammatical sentences.
+possession. Every rule always runs, and an LLM pass (`fluency_rewrite`)
+turns the raw renderings into grammatical sentences.
 """
 
 from __future__ import annotations
@@ -51,23 +51,6 @@ class FluencyRewriteError(CompletionError):
 
 
 @dataclass(frozen=True)
-class ExtractionOptions:
-    """Feature toggles; defaults enable every rule."""
-
-    resolve_relative_clauses: bool = True
-    appositives: bool = True
-    adjectival_modifiers: bool = True
-    expand_conjunction: bool = True
-    possessives: bool = True
-    borrow_arg_for_relcl: bool = True
-    strip: bool = True
-
-    @classmethod
-    def none(cls) -> "ExtractionOptions":
-        return cls(False, False, False, False, False, False, False)
-
-
-@dataclass(frozen=True)
 class Predication:
     kind: str
     predicate_tokens: frozenset[int]
@@ -102,31 +85,24 @@ class _ParseIndex:
         return out
 
 
-def _subtree(idx: _ParseIndex, root: Token, options: ExtractionOptions,
+def _subtree(idx: _ParseIndex, root: Token,
              excluded: frozenset[int] = frozenset()) -> set[int]:
-    """Token ids under ``root``, cutting edges the enabled rules extract
-    separately (possessors, appositions, relative clauses)."""
+    """Token ids under ``root``, cutting edges the rules extract separately
+    (possessors, appositions, relative clauses)."""
     out: set[int] = set()
     stack = [root]
     while stack:
         cur = stack.pop()
         out.add(cur.id_value)
         for child in idx.children.get(cur.id_value, []):
-            if child.id_value in excluded:
-                continue
-            if options.possessives and child.deprel == "nmod:poss":
-                continue
-            if options.appositives and child.base_deprel == "appos":
-                continue
-            if options.resolve_relative_clauses and child.deprel == "acl:relcl":
+            if (child.id_value in excluded or child.base_deprel == "appos"
+                    or child.deprel in ("nmod:poss", "acl:relcl")):
                 continue
             stack.append(child)
     return out
 
 
-def _strip_span(idx: _ParseIndex, ids: set[int], options: ExtractionOptions) -> frozenset[int]:
-    if not options.strip:
-        return frozenset(ids)
+def _strip_span(idx: _ParseIndex, ids: set[int]) -> frozenset[int]:
     ordered = sorted(ids)
     while ordered:
         tok = idx.by_id[ordered[0]]
@@ -149,30 +125,28 @@ class _Slot:
     fixed: frozenset[int] | None = None
 
 
-def _slot_variants(idx: _ParseIndex, slot: _Slot,
-                   options: ExtractionOptions) -> list[frozenset[int]]:
+def _slot_variants(idx: _ParseIndex, slot: _Slot) -> list[frozenset[int]]:
     if slot.fixed is not None:
         return [slot.fixed]
     head = slot.head
     assert head is not None
-    conjuncts = idx.kids(head, base="conj") if options.expand_conjunction else []
+    conjuncts = idx.kids(head, base="conj")
     conj_ids = frozenset(c.id_value for c in conjuncts)
-    base_span = _subtree(idx, head, options, excluded=slot.excluded | conj_ids)
-    variants = [_strip_span(idx, base_span, options)]
+    base_span = _subtree(idx, head, excluded=slot.excluded | conj_ids)
+    variants = [_strip_span(idx, base_span)]
     case_ids = {c.id_value for c in idx.kids(head, base="case")}
     for conjunct in conjuncts:
         cc_ids = frozenset(c.id_value for c in idx.kids(conjunct, base="cc"))
-        span = _subtree(idx, conjunct, options, excluded=slot.excluded | cc_ids)
+        span = _subtree(idx, conjunct, excluded=slot.excluded | cc_ids)
         if case_ids and not any(idx.by_id[i].base_deprel == "case" for i in span):
             span |= case_ids  # carry "with"/"in" over to the later conjunct
-        variants.append(_strip_span(idx, span, options))
+        variants.append(_strip_span(idx, span))
     return [v for v in variants if v]
 
 
 def _expand(idx: _ParseIndex, kind: str, predicate: frozenset[int],
-            slots: list[_Slot], anchor: int,
-            options: ExtractionOptions) -> list[Predication]:
-    variant_lists = [_slot_variants(idx, s, options) for s in slots]
+            slots: list[_Slot], anchor: int) -> list[Predication]:
+    variant_lists = [_slot_variants(idx, s) for s in slots]
     if any(not v for v in variant_lists):
         return []
     out = []
@@ -182,8 +156,7 @@ def _expand(idx: _ParseIndex, kind: str, predicate: frozenset[int],
     return out
 
 
-def _verbal(idx: _ParseIndex, verb: Token,
-            options: ExtractionOptions) -> list[Predication]:
+def _verbal(idx: _ParseIndex, verb: Token) -> list[Predication]:
     predicate = {verb.id_value}
     for child in idx.children.get(verb.id_value, []):
         if child.base_deprel == "aux" or child.deprel == "compound:prt":
@@ -198,10 +171,10 @@ def _verbal(idx: _ParseIndex, verb: Token,
 
     has_subject = any(s.head is not None and s.head.base_deprel == "nsubj" for s in slots)
 
-    if verb.deprel == "acl:relcl" and options.borrow_arg_for_relcl:
+    if verb.deprel == "acl:relcl":
         antecedent = idx.by_id.get(verb.head_value)
         if antecedent is not None:
-            span = _strip_span(idx, _subtree(idx, antecedent, options), options)
+            span = _strip_span(idx, _subtree(idx, antecedent))
             replaced = False
             for slot in slots:
                 assert slot.head is not None
@@ -212,20 +185,17 @@ def _verbal(idx: _ParseIndex, verb: Token,
                     break
             if not replaced and not has_subject:
                 slots.insert(0, _Slot(fixed=span))
-    elif (not has_subject and verb.base_deprel == "conj"
-          and options.expand_conjunction):
+    elif not has_subject and verb.base_deprel == "conj":
         governor = idx.by_id.get(verb.head_value)
         if governor is not None:
             shared = idx.kids(governor, base="nsubj")
             if shared:
                 slots.insert(0, _Slot(head=shared[0]))
 
-    return _expand(idx, KIND_VERBAL, frozenset(predicate), slots,
-                   verb.id_value, options)
+    return _expand(idx, KIND_VERBAL, frozenset(predicate), slots, verb.id_value)
 
 
-def _copular(idx: _ParseIndex, head: Token, cop: Token,
-             options: ExtractionOptions) -> list[Predication]:
+def _copular(idx: _ParseIndex, head: Token, cop: Token) -> list[Predication]:
     subjects = idx.kids(head, base="nsubj")
     if not subjects:
         return []
@@ -236,40 +206,35 @@ def _copular(idx: _ParseIndex, head: Token, cop: Token,
     # rendered with the "is/are" marker instead.
     predicate = frozenset({cop.id_value}) if head.upos == "ADJ" else frozenset()
     return _expand(idx, KIND_COPULAR, predicate,
-                   [_Slot(head=subject), head_slot], head.id_value, options)
+                   [_Slot(head=subject), head_slot], head.id_value)
 
 
-def _appositive(idx: _ParseIndex, head: Token, appos: Token,
-                options: ExtractionOptions) -> list[Predication]:
+def _appositive(idx: _ParseIndex, head: Token, appos: Token) -> list[Predication]:
     head_slot = _Slot(head=head, excluded=frozenset({appos.id_value}))
     return _expand(idx, KIND_APPOSITIVE, frozenset(),
-                   [head_slot, _Slot(head=appos)], appos.id_value, options)
+                   [head_slot, _Slot(head=appos)], appos.id_value)
 
 
-def _adjectival(idx: _ParseIndex, head: Token, adj: Token,
-                options: ExtractionOptions) -> list[Predication]:
+def _adjectival(idx: _ParseIndex, head: Token, adj: Token) -> list[Predication]:
     amod_ids = frozenset(c.id_value for c in idx.kids(head, base="amod"))
     head_slot = _Slot(head=head, excluded=amod_ids)
     return _expand(idx, KIND_ADJECTIVAL, frozenset(),
-                   [head_slot, _Slot(head=adj)], adj.id_value, options)
+                   [head_slot, _Slot(head=adj)], adj.id_value)
 
 
-def _possessive(idx: _ParseIndex, head: Token, possessor: Token,
-                options: ExtractionOptions) -> list[Predication]:
+def _possessive(idx: _ParseIndex, head: Token, possessor: Token) -> list[Predication]:
     case_ids = frozenset(c.id_value for c in idx.kids(possessor, base="case"))
     poss_slot = _Slot(head=possessor, excluded=case_ids)
     return _expand(idx, KIND_POSSESSIVE, frozenset(),
-                   [poss_slot, _Slot(head=head)], possessor.id_value, options)
+                   [poss_slot, _Slot(head=head)], possessor.id_value)
 
 
-def extract_predications(parse: SentenceParse,
-                         options: ExtractionOptions | None = None) -> list[Predication]:
-    """Apply the extraction rules to one parse.
+def extract_predications(parse: SentenceParse) -> list[Predication]:
+    """Apply every extraction rule to one parse.
 
-    Deterministic: identical parse and options yield the identical ordered
-    list (sorted by defining token, then rule kind).
+    Deterministic: an identical parse yields the identical ordered list
+    (sorted by defining token, then rule kind).
     """
-    options = options if options is not None else ExtractionOptions()
     violations = validate_parse(parse)
     if violations:
         raise PredArgError("invalid parse: " + "; ".join(violations))
@@ -280,21 +245,18 @@ def extract_predications(parse: SentenceParse,
         if token.deprel in ("aux", "aux:pass", "cop"):
             continue
         if token.upos == "VERB" or (token.upos == "AUX" and token.deprel == "root"):
-            found.extend(_verbal(idx, token, options))
+            found.extend(_verbal(idx, token))
         if token.upos != "VERB":
             cops = idx.kids(token, exact="cop")
             if cops:
-                found.extend(_copular(idx, token, cops[0], options))
-        if options.appositives:
-            for appos in idx.kids(token, base="appos"):
-                found.extend(_appositive(idx, token, appos, options))
-        if options.adjectival_modifiers:
-            for amod in idx.kids(token, base="amod"):
-                if amod.upos == "ADJ":
-                    found.extend(_adjectival(idx, token, amod, options))
-        if options.possessives:
-            for poss in idx.kids(token, exact="nmod:poss"):
-                found.extend(_possessive(idx, token, poss, options))
+                found.extend(_copular(idx, token, cops[0]))
+        for appos in idx.kids(token, base="appos"):
+            found.extend(_appositive(idx, token, appos))
+        for amod in idx.kids(token, base="amod"):
+            if amod.upos == "ADJ":
+                found.extend(_adjectival(idx, token, amod))
+        for poss in idx.kids(token, exact="nmod:poss"):
+            found.extend(_possessive(idx, token, poss))
 
     found.sort(key=lambda p: (p.anchor, _KIND_ORDER[p.kind]))
     return found
@@ -365,8 +327,6 @@ def fluency_rewrite(client: CompletionClient, utterance: str,
 
 @dataclass(frozen=True)
 class PredArgMethod:
-    """Decomposition via extraction plus optional fluency rewriting."""
+    """Decomposition via extraction plus fluency rewriting."""
 
     name: str = "predpatt"
-    options: ExtractionOptions = ExtractionOptions()
-    rewrite: bool = True

@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass
 
 from .decompose import Subclaim
-from .llm import (CompletionClient, GenerationSettings, MapFn, complete_all,
-                  completion_request, post_json)
+from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn,
+                  complete_all, completion_request, post_json)
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
 from .retrieval import Index, search
@@ -130,7 +130,7 @@ def _truncate_context(context: str, claim: str,
                       settings: GenerationSettings) -> str:
     budget_tokens = settings.context_window - settings.max_tokens
     overhead = len(build_support_prompt("", claim))
-    allowed = int(budget_tokens * settings.chars_per_token) - overhead
+    allowed = int(budget_tokens * CHARS_PER_TOKEN) - overhead
     if allowed < 0:
         return ""
     return context[:allowed]

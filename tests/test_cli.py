@@ -196,6 +196,45 @@ class TestExitCodes:
         assert err.startswith(f"error: config key {next(iter(config))!r} must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, value", [("max_tokens", 0), ("temperature", -1)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sampling_value_out_of_range(self, data_dir, tmp_path, capsys, key, value, source):
+        if source == "flag":
+            extra = [f"--{key.replace('_', '-')}", str(value)]
+        else:
+            config_path = tmp_path / "run.json"
+            config_path.write_text(json.dumps({key: value}))
+            extra = ["--config", str(config_path)]
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "out", extra)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be >= ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, line", [
+        ("bank", "[1, 2]"),
+        ("generations", '"topic generator output"'),
+        ("generations", '{"topic": "Ada Example", "generator": "alpha", "output": 7}'),
+        ("knowledge", '"x"'),
+        ("knowledge", '{"title": "Ada Example", "text": 5}'),
+    ], ids=["bank-list", "generations-string", "generations-int-output",
+            "knowledge-string", "knowledge-int-text"])
+    def test_malformed_corpus_record(self, data_dir, tmp_path, capsys, kind, line):
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        bad = tmp_path / f"{kind}.jsonl"
+        bad.write_text(line + "\n", encoding="utf-8")
+        capsys.readouterr()
+        if kind == "bank":
+            argv = ["decompose", *_common(data_dir, tmp_path / "fresh", ["--bank", f"rnd={bad}"])]
+        elif kind == "generations":
+            argv = ["decompose", *_common(data_dir, out), "--generations", str(bad)]
+        else:
+            argv = ["factscore", *_common(data_dir, out, ["--knowledge", str(bad)])]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 1: ")
+        assert "Traceback" not in err
+
 
 class FailingOnCall:
     """Delegates to ``inner`` but raises CompletionError on call number ``n``
@@ -486,6 +525,20 @@ class TestConfigFile:
         config_path = tmp_path / "run.json"
         config_path.write_text('{"no_such_key": 1}')
         assert cli.main(["decompose", "--config", str(config_path)]) == 2
+
+    def test_int_for_float_sends_and_caches_a_float(self, data_dir, tmp_path):
+        # {"temperature": 1} must make the same requests as --temperature 1,
+        # so a cache warmed one way serves the other
+        config_path = tmp_path / "run.json"
+        config_path.write_text('{"temperature": 1}')
+        names = {}
+        for how, extra in (("config", ["--config", str(config_path)]),
+                           ("flag", ["--temperature", "1"])):
+            cache = tmp_path / f"cache-{how}"
+            assert cli.main(["decompose", *_common(data_dir, tmp_path / how, extra),
+                             "--cache-dir", str(cache)]) == 0
+            names[how] = sorted(p.name for p in (cache / "decomposer").iterdir())
+        assert names["config"] and names["config"] == names["flag"]
 
     def test_int_accepted_for_float_and_null_for_optional(self, data_dir, tmp_path):
         config_path = tmp_path / "run.json"

@@ -114,8 +114,6 @@ def test_parse_rejects_dangling_head_text():
     text = "1\ta\t_\tX\t_\t_\t5\tdep\t_\t_\n2\tb\t_\tX\t_\t_\t0\troot\t_\t_\n"
     with pytest.raises(ConlluError, match="dangling"):
         parse_conllu(text)
-    # but parses with validation off
-    assert len(parse_conllu(text, validate=False)) == 1
 
 
 def test_serialize_rejects_invalid():

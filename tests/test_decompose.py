@@ -6,6 +6,7 @@ from claimdecomp import (MockCompletionClient, assemble_prompt, builtin_configs,
                          decompose_passage, decompose_sentence, load_example_bank,
                          parse_subclaims, retrieve_examples)
 from claimdecomp.corpus import ExampleBank, ExampleEntry, Sentence, make_passage
+from claimdecomp.llm import CompletionResponse
 from claimdecomp.decompose import (DecomposeError, GenerationSettings, MethodConfig,
                                    Subclaim, estimate_tokens, method_registry)
 from claimdecomp.predarg import PredArgMethod
@@ -304,10 +305,17 @@ class TestDecomposePassage:
             decompose_passage(config, passage, MockCompletionClient())
 
     def test_predpatt_method(self, oracle_parses):
+        class Echo:
+            """Answers each fluency rewrite with the rendering it was given."""
+            model = "echo"
+
+            def complete(self, request):
+                utterance = request.prompt.rsplit("Input: ", 1)[1].split("\n")[0]
+                return CompletionResponse(text=utterance)
+
         parse = oracle_parses["p004"]
         sentence = Sentence(text="Nash earned degrees .", index=0, parse=parse)
-        method = PredArgMethod(rewrite=False)
-        claims = decompose_sentence(method, sentence, client=None,
+        claims = decompose_sentence(PredArgMethod(), sentence, client=Echo(),
                                     topic="T", generator="g")
         assert [c.text for c in claims] == ["Nash earned degrees"]
         assert claims[0].method == "predpatt"

@@ -74,7 +74,6 @@ class TestFactScore:
     def test_length_penalty_off_by_default(self):
         short = result(knowledge=2, total=2)
         assert fact_score([short]) == 1.0
-        assert fact_score([short], length_penalty_gamma=10) == 1.0 * (2 / 10)
 
     def test_range(self):
         assert 0.0 <= fact_score([result(knowledge=3, total=7)]) <= 1.0

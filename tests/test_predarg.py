@@ -3,15 +3,11 @@ import pytest
 from claimdecomp import (MockCompletionClient, extract_predications,
                          fluency_rewrite, parse_conllu, render_predication)
 from claimdecomp.llm import CompletionError
-from claimdecomp.predarg import (FLUENCY_PROMPT_TEMPLATE, ExtractionOptions,
-                                 FluencyRewriteError, PredArgError, fluency_prompt)
+from claimdecomp.predarg import (FLUENCY_PROMPT_TEMPLATE, FluencyRewriteError,
+                                 PredArgError, fluency_prompt)
 from claimdecomp.conllu import SentenceParse, Token
 
-ALL_ON = ExtractionOptions()
-ALL_OFF = ExtractionOptions.none()
-
-# Hand-derived expected (kind, rendering) tuples per oracle sentence,
-# with every option enabled.
+# Hand-derived expected (kind, rendering) tuples per oracle sentence.
 ORACLE = {
     "p001": [("possessive", "Mary poss dog"), ("verbal", "dog barked")],
     "p002": [("copular", "Aptitude for mathematics is natural")],
@@ -30,9 +26,8 @@ ORACLE = {
 }
 
 
-def rendered(parse, options=ALL_ON):
-    return [(p.kind, render_predication(parse, p))
-            for p in extract_predications(parse, options)]
+def rendered(parse):
+    return [(p.kind, render_predication(parse, p)) for p in extract_predications(parse)]
 
 
 @pytest.mark.parametrize("sid", sorted(ORACLE))
@@ -45,24 +40,9 @@ def test_compatibility_renderings(oracle_parses):
     assert ("copular", "Aptitude for mathematics is natural") in rendered(oracle_parses["p002"])
 
 
-def test_all_options_off_only_verbal_copular(oracle_parses):
-    for parse in oracle_parses.values():
-        kinds = {p.kind for p in extract_predications(parse, ALL_OFF)}
-        assert kinds <= {"verbal", "copular"}
-
-
-def test_options_off_keeps_possessor_inside_argument(oracle_parses):
-    assert rendered(oracle_parses["p001"], ALL_OFF) == [("verbal", "Mary 's dog barked")]
-
-
-def test_options_off_keeps_conjunct_spans(oracle_parses):
-    assert rendered(oracle_parses["p010"], ALL_OFF) == [
-        ("verbal", "He captivates audiences and filmmakers")]
-
-
 def test_conjunct_count_matches_conjunct_number(oracle_parses):
     # two conjuncts in the object slot -> two predications for that predicate
-    preds = extract_predications(oracle_parses["p010"], ALL_ON)
+    preds = extract_predications(oracle_parses["p010"])
     assert len([p for p in preds if p.anchor == 2]) == 2
 
 
@@ -96,16 +76,9 @@ def test_case_marker_carried_to_conjuncts():
                                ("verbal", "He worked with Swift")]
 
 
-def test_relcl_borrowing_disabled(oracle_parses):
-    options = ExtractionOptions(borrow_arg_for_relcl=False)
-    out = rendered(oracle_parses["p008"], options)
-    assert ("verbal", "who slept") in out
-    assert ("verbal", "The man snored") in out
-
-
 def test_deterministic(oracle_parses):
     for parse in oracle_parses.values():
-        assert extract_predications(parse, ALL_ON) == extract_predications(parse, ALL_ON)
+        assert extract_predications(parse) == extract_predications(parse)
 
 
 def test_rendering_segments_are_subsequences_of_token_forms(oracle_parses):
@@ -113,7 +86,7 @@ def test_rendering_segments_are_subsequences_of_token_forms(oracle_parses):
     # original token forms
     for parse in oracle_parses.values():
         forms = [t.form for t in parse.words]
-        for pred in extract_predications(parse, ALL_ON):
+        for pred in extract_predications(parse):
             text = render_predication(parse, pred)
             for marker in ("is/are", "poss"):
                 text = text.replace(f" {marker} ", "|")
@@ -126,14 +99,14 @@ def test_rendering_segments_are_subsequences_of_token_forms(oracle_parses):
 
 def test_predicate_and_arguments_disjoint(oracle_parses):
     for parse in oracle_parses.values():
-        for pred in extract_predications(parse, ALL_ON):
+        for pred in extract_predications(parse):
             for slot in pred.argument_slots:
                 assert not (pred.predicate_tokens & slot)
 
 
 def test_interjection_yields_nothing():
     parse = parse_conllu("1\tHi\thi\tINTJ\t_\t_\t0\troot\t_\t_\n")[0]
-    assert extract_predications(parse, ALL_ON) == []
+    assert extract_predications(parse) == []
 
 
 def test_invalid_parse_rejected():
@@ -141,12 +114,12 @@ def test_invalid_parse_rejected():
         Token("1", "a", "_", "VERB", "_", "_", "0", "root", "_", "_"),
         Token("2", "b", "_", "NOUN", "_", "_", "0", "root", "_", "_")))
     with pytest.raises(PredArgError):
-        extract_predications(bad, ALL_ON)
+        extract_predications(bad)
 
 
 def test_render_rejects_foreign_token_ids(oracle_parses):
     parse = oracle_parses["p004"]
-    pred = extract_predications(parse, ALL_ON)[0]
+    pred = extract_predications(parse)[0]
     other = oracle_parses["p007"]
     import dataclasses
     huge = dataclasses.replace(pred, predicate_tokens=frozenset({99}))

@@ -6,7 +6,7 @@ from claimdecomp import (KnowledgeDoc, MockCompletionClient, build_index,
                          judge_decomposition, judge_facts, judge_support,
                          nli_entails)
 from claimdecomp.decompose import Subclaim
-from claimdecomp.llm import GenerationSettings
+from claimdecomp.llm import CHARS_PER_TOKEN, GenerationSettings
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
                                   CONTEXT_ORIGINAL_SENTENCE, HttpNliClient,
                                   NliVerdict, StaticNliClient, ValidateError,
@@ -135,7 +135,7 @@ class TestJudgeFacts:
         judgments = judge_facts(client, index, [claim("composer claim")],
                                 settings=settings)
         prompt = client.calls[0].prompt
-        assert len(prompt) <= (2048 - 128) * settings.chars_per_token + 64
+        assert len(prompt) <= (2048 - 128) * CHARS_PER_TOKEN + 64
 
     def test_claim_verbatim_once_in_prompt(self):
         client = MockCompletionClient(default="True")
