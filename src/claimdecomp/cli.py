@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import types
@@ -269,6 +270,11 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
     for key, least in (("max_inflight", 1), ("max_tokens", 1), ("temperature", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
+    if not math.isfinite(cfg.temperature):
+        raise ConfigError(f"temperature must be finite, got {cfg.temperature}")
+    if cfg.context_window <= cfg.max_tokens:
+        raise ConfigError(f"context_window must exceed max_tokens, got "
+                          f"{cfg.context_window} <= {cfg.max_tokens}")
     with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
         if stage == "decompose":
             return cmd_decompose(cfg, pool.map)
@@ -283,6 +289,7 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    empty_sentences = 0
     for name, method in methods.items():
         path = jsonl_path(outdir, "decompose", name)
         done: set[tuple[str, str]] = set()
@@ -291,12 +298,16 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
         pending = [p for p in passages if (p.generator, p.topic) not in done]
         decompose = partial(decompose_passage, method, client=client, settings=settings)
         with open(path, "a", encoding="utf-8") as fh:
-            for claims in map_fn(decompose, pending):
+            for passage, claims in zip(pending, map_fn(decompose, pending)):
                 # one buffered write per passage so an interrupt never leaves
                 # a partially decomposed passage behind
                 fh.write("".join(_dump_line(_record(c)) for c in claims))
                 fh.flush()
+                empty_sentences += len({s.index for s in passage.sentences}
+                                       - {c.sentence_index for c in claims})
         print(f"decompose[{name}]: {path}")
+    if empty_sentences:
+        print(f"warning: {empty_sentences} sentences decomposed to no subclaims")
     return EXIT_OK
 
 

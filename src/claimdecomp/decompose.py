@@ -12,11 +12,14 @@ returned as its own single subclaim.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from importlib import resources
+from itertools import islice
 
 from . import conllu as conllu_mod
 from .corpus import ExampleBank, ExampleEntry, Passage, Sentence, load_example_bank
@@ -126,6 +129,47 @@ def _tokens(text: str) -> list[str]:
     return _WORD.findall(text.lower())
 
 
+def _tfidf(words: list[str], size: int, doc_freq: dict[str, int]) -> dict[str, float]:
+    counts: dict[str, int] = {}
+    for w in words:
+        counts[w] = counts.get(w, 0) + 1
+    return {t: c * (math.log((1 + size) / (1 + doc_freq.get(t, 0))) + 1.0)
+            for t, c in counts.items()}
+
+
+def _norm(vector: dict[str, float]) -> float:
+    return math.sqrt(sum(v * v for v in vector.values()))
+
+
+@dataclass(frozen=True)
+class _BankVectors:
+    """A bank's document frequencies, the norms of its entries' TF-IDF
+    vectors and, per term, the (position, weight) of each entry holding it."""
+
+    doc_freq: dict[str, int]
+    norms: tuple[float, ...]
+    postings: dict[str, list[tuple[int, float]]]
+
+
+@lru_cache(maxsize=16)
+def _bank_vectors(bank: ExampleBank) -> _BankVectors:
+    # Keyed by bank equality, so the equal retrieval pool each sentence of a
+    # method brings finds the vectors built for the first one. The cache
+    # stores a result only once it is whole; threads that miss together each
+    # build their own.
+    docs = [_tokens(e.sentence) for e in bank.entries]
+    doc_freq: dict[str, int] = {}
+    for doc in docs:
+        for term in set(doc):
+            doc_freq[term] = doc_freq.get(term, 0) + 1
+    vectors = [_tfidf(doc, len(docs), doc_freq) for doc in docs]
+    postings: dict[str, list[tuple[int, float]]] = {}
+    for position, vector in enumerate(vectors):
+        for term, weight in vector.items():
+            postings.setdefault(term, []).append((position, weight))
+    return _BankVectors(doc_freq, tuple(map(_norm, vectors)), postings)
+
+
 def retrieve_examples(bank: ExampleBank, sentence: str, k: int) -> list[ExampleEntry]:
     """Top-k bank entries by TF-IDF cosine similarity to ``sentence``,
     excluding exact sentence matches; ties broken by bank order."""
@@ -134,38 +178,28 @@ def retrieve_examples(bank: ExampleBank, sentence: str, k: int) -> list[ExampleE
     if k == 0:
         return []
 
-    docs = [_tokens(e.sentence) for e in bank.entries]
-    n_docs = len(docs)
-    df: dict[str, int] = {}
-    for doc in docs:
-        for term in set(doc):
-            df[term] = df.get(term, 0) + 1
-
-    def idf(term: str) -> float:
-        return math.log((1 + n_docs) / (1 + df.get(term, 0))) + 1.0
-
-    def vector(words: list[str]) -> dict[str, float]:
-        counts: dict[str, int] = {}
-        for w in words:
-            counts[w] = counts.get(w, 0) + 1
-        return {t: c * idf(t) for t, c in counts.items()}
-
-    def cosine(a: dict[str, float], b: dict[str, float]) -> float:
-        if not a or not b:
-            return 0.0
-        dot = sum(v * b[t] for t, v in a.items() if t in b)
-        norm = math.sqrt(sum(v * v for v in a.values())) * math.sqrt(
-            sum(v * v for v in b.values()))
-        return dot / norm if norm else 0.0
-
-    query = vector(_tokens(sentence))
+    bank_vectors = _bank_vectors(bank)
+    query = _tfidf(_tokens(sentence), len(bank), bank_vectors.doc_freq)
+    query_norm = _norm(query)
+    # Only entries sharing a term with the query have a nonzero dot product,
+    # each summed in query-term order.
+    products: dict[int, list[float]] = {}
+    for term, weight in query.items():
+        for position, doc_weight in bank_vectors.postings.get(term, ()):
+            products.setdefault(position, []).append(weight * doc_weight)
+    entries = bank.entries
     scored = []
-    for position, entry in enumerate(bank.entries):
-        if entry.sentence == sentence:
-            continue
-        scored.append((-cosine(query, vector(docs[position])), position, entry))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [entry for _, _, entry in scored[:k]]
+    for position, parts in products.items():
+        cosine = sum(parts) / (query_norm * bank_vectors.norms[position])
+        if cosine > 0.0 and entries[position].sentence != sentence:
+            scored.append((-cosine, position))
+    chosen = [position for _, position in heapq.nsmallest(k, scored)]
+    # the entries scoring 0 follow in bank order
+    taken = set(chosen)
+    chosen += islice((position for position, entry in enumerate(entries)
+                      if position not in taken and entry.sentence != sentence),
+                     k - len(chosen))
+    return [entries[position] for position in chosen]
 
 
 # --- prompt assembly -----------------------------------------------------------
@@ -324,7 +358,7 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
 
     claims = parse_subclaims(response.text)
     if not claims:
-        logger.warning("empty decomposition for sentence: %.60s", sentence_text)
+        logger.debug("empty decomposition for sentence: %.60s", sentence_text)
     return claims
 
 

@@ -11,6 +11,7 @@ import hashlib
 import http.client
 import json
 import logging
+import math
 import os
 import time
 import urllib.error
@@ -49,8 +50,8 @@ class CompletionRequest:
     def __post_init__(self) -> None:
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not math.isfinite(self.temperature) or self.temperature < 0:
+            raise ValueError("temperature must be finite and >= 0")
 
 
 @dataclass(frozen=True)

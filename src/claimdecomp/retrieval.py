@@ -7,13 +7,20 @@ whitespace words. Scoring follows BM25 with the +1-inside-log idf variant
     score(q, c) = sum over query terms t of
         idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avglen))
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
+
+The index holds, built once: per term its postings (ascending chunk
+positions and their term frequencies) and idf, per chunk the length part of
+the denominator, and per document title the range of its chunk positions.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
+from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -27,7 +34,7 @@ DEFAULT_CHUNK_WORDS = 256
 
 INDEX_FORMAT_VERSION = 1
 
-_NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_NON_TERM = re.compile(r"[^a-z0-9\s]+")
 
 
 class RetrievalError(ValueError):
@@ -36,38 +43,33 @@ class RetrievalError(ValueError):
 
 def tokenize(text: str) -> list[str]:
     """Lowercase whitespace words with non-alphanumerics stripped."""
-    out = []
-    for word in text.split():
-        term = _NON_ALNUM.sub("", word.lower())
-        if term:
-            out.append(term)
-    return out
+    return _NON_TERM.sub("", text.lower()).split()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     doc_title: str
     ordinal: int
     text: str
-    term_counts: Counter
-
-    @property
-    def length(self) -> int:
-        return sum(self.term_counts.values())
+    length: int
 
 
 @dataclass(frozen=True)
 class Index:
     chunks: tuple[Chunk, ...]
-    doc_freq: dict[str, int]
-    avg_length: float
-    titles: frozenset[str]
     chunk_words: int
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
+    k1: float
+    b: float
+    # term -> (chunk positions, term frequencies), positions ascending
+    postings: dict[str, tuple[array, array]]
+    idf: dict[str, float]
+    # per chunk: k1 * (1 - b + b * len / avglen)
+    norms: array
+    # doc_title -> [first, end) chunk positions
+    title_ranges: dict[str, tuple[int, int]]
 
     def has_title(self, title: str) -> bool:
-        return title in self.titles
+        return title in self.title_ranges
 
 
 def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS,
@@ -88,38 +90,33 @@ def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS
 
 def _index(pieces: Iterable[tuple[str, int, str]], chunk_words: int,
            k1: float, b: float) -> Index:
-    """Index over (doc_title, ordinal, text) chunks with their term
-    statistics and the set of their titles."""
-    chunks = tuple(Chunk(doc_title=title, ordinal=ordinal, text=text,
-                         term_counts=Counter(tokenize(text)))
-                   for title, ordinal, text in pieces)
-    doc_freq: dict[str, int] = {}
-    for chunk in chunks:
-        for term in chunk.term_counts:
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    total_len = sum(c.length for c in chunks)
-    avg = total_len / len(chunks) if chunks else 0.0
-    return Index(chunks=chunks, doc_freq=doc_freq, avg_length=avg,
-                 titles=frozenset(c.doc_title for c in chunks),
-                 chunk_words=chunk_words, k1=k1, b=b)
+    """Index over (doc_title, ordinal, text) chunks; the chunks of one title
+    must be consecutive."""
+    chunks = []
+    postings: dict[str, tuple[array, array]] = {}
+    title_ranges: dict[str, tuple[int, int]] = {}
+    for position, (title, ordinal, text) in enumerate(pieces):
+        terms = tokenize(text)
+        chunks.append(Chunk(doc_title=title, ordinal=ordinal, text=text, length=len(terms)))
+        for term, tf in Counter(terms).items():
+            if term not in postings:
+                postings[term] = (array("I"), array("I"))
+            positions, tfs = postings[term]
+            positions.append(position)
+            tfs.append(tf)
+        first, _ = title_ranges.get(title, (position, position))
+        if first != position and chunks[position - 1].doc_title != title:
+            raise RetrievalError(f"chunks of document {title!r} are not consecutive")
+        title_ranges[title] = (first, position + 1)
 
-
-def _idf(index: Index, term: str) -> float:
-    n = len(index.chunks)
-    df = index.doc_freq.get(term, 0)
-    return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-
-
-def score_chunk(index: Index, query_terms: list[str], chunk: Chunk) -> float:
-    score = 0.0
-    norm = index.k1 * (1.0 - index.b + index.b * chunk.length / index.avg_length) \
-        if index.avg_length > 0 else index.k1
-    for term in query_terms:
-        tf = chunk.term_counts.get(term, 0)
-        if tf == 0:
-            continue
-        score += _idf(index, term) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
+    n = len(chunks)
+    idf = {term: math.log(1.0 + (n - len(positions) + 0.5) / (len(positions) + 0.5))
+           for term, (positions, _) in postings.items()}
+    avg = sum(c.length for c in chunks) / n if chunks else 0.0
+    norms = array("d", (k1 * (1.0 - b + b * c.length / avg) if avg > 0 else k1
+                        for c in chunks))
+    return Index(chunks=tuple(chunks), chunk_words=chunk_words, k1=k1, b=b,
+                 postings=postings, idf=idf, norms=norms, title_ranges=title_ranges)
 
 
 def search(index: Index, query: str, k: int,
@@ -128,16 +125,32 @@ def search(index: Index, query: str, k: int,
     (doc_title, ordinal). ``restrict_title`` limits scoring to one document."""
     if k < 1:
         raise RetrievalError("k must be >= 1")
-    query_terms = tokenize(query)
-    scored = []
-    for chunk in index.chunks:
-        if restrict_title is not None and chunk.doc_title != restrict_title:
+    if restrict_title is not None:
+        if restrict_title not in index.title_ranges:
+            return []
+        first, end = index.title_ranges[restrict_title]
+    norms, k1_plus_1 = index.norms, index.k1 + 1.0
+    scores: dict[int, float] = {}
+    # Each chunk's score is summed in query-term order (repeats included)
+    # from 0.0, the order of the formula above, so scores do not depend on
+    # the postings layout.
+    for term in tokenize(query):
+        if term not in index.postings:
             continue
-        s = score_chunk(index, query_terms, chunk)
-        if s > 0.0:
-            scored.append((chunk, s))
-    scored.sort(key=lambda item: (-item[1], item[0].doc_title, item[0].ordinal))
-    return scored[:k]
+        positions, tfs = index.postings[term]
+        idf = index.idf[term]
+        if restrict_title is not None:
+            lo, hi = bisect_left(positions, first), bisect_left(positions, end)
+            positions, tfs = positions[lo:hi], tfs[lo:hi]
+        for position, tf in zip(positions, tfs):
+            scores[position] = (scores.get(position, 0.0)
+                                + idf * tf * k1_plus_1 / (tf + norms[position]))
+    chunks = index.chunks
+    best = heapq.nsmallest(
+        k, ((position, s) for position, s in scores.items() if s > 0.0),
+        key=lambda item: (-item[1], chunks[item[0]].doc_title, chunks[item[0]].ordinal,
+                          item[0]))
+    return [(chunks[position], s) for position, s in best]
 
 
 def save_index(index: Index, path: str | Path) -> None:
@@ -155,6 +168,10 @@ def save_index(index: Index, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
+def _has_type(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def load_index(path: str | Path) -> Index:
     """The index saved at ``path``; a file that is not a whole index of this
     format version, such as one cut short, is a RetrievalError."""
@@ -166,8 +183,22 @@ def load_index(path: str | Path) -> Index:
     if version != INDEX_FORMAT_VERSION:
         raise RetrievalError(f"unsupported index version {version!r}")
     try:
-        return _index(((c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]),
-                      payload["chunk_words"], payload["k1"], payload["b"])
-    except (KeyError, TypeError, AttributeError) as exc:
+        pieces = [(c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]]
+        settings = {key: payload[key] for key in ("chunk_words", "k1", "b")}
+    except (KeyError, TypeError) as exc:
         raise RetrievalError(f"malformed index file {path}: bad or missing field "
                              f"{exc}") from exc
+    for key, kind, noun in (("chunk_words", int, "an integer"),
+                            ("k1", (int, float), "a number"), ("b", (int, float), "a number")):
+        if not _has_type(settings[key], kind):
+            raise RetrievalError(f"malformed index file {path}: field {key!r} must be "
+                                 f"{noun}, got {settings[key]!r}")
+    for title, ordinal, text in pieces:
+        if not (_has_type(title, str) and _has_type(ordinal, int) and _has_type(text, str)):
+            raise RetrievalError(
+                f"malformed index file {path}: chunk ({title!r}, {ordinal!r}) needs a "
+                "string doc_title and text and an integer ordinal")
+    try:
+        return _index(pieces, **settings)
+    except RetrievalError as exc:
+        raise RetrievalError(f"malformed index file {path}: {exc}") from exc

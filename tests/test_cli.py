@@ -210,6 +210,68 @@ class TestExitCodes:
         assert err.startswith(f"error: {key} must be >= ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, token", [("nan", "NaN"), ("inf", "Infinity")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_finite_temperature(self, data_dir, tmp_path, capsys, flag, token, source):
+        cache = tmp_path / "cache"
+        if source == "flag":
+            extra = ["--temperature", flag]
+        else:
+            # json.loads reads the bare NaN and Infinity tokens as floats
+            config_path = tmp_path / "run.json"
+            config_path.write_text(f'{{"temperature": {token}}}')
+            extra = ["--config", str(config_path)]
+        extra += ["--cache-dir", str(cache)]
+        argv = ["decompose", *_common(data_dir, tmp_path / "out", extra)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: temperature must be finite")
+        assert "Traceback" not in err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("window, max_tokens", [("0", None), ("512", "512"), ("100", "200")])
+    def test_prompt_budget_must_be_positive(self, data_dir, tmp_path, capsys, window, max_tokens):
+        extra = ["--context-window", window]
+        if max_tokens is not None:
+            extra += ["--max-tokens", max_tokens]
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: context_window must exceed max_tokens")
+        assert "Traceback" not in err
+        assert not (out / "subclaims-rnd.jsonl").exists()
+
+    @pytest.mark.parametrize("change", [
+        {"k1": "0.9"}, {"b": None}, {"chunk_words": 1.5},
+        {"chunk": {"ordinal": "x"}}, {"chunk": {"doc_title": 5}}, {"split_title": True},
+    ], ids=["str-k1", "null-b", "float-chunk-words", "str-ordinal", "int-title",
+            "title-not-consecutive"])
+    def test_index_file_with_bad_field(self, data_dir, tmp_path, capsys, change):
+        index = tmp_path / "index.json"
+        assert cli.main(["index", "build", "--knowledge",
+                         str(data_dir / "knowledge_small.jsonl"), "--out", str(index),
+                         "--chunk-words", "4"]) == 0
+        payload = json.loads(index.read_text(encoding="utf-8"))
+        chunks = payload["chunks"]
+        if "chunk" in change:
+            chunks[0].update(change["chunk"])
+        elif "split_title" in change:
+            # move the first document's last chunk behind another document
+            first = chunks[0]["doc_title"]
+            last = max(i for i, c in enumerate(chunks) if c["doc_title"] == first)
+            assert chunks[-1]["doc_title"] != first and last > 0
+            chunks.append(chunks.pop(last))
+        else:
+            payload.update(change)
+        index.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["factscore", *_common(data_dir, out, ["--index", str(index)])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed index file {index}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind, line", [
         ("bank", "[1, 2]"),
         ("generations", '"topic generator output"'),
@@ -472,6 +534,20 @@ class TestDegenerateInputs:
                 "filtered factscore counts them as 0")
         assert line in stdout["factscore"].splitlines()
         assert "sentence-supported" not in stdout["decompscore"]
+
+
+    def test_empty_decompositions_reported_as_one_count(self, data_dir, tmp_path):
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps({"default": ""}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "claimdecomp.cli", "decompose",
+             "--generations", str(data_dir / "generations_small.jsonl"),
+             "--mock-responses", str(mock), "--method", "rnd",
+             "--output-dir", str(tmp_path / "out")],
+            cwd=REPO, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "warning: 9 sentences decomposed to no subclaims" in proc.stdout.splitlines()
 
 
 class TestCacheModes:

@@ -1,6 +1,7 @@
 import http.client
 import json
 import logging
+import math
 import multiprocessing
 import sys
 import threading
@@ -66,6 +67,11 @@ class TestRequest:
             CompletionRequest(model="m", prompt="p", max_tokens=0)
         with pytest.raises(ValueError):
             CompletionRequest(model="m", prompt="p", temperature=-0.1)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            CompletionRequest(model="m", prompt="p", temperature=temperature)
 
 
 class TestMockClient:
