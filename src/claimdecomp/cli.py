@@ -16,16 +16,15 @@ import logging
 import math
 import os
 import sys
-import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from . import conllu as conllu_mod
-from .corpus import (CorpusError, Passage, attach_parses, load_example_bank,
-                     load_generations, load_knowledge)
+from .corpus import (CorpusError, Passage, _check_fields, _fits, _json_object, _records,
+                     attach_parses, load_example_bank, load_generations, load_knowledge)
 from .decompose import (DecomposeError, GenerationSettings, Subclaim,
                         decompose_passage, default_bank, method_registry)
 from .llm import (CachingClient, CompletionClient, CompletionError,
@@ -72,36 +71,18 @@ class RunConfig:
     drop_invalid: bool = False
 
 
-_CONFIG_KEYS = set(RunConfig.__dataclass_fields__)
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
-
-def _fits(kind, value) -> bool:
-    """Whether a config-file value has the field type ``kind``; a bool is
-    not an int, and an int is a float."""
-    origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is types.UnionType:
-        return any(_fits(k, value) for k in args)
-    if origin is list:
-        return isinstance(value, list) and all(_fits(args[0], v) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(_fits(args[1], v) for v in value.values())
-    if kind is float:
-        kind = (int, float)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+# The keys a mock-responses spec may set: the mock client's parameters.
+_MOCK_TYPES = typing.get_type_hints(MockCompletionClient.__init__)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
     if path:
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {path} is not a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        data = _json_object(f"config {path}", Path(path).read_bytes())
+        unknown = data.keys() - _CONFIG_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
@@ -110,7 +91,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                                   f"{RunConfig.__dataclass_fields__[key].type}, got {value!r}")
             # as the flag's type=float does, so both send and cache 1.0, not 1
             setattr(cfg, key, float(value) if _CONFIG_TYPES[key] is float else value)
-    for key in _CONFIG_KEYS:
+    for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value not in (None, [], {}):
             setattr(cfg, key, value)
@@ -125,25 +106,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _mock_from_spec(spec: dict) -> MockCompletionClient:
-    return MockCompletionClient(
-        table=spec.get("table", {}),
-        default=spec.get("default", ""),
-        rules=[tuple(rule) for rule in spec.get("rules", [])],
-        length_error_substrings=tuple(spec.get("length_error_substrings", [])),
-    )
-
-
 def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
     """role is "decomposer" or "validator"; the mock-responses file may carry
     a spec per role or a single shared one."""
     client: CompletionClient
     if cfg.mock_responses:
-        try:
-            spec = json.loads(Path(cfg.mock_responses).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read mock responses: {exc}") from exc
-        client = _mock_from_spec(spec.get(role, spec))
+        where = cfg.mock_responses
+        spec = _json_object(where, Path(where).read_bytes())
+        if role in spec:
+            _check_fields(where, spec, {role: dict})
+            spec, where = spec[role], f"{where}: {role}"
+        present = {name: kind for name, kind in _MOCK_TYPES.items() if name in spec}
+        _check_fields(where, spec, present)
+        client = MockCompletionClient(**{name: spec[name] for name in present})
     else:
         if not cfg.endpoint_url and not os.environ.get("CLAIMDECOMP_ENDPOINT_URL"):
             raise ConfigError(
@@ -203,12 +178,15 @@ def _decomposition_settings(cfg: RunConfig) -> GenerationSettings:
 # A subclaim record holds the Subclaim fields; a judgment record holds the
 # SupportJudgment fields with its subclaim's fields in place of ``claim``.
 
-_CLAIM_FIELDS = frozenset(f.name for f in fields(Subclaim))
-_JUDGMENT_FIELDS = _CLAIM_FIELDS | ({f.name for f in fields(SupportJudgment)} - {"claim"})
+_CLAIM_TYPES = typing.get_type_hints(Subclaim)
+_JUDGMENT_TYPES = _CLAIM_TYPES | typing.get_type_hints(SupportJudgment)
+del _JUDGMENT_TYPES["claim"]
 
 # Per stage: the prefix of the JSONL file it writes per method, and the
-# report columns of a judgment stage as (csv file, LmMetrics field, scale).
-# The writers and `audit_outputs` both read these.
+# report columns of a judgment stage as (csv file, LmMetrics field, scale);
+# then the columns of factscore's scatter.csv, one row per method, as
+# (column, macro LmMetrics field, scale). The writers and `audit_outputs`
+# all read these.
 JSONL_FILES = {"decompose": "subclaims", "decompscore": "sentence-judgments",
                "factscore": "knowledge-judgments"}
 REPORT_COLUMNS = {
@@ -218,6 +196,7 @@ REPORT_COLUMNS = {
     "factscore": (("factscore.csv", "fact_score", 100.0),
                   ("filtered_factscore.csv", "filtered_fact_score", 100.0)),
 }
+SCATTER_COLUMNS = (("avg_subclaims", "avg_subclaims", 1.0), ("factscore", "fact_score", 100.0))
 
 
 def _record(item: Subclaim | SupportJudgment) -> dict:
@@ -228,27 +207,21 @@ def _record(item: Subclaim | SupportJudgment) -> dict:
 
 
 def _judgment(record: dict) -> SupportJudgment:
-    claim = Subclaim(**{name: record.pop(name) for name in _CLAIM_FIELDS})
+    claim = Subclaim(**{name: record.pop(name) for name in _CLAIM_TYPES})
     return SupportJudgment(claim=claim, **record)
 
 
-def _read_jsonl(path: Path, expected_fields: frozenset[str]) -> list[dict]:
+def _read_jsonl(path: Path, kinds: dict[str, object]) -> list[dict]:
     """Records of a JSONL file written by this module. A line that is not a
-    JSON object with exactly ``expected_fields``, such as one cut short by an
-    interrupted write, is a ConfigError naming the path and line."""
+    JSON object with exactly the fields of ``kinds``, each of its type, such
+    as one cut short by an interrupted write, stops the stage naming the path
+    and line."""
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{number}: malformed JSON: {exc}") from exc
-            if not isinstance(record, dict) or record.keys() != expected_fields:
-                raise ConfigError(
-                    f"{path}:{number}: expected a record with fields {sorted(expected_fields)}")
-            records.append(record)
+    for where, record in _records(path):
+        if record.keys() != kinds.keys():
+            raise ConfigError(f"{where}: expected a record with fields {sorted(kinds)}")
+        _check_fields(where, record, kinds)
+        records.append(record)
     return records
 
 
@@ -294,7 +267,7 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
         path = jsonl_path(outdir, "decompose", name)
         done: set[tuple[str, str]] = set()
         if path.exists():
-            done = {(r["generator"], r["topic"]) for r in _read_jsonl(path, _CLAIM_FIELDS)}
+            done = {(r["generator"], r["topic"]) for r in _read_jsonl(path, _CLAIM_TYPES)}
         pending = [p for p in passages if (p.generator, p.topic) not in done]
         decompose = partial(decompose_passage, method, client=client, settings=settings)
         with open(path, "a", encoding="utf-8") as fh:
@@ -315,14 +288,14 @@ def _load_subclaims(outdir: Path, method: str) -> list[Subclaim]:
     path = jsonl_path(outdir, "decompose", method)
     if not path.exists():
         raise ConfigError(f"missing subclaims file {path}; run decompose first")
-    return [Subclaim(**r) for r in _read_jsonl(path, _CLAIM_FIELDS)]
+    return [Subclaim(**r) for r in _read_jsonl(path, _CLAIM_TYPES)]
 
 
 def _load_judgments(outdir: Path, stage: str, method: str) -> list[SupportJudgment] | None:
     path = jsonl_path(outdir, stage, method)
     if not path.exists():
         return None
-    return [_judgment(r) for r in _read_jsonl(path, _JUDGMENT_FIELDS)]
+    return [_judgment(r) for r in _read_jsonl(path, _JUDGMENT_TYPES)]
 
 
 def _with_sentences(claims: list[Subclaim],
@@ -404,10 +377,14 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     if unfiltered_passages:
         print(f"warning: {unfiltered_passages} passages have no sentence-supported "
               "subclaims; filtered factscore counts them as 0")
+    # report cells rounded to one decimal; a *_raw.csv sibling keeps full precision
     for filename, metric, scale in REPORT_COLUMNS[stage]:
-        _write_report_csv(outdir / filename, reports, metric, scale)
+        table = _report_table(reports, metric, scale)
+        for name, fmt in ((filename, ".1f"), (Path(filename).stem + "_raw.csv", ".10g")):
+            _write_table(outdir / name, ["generator", *reports], table, fmt)
     if stage == "factscore":
-        _write_scatter_csv(outdir / "scatter.csv", reports)
+        _write_table(outdir / "scatter.csv", ["method", *(c for c, _, _ in SCATTER_COLUMNS)],
+                     _scatter_table(reports), ".10g")
     print(f"{stage}: {outdir / REPORT_COLUMNS[stage][0][0]}")
     return EXIT_OK
 
@@ -422,12 +399,8 @@ def cmd_correlate(file_a: str, file_b: str, columns: list[str],
     keys = sorted(rows_a)
     lines = [("column", "pearson_rho")]
     for column in columns:
-        try:
-            xs = [float(rows_a[k][column]) for k in keys]
-            ys = [float(rows_b[k][column]) for k in keys]
-        except KeyError as exc:
-            raise ConfigError(f"missing column {exc} in input") from exc
-        rho = pearson(xs, ys)
+        rho = pearson(_numbers(file_a, rows_a, keys, column),
+                      _numbers(file_b, rows_b, keys, column))
         lines.append((column, f"{rho:.4f}"))
         print(f"{column}: rho={rho:.4f}")
     if out:
@@ -453,9 +426,21 @@ def cmd_index_search(index_path: str, query: str, k: int,
 
 # --- CSV emission ----------------------------------------------------------------
 
+def _numbers(path: str, rows: dict[str, dict[str, str]], keys: list[str],
+             column: str) -> list[float]:
+    values = []
+    for key in keys:
+        if column not in rows[key]:
+            raise ConfigError(f"missing column {column!r} in {path}")
+        try:
+            values.append(float(rows[key][column]))
+        except (TypeError, ValueError) as exc:  # a short row's cell is None
+            raise ConfigError(f"{path}: row {key!r}, column {column!r}: not a number: "
+                              f"{rows[key][column]!r}") from exc
+    return values
+
+
 def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
-    if not path.exists():
-        raise ConfigError(f"missing file {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if not reader.fieldnames:
@@ -464,45 +449,36 @@ def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
         return {row[key_field]: row for row in reader}
 
 
-def _write_report_csv(path: Path, reports: dict[str, MethodReport],
-                      metric: str, scale: float = 1.0) -> None:
-    """Rows per generator plus a macro-average row; one column per method.
-    Cells rounded to one decimal; a *_raw.csv sibling keeps full precision."""
-    methods = list(reports)
+def _report_table(reports: dict[str, MethodReport], metric: str,
+                  scale: float) -> dict[str, dict[str, float]]:
+    """{row: {method: value}}: a row per generator, then the macro-average row."""
     generators = sorted({lm for rep in reports.values() for lm in rep.per_lm})
-
-    def cell(rep: MethodReport, lm: str | None) -> float:
-        metrics = rep.macro if lm is None else rep.per_lm[lm]
-        return getattr(metrics, metric) * scale
-
-    for raw in (False, True):
-        target = path.with_name(path.stem + "_raw.csv") if raw else path
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["generator"] + methods)
-            for lm in generators:
-                writer.writerow([lm] + [
-                    _fmt(cell(reports[m], lm), raw) for m in methods])
-            writer.writerow(["macro-average"] + [
-                _fmt(cell(reports[m], None), raw) for m in methods])
+    return {key: {name: getattr(rep.macro if key == "macro-average" else rep.per_lm[key],
+                                metric) * scale
+                  for name, rep in reports.items()}
+            for key in [*generators, "macro-average"]}
 
 
-def _fmt(value: float, raw: bool) -> str:
-    return f"{value:.10g}" if raw else f"{value:.1f}"
+def _scatter_table(reports: dict[str, MethodReport]) -> dict[str, dict[str, float]]:
+    """{method: {column: value}} from each method's macro averages."""
+    return {name: {column: getattr(rep.macro, metric) * scale
+                   for column, metric, scale in SCATTER_COLUMNS}
+            for name, rep in reports.items()}
 
 
-def _write_scatter_csv(path: Path, reports: dict[str, MethodReport]) -> None:
+def _write_table(path: Path, header: list[str], table: dict[str, dict[str, float]],
+                 fmt: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "avg_subclaims", "factscore"])
-        for name, rep in reports.items():
-            writer.writerow([name, f"{rep.macro.avg_subclaims:.10g}",
-                             f"{rep.macro.fact_score * 100.0:.10g}"])
+        writer.writerow(header)
+        writer.writerows([key] + [format(row[column], fmt) for column in header[1:]]
+                         for key, row in table.items())
 
 
 def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
-    """Recompute every report CSV cell from the persisted judgment files and
-    raise if anything differs (within float formatting)."""
+    """Recompute every cell of the report CSVs and scatter.csv from the
+    persisted judgment files and raise if one differs (within float
+    formatting) or a row is not derived from them."""
     outdir = Path(outdir)
     reports: dict[str, MethodReport] = {}
     for name in methods:
@@ -514,23 +490,20 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
             knowledge_judgments=_load_judgments(outdir, "factscore", name))
         reports[name] = method_report(results)
 
-    for filename, metric, scale in (c for cols in REPORT_COLUMNS.values() for c in cols):
+    tables = {filename: _report_table(reports, metric, scale)
+              for cols in REPORT_COLUMNS.values() for filename, metric, scale in cols}
+    tables["scatter.csv"] = _scatter_table(reports)
+    for filename, table in tables.items():
         path = outdir / filename
         if not path.exists():
             continue
-        rows = _read_keyed_csv(path)
-        for key, row in rows.items():
-            for method in methods:
-                if method not in row:
-                    continue
-                rep = reports[method]
-                expected = (rep.macro if key == "macro-average"
-                            else rep.per_lm[key])
-                value = getattr(expected, metric) * scale
-                if abs(float(row[method]) - value) > 0.05 + 1e-9:
-                    raise MetricsError(
-                        f"{filename} cell ({key}, {method}) = {row[method]} "
-                        f"but judgments give {value:.4f}")
+        for key, row in _read_keyed_csv(path).items():
+            if key not in table:
+                raise MetricsError(f"{filename} row {key!r} is not derived from the judgments")
+            for column, value in table[key].items():
+                if column in row and abs(float(row[column]) - value) > 0.05 + 1e-9:
+                    raise MetricsError(f"{filename} cell ({key}, {column}) = {row[column]} "
+                                       f"but judgments give {value:.4f}")
 
 
 # --- argument parsing --------------------------------------------------------------
@@ -612,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_index_search(args.index, args.query, args.k, title=args.title)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CorpusError, DecomposeError, RetrievalError, MetricsError,
-            conllu_mod.ConlluError, FileNotFoundError) as exc:
+            conllu_mod.ConlluError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CompletionError, ValidateError) as exc:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import types
+import typing
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,12 +152,11 @@ def load_generations(path: str | Path, drop_invalid: bool = False) -> list[Passa
     unless ``drop_invalid`` is set."""
     passages: list[Passage] = []
     for where, record in _records(path):
-        topic, generator, output = (_text(where, record, name)
-                                    for name in ("topic", "generator", "output"))
-        if drop_invalid and is_invalid_response(output):
+        _check_fields(where, record, _GENERATION_TYPES)
+        if drop_invalid and is_invalid_response(record["output"]):
             continue
         try:
-            passages.append(make_passage(topic, generator, output))
+            passages.append(make_passage(record["topic"], record["generator"], record["output"]))
         except CorpusError as exc:
             raise CorpusError(f"{where}: {exc}") from exc
     return passages
@@ -194,22 +195,17 @@ def load_example_bank(path: str | Path) -> ExampleBank:
     entries: list[ExampleEntry] = []
     seen: set[str] = set()
     for where, record in _records(path):
-        sentence = _text(where, record, "sentence")
-        subclaims = record.get("subclaims")
-        conllu = record.get("conllu")
+        _check_fields(where, record, _ENTRY_TYPES)
+        sentence, subclaims = record["sentence"], tuple(record["subclaims"])
         if not sentence:
             raise CorpusError(f"{where}: missing field 'sentence'")
         if not subclaims:
             raise CorpusError(f"{where}: entry has no subclaims")
-        if not (isinstance(subclaims, list) and all(isinstance(c, str) for c in subclaims)):
-            raise CorpusError(f"{where}: field 'subclaims' must be a list of strings")
-        if conllu is not None and not isinstance(conllu, str):
-            raise CorpusError(f"{where}: field 'conllu' must be a string")
         if sentence in seen:
             raise CorpusError(f"{where}: duplicate sentence {sentence!r}")
         seen.add(sentence)
-        entries.append(ExampleEntry(sentence=sentence, subclaims=tuple(subclaims),
-                                    conllu=conllu))
+        entries.append(ExampleEntry(sentence=sentence, subclaims=subclaims,
+                                    conllu=record.get("conllu")))
     return ExampleBank(entries=tuple(entries))
 
 
@@ -217,37 +213,73 @@ def load_knowledge(path: str | Path) -> list[KnowledgeDoc]:
     docs: list[KnowledgeDoc] = []
     seen: set[str] = set()
     for where, record in _records(path):
-        title, text = _text(where, record, "title"), _text(where, record, "text")
-        if title in seen:
-            raise CorpusError(f"{where}: duplicate title {title!r}")
-        seen.add(title)
-        docs.append(KnowledgeDoc(title=title, text=text))
+        _check_fields(where, record, _DOC_TYPES)
+        if record["title"] in seen:
+            raise CorpusError(f"{where}: duplicate title {record['title']!r}")
+        seen.add(record["title"])
+        docs.append(KnowledgeDoc(title=record["title"], text=record["text"]))
     return docs
 
 
-# --- JSONL reading -------------------------------------------------------------
+# --- JSON reading ----------------------------------------------------------------
+
+# What each input file's records must hold: the fields of the thing built
+# from them. No class is built from a generations record as it is.
+_GENERATION_TYPES = {"topic": str, "generator": str, "output": str}
+_ENTRY_TYPES = typing.get_type_hints(ExampleEntry)
+_DOC_TYPES = typing.get_type_hints(KnowledgeDoc)
+
 
 def _records(path: str | Path) -> Iterator[tuple[str, dict]]:
     """("<path>: line <n>", record) for each non-blank line of a JSONL file.
-    A line that is not a JSON object is a CorpusError naming the path and
-    line."""
-    with open(path, encoding="utf-8") as fh:
+    A line that is not one UTF-8 JSON object is a CorpusError naming the
+    path and line."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: malformed record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"{where}: expected a JSON object, got {line.strip()[:60]}")
-            yield where, record
+            if line.strip():
+                where = f"{path}: line {lineno}"
+                yield where, _json_object(where, line)
 
 
-def _text(where: str, record: dict, name: str) -> str:
-    if record.get(name) is None:
-        raise CorpusError(f"{where}: missing field {name!r}")
-    if not isinstance(record[name], str):
-        raise CorpusError(f"{where}: field {name!r} must be a string, got {record[name]!r}")
-    return record[name]
+def _json_object(where: str, data: bytes) -> dict:
+    """The JSON object the UTF-8 ``data`` holds; anything else, undecodable
+    bytes included, is a CorpusError naming ``where``."""
+    try:
+        value = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
+        raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise CorpusError(f"{where}: expected a JSON object, got {value!r:.60}")
+    return value
+
+
+def _fits(kind, value) -> bool:
+    """Whether a value read from JSON has the type hint ``kind``: a bool is
+    not an int, an int is a float, and a list stands for a tuple."""
+    if type(kind) is type:
+        # most fields are a plain class; skip the typing introspection
+        if kind is float:
+            kind = (int, float)
+        return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:
+        return any(_fits(k, value) for k in args)
+    if origin is dict:
+        return isinstance(value, dict) and all(_fits(args[1], v) for v in value.values())
+    # list[X], tuple[X, ...] or a fixed-length tuple[X, Y]: JSON has only lists
+    if not isinstance(value, list):
+        return False
+    if origin is list or args[1:] == (...,):
+        return all(_fits(args[0], v) for v in value)
+    return len(value) == len(args) and all(map(_fits, args, value))
+
+
+def _check_fields(where: str, record: dict, kinds: dict[str, object]) -> None:
+    """Raise a CorpusError naming ``where`` unless every field in ``kinds``
+    fits ``record.get(name)``."""
+    for name, kind in kinds.items():
+        value = record.get(name)
+        # an exact type match, the common case, fits without calling _fits
+        if type(value) is not kind and not _fits(kind, value):
+            described = kind.__name__ if type(kind) is type else kind
+            raise CorpusError(f"{where}: field {name!r} must be {described}, got {value!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import fmean
 
 from .decompose import Subclaim
@@ -215,12 +215,7 @@ def method_report(results: list[PassageResult]) -> MethodReport:
         )
         for lm, group in by_lm.items()
     }
-    macro = LmMetrics(
-        decomp_score=macro_average({lm: m.decomp_score for lm, m in per_lm.items()}),
-        avg_subclaims=macro_average({lm: m.avg_subclaims for lm, m in per_lm.items()}),
-        coherence_pct=macro_average({lm: m.coherence_pct for lm, m in per_lm.items()}),
-        fact_score=macro_average({lm: m.fact_score for lm, m in per_lm.items()}),
-        filtered_fact_score=macro_average(
-            {lm: m.filtered_fact_score for lm, m in per_lm.items()}),
-    )
+    macro = LmMetrics(**{
+        f.name: macro_average({lm: getattr(m, f.name) for lm, m in per_lm.items()})
+        for f in fields(LmMetrics)})
     return MethodReport(method=method, per_lm=per_lm, macro=macro)

@@ -19,6 +19,7 @@ import heapq
 import json
 import math
 import re
+import typing
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -26,7 +27,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import KnowledgeDoc
+from .corpus import CorpusError, KnowledgeDoc, _check_fields, _json_object
 
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
@@ -153,6 +154,14 @@ def search(index: Index, query: str, k: int,
     return [(chunks[position], s) for position, s in best]
 
 
+# What a saved index holds: build_index's settings and each chunk's title,
+# ordinal and text. save_index writes these fields and load_index checks them.
+_SETTING_TYPES = {name: kind for name, kind in typing.get_type_hints(build_index).items()
+                  if name in ("chunk_words", "k1", "b")} | {"chunks": list[dict]}
+_CHUNK_TYPES = {name: kind for name, kind in typing.get_type_hints(Chunk).items()
+                if name in ("doc_title", "ordinal", "text")}
+
+
 def save_index(index: Index, path: str | Path) -> None:
     """Persist as versioned JSON; term statistics are rebuilt on load."""
     payload = {
@@ -160,45 +169,29 @@ def save_index(index: Index, path: str | Path) -> None:
         "chunk_words": index.chunk_words,
         "k1": index.k1,
         "b": index.b,
-        "chunks": [
-            {"doc_title": c.doc_title, "ordinal": c.ordinal, "text": c.text}
-            for c in index.chunks
-        ],
+        "chunks": [{name: getattr(c, name) for name in _CHUNK_TYPES} for c in index.chunks],
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-
-
-def _has_type(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def load_index(path: str | Path) -> Index:
     """The index saved at ``path``; a file that is not a whole index of this
     format version, such as one cut short, is a RetrievalError."""
+    where = f"malformed index file {path}"
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise RetrievalError(f"malformed index file {path}: {exc}") from exc
-    version = payload.get("version") if isinstance(payload, dict) else None
+        payload = _json_object(where, Path(path).read_bytes())
+    except CorpusError as exc:
+        raise RetrievalError(str(exc)) from exc
+    version = payload.get("version")
     if version != INDEX_FORMAT_VERSION:
         raise RetrievalError(f"unsupported index version {version!r}")
     try:
-        pieces = [(c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]]
-        settings = {key: payload[key] for key in ("chunk_words", "k1", "b")}
-    except (KeyError, TypeError) as exc:
-        raise RetrievalError(f"malformed index file {path}: bad or missing field "
-                             f"{exc}") from exc
-    for key, kind, noun in (("chunk_words", int, "an integer"),
-                            ("k1", (int, float), "a number"), ("b", (int, float), "a number")):
-        if not _has_type(settings[key], kind):
-            raise RetrievalError(f"malformed index file {path}: field {key!r} must be "
-                                 f"{noun}, got {settings[key]!r}")
-    for title, ordinal, text in pieces:
-        if not (_has_type(title, str) and _has_type(ordinal, int) and _has_type(text, str)):
-            raise RetrievalError(
-                f"malformed index file {path}: chunk ({title!r}, {ordinal!r}) needs a "
-                "string doc_title and text and an integer ordinal")
-    try:
-        return _index(pieces, **settings)
+        _check_fields(where, payload, _SETTING_TYPES)
+        for position, chunk in enumerate(payload["chunks"]):
+            _check_fields(f"{where}: chunk {position}", chunk, _CHUNK_TYPES)
+        return _index([(c["doc_title"], c["ordinal"], c["text"]) for c in payload["chunks"]],
+                      payload["chunk_words"], payload["k1"], payload["b"])
+    except CorpusError as exc:
+        raise RetrievalError(str(exc)) from exc
     except RetrievalError as exc:
-        raise RetrievalError(f"malformed index file {path}: {exc}") from exc
+        raise RetrievalError(f"{where}: {exc}") from exc

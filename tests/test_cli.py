@@ -11,6 +11,7 @@ import pytest
 
 from claimdecomp import cli
 from claimdecomp.llm import CompletionError
+from claimdecomp.metrics import MetricsError
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -83,6 +84,20 @@ class TestPipeline:
         out = tmp_path / "out"
         run_pipeline(data_dir, out)
         cli.audit_outputs(out, ["rnd"])
+
+    @pytest.mark.parametrize("column", ["avg_subclaims", "factscore"])
+    def test_audit_checks_scatter_cells(self, data_dir, tmp_path, column):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        with open(out / "scatter.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[0][column] = str(float(rows[0][column]) + 0.1)
+        with open(out / "scatter.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        with pytest.raises(MetricsError, match=f"scatter.csv cell \\(rnd, {column}\\)"):
+            cli.audit_outputs(out, ["rnd"])
 
     def test_scatter_columns(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -161,22 +176,37 @@ class TestExitCodes:
                         encoding="utf-8")
         extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl")]
         assert cli.main([stage, *_common(data_dir, out, extra=extra)]) == 2
-        assert f"{damaged}:{len(lines)}: malformed JSON" in capsys.readouterr().err
+        assert f"{damaged}: line {len(lines)}: malformed JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change", [
-        lambda r: r.pop("ordinal"),
-        lambda r: r.update(passage_id="alpha/Ada Example"),
-    ], ids=["missing", "extra"])
-    def test_record_with_wrong_fields(self, data_dir, tmp_path, capsys, change):
+    @pytest.mark.parametrize("stage, damaged, change, message", [
+        ("decompscore", "subclaims-rnd.jsonl", lambda r: r.pop("ordinal"),
+         "expected a record with fields"),
+        ("decompscore", "subclaims-rnd.jsonl", lambda r: r.update(passage_id="alpha/Ada Example"),
+         "expected a record with fields"),
+        ("decompscore", "subclaims-rnd.jsonl", lambda r: r.update(sentence_index="0"),
+         "field 'sentence_index' must be int, got '0'"),
+        ("decompscore", "subclaims-rnd.jsonl", lambda r: r.update(text=5),
+         "field 'text' must be str, got 5"),
+        ("factscore", "sentence-judgments-rnd.jsonl", lambda r: r.update(supported="yes"),
+         "field 'supported' must be bool, got 'yes'"),
+        ("factscore", "sentence-judgments-rnd.jsonl", lambda r: r.update(supported=1),
+         "field 'supported' must be bool, got 1"),
+    ], ids=["missing", "extra", "str-sentence-index", "int-text", "str-supported",
+            "int-supported"])
+    def test_record_with_wrong_fields(self, data_dir, tmp_path, capsys, stage, damaged,
+                                      change, message):
         out = tmp_path / "out"
-        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
-        path = out / "subclaims-rnd.jsonl"
+        run_pipeline(data_dir, out)
+        path = out / damaged
         records = [json.loads(line) for line in path.read_text().splitlines()]
         change(records[1])
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert cli.main(["decompscore", *_common(data_dir, out)]) == 2
-        assert "subclaims-rnd.jsonl:2: expected a record with fields" in \
-            capsys.readouterr().err
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl")]
+        capsys.readouterr()
+        assert cli.main([stage, *_common(data_dir, out, extra)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 2: {message}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("stage, config", [
         ("decompose", {"max_inflight": "8"}),
@@ -274,27 +304,58 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind, line", [
         ("bank", "[1, 2]"),
+        ("bank", '{"sentence": "S.", "subclaims": "x"}'),
+        ("bank", '{"sentence": "S.", "subclaims": [["x"]]}'),
         ("generations", '"topic generator output"'),
         ("generations", '{"topic": "Ada Example", "generator": "alpha", "output": 7}'),
         ("knowledge", '"x"'),
         ("knowledge", '{"title": "Ada Example", "text": 5}'),
-    ], ids=["bank-list", "generations-string", "generations-int-output",
-            "knowledge-string", "knowledge-int-text"])
+        ("knowledge", '{"title": "Café", "text": "x"}'),
+        ("mock", "[]"),
+        ("mock", '{"default": 5}'),
+        ("mock", '{"rules": [["k"]]}'),
+        ("mock", '{"table": [1, 2]}'),
+        ("mock", '{"decomposer": "x"}'),
+        ("mock", '{"decomposer": {"length_error_substrings": "k"}}'),
+        ("mock", '{"default": "é"}'),
+    ], ids=["bank-list", "bank-str-subclaims", "bank-nested-subclaims", "generations-string",
+            "generations-int-output", "knowledge-string", "knowledge-int-text",
+            "knowledge-latin-1", "mock-list", "mock-int-default", "mock-short-rule",
+            "mock-list-table", "mock-role-str", "mock-role-str-substrings", "mock-latin-1"])
     def test_malformed_corpus_record(self, data_dir, tmp_path, capsys, kind, line):
         out = tmp_path / "out"
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
         bad = tmp_path / f"{kind}.jsonl"
-        bad.write_text(line + "\n", encoding="utf-8")
+        # Latin-1 leaves the ASCII lines as they are and makes "é" a byte
+        # that is not UTF-8
+        bad.write_text(line + "\n", encoding="latin-1")
         capsys.readouterr()
         if kind == "bank":
             argv = ["decompose", *_common(data_dir, tmp_path / "fresh", ["--bank", f"rnd={bad}"])]
         elif kind == "generations":
             argv = ["decompose", *_common(data_dir, out), "--generations", str(bad)]
-        else:
+        elif kind == "knowledge":
             argv = ["factscore", *_common(data_dir, out, ["--knowledge", str(bad)])]
+        else:
+            argv = ["decompose", *_common(data_dir, tmp_path / "fresh"), "--mock-responses", str(bad)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: line 1: ")
+        assert err.startswith(f"error: {bad}: " if kind == "mock" else f"error: {bad}: line 1: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--generations", "--output-dir", "--cache-dir", "--index"])
+    def test_unreadable_path(self, data_dir, tmp_path, capsys, flag):
+        a_dir, a_file = tmp_path / "dir", tmp_path / "file"
+        a_dir.mkdir()
+        a_file.write_text("", encoding="utf-8")
+        if flag == "--index":
+            argv = ["index", "search", "--index", str(a_dir), "--query", "films"]
+        else:
+            path = a_dir if flag == "--generations" else a_file
+            argv = ["decompose", *_common(data_dir, tmp_path / "out"), flag, str(path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
 
@@ -448,6 +509,20 @@ class TestCorrelate:
         rc = cli.main(["correlate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
                        "--columns", "metric"])
         assert rc == 2
+
+    @pytest.mark.parametrize("cell", [["abc"], []], ids=["text", "short-row"])
+    def test_non_numeric_cell(self, tmp_path, capsys, cell):
+        for name, last in (("a.csv", ["1.5"]), ("b.csv", cell)):
+            with open(tmp_path / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["generator", "metric"])
+                writer.writerows([["x", "1.0"], ["y", *last]])
+        rc = cli.main(["correlate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                       "--columns", "metric"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'b.csv'}: row 'y', column 'metric': ")
+        assert "Traceback" not in err
 
 
 class TestIndexCommands:
