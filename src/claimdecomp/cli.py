@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
@@ -20,6 +21,7 @@ import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import conllu as conllu_mod
@@ -312,7 +314,7 @@ def _with_sentences(claims: list[Subclaim],
 def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     """Judge every subclaim, write the judgments and the stage's report CSVs.
     ``decompscore`` judges against the sentence a subclaim came from,
-    ``factscore`` against knowledge retrieved for it. Each method's requests
+    ``factscore`` against knowledge retrieved for it. Every method's requests
     go through ``map_fn`` as one batch."""
     passages = _load_passages(cfg)
     known = {(p.generator, p.topic) for p in passages}
@@ -330,9 +332,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    reports: dict[str, MethodReport] = {}
-    stats = ValidationStats()
-    unfiltered_passages = 0
+    loaded: dict[str, list[Subclaim]] = {}
     for name in cfg.methods:
         claims = _load_subclaims(outdir, name)
         if not claims:
@@ -341,19 +341,28 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
         missing = sorted({(c.generator, c.topic) for c in claims} - known)
         if missing:
             raise ConfigError(f"no passage for subclaim group {missing[0]}")
-        # Judgments are written grouped by passage in sorted (generator,
-        # topic) order, and for decompscore by ascending sentence index within
-        # a passage; the stable sort keeps the file order inside a group.
-        if stage == "decompscore":
-            ordered = sorted(claims, key=lambda c: (c.generator, c.topic, c.sentence_index))
-            judgments = judge_decomposition(
-                client, _with_sentences(ordered, sentences), validator_id=validator_id,
-                settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
-        else:
-            ordered = sorted(claims, key=lambda c: (c.generator, c.topic))
-            judgments = judge_facts(
-                client, index, ordered, k=cfg.retrieval_k, validator_id=validator_id,
-                settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
+        loaded[name] = claims
+    # Judgments are written grouped by passage in sorted (generator, topic)
+    # order, and for decompscore by ascending sentence index within a
+    # passage; the stable sort keeps the file order inside a group.
+    group = attrgetter("generator", "topic", "sentence_index") if stage == "decompscore" \
+        else attrgetter("generator", "topic")
+    batch = [claim for claims in loaded.values() for claim in sorted(claims, key=group)]
+    stats = ValidationStats()
+    if stage == "decompscore":
+        judged = judge_decomposition(
+            client, _with_sentences(batch, sentences), validator_id=validator_id,
+            settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
+    else:
+        judged = judge_facts(
+            client, index, batch, k=cfg.retrieval_k, validator_id=validator_id,
+            settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
+
+    reports: dict[str, MethodReport] = {}
+    unfiltered_passages = 0
+    rest = iter(judged)
+    for name, claims in loaded.items():
+        judgments = list(itertools.islice(rest, len(claims)))
         with open(jsonl_path(outdir, stage, name), "w", encoding="utf-8") as fh:
             fh.write("".join(_dump_line(_record(j)) for j in judgments))
 
@@ -442,11 +451,14 @@ def _numbers(path: str, rows: dict[str, dict[str, str]], keys: list[str],
 
 def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not reader.fieldnames:
-            raise ConfigError(f"empty CSV {path}")
-        key_field = reader.fieldnames[0]
-        return {row[key_field]: row for row in reader}
+        try:
+            reader = csv.DictReader(fh)
+            if not reader.fieldnames:
+                raise ConfigError(f"empty CSV {path}")
+            key_field = reader.fieldnames[0]
+            return {row[key_field]: row for row in reader}
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
 
 
 def _report_table(reports: dict[str, MethodReport], metric: str,

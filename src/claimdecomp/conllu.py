@@ -136,7 +136,11 @@ def parse_conllu(text: str) -> list[SentenceParse]:
 
 
 def parse_conllu_file(path: str | Path) -> list[SentenceParse]:
-    return parse_conllu(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConlluError(f"{path}: not UTF-8: {exc}") from exc
+    return parse_conllu(text)
 
 
 def serialize(parses: list[SentenceParse] | tuple[SentenceParse, ...]) -> str:

@@ -14,12 +14,16 @@ import logging
 import math
 import os
 import time
+import typing
 import urllib.error
 import urllib.request
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Protocol
+
+from .corpus import CorpusError, _check_fields, _json_object
 
 logger = logging.getLogger(__name__)
 
@@ -33,11 +37,20 @@ CHARS_PER_TOKEN = 4.0
 
 
 class CompletionError(RuntimeError):
-    """Endpoint failure after retries are exhausted."""
+    """Endpoint failure."""
 
 
 class ContextLengthError(CompletionError):
     """The prompt (plus requested output) does not fit the model window."""
+
+
+class TransientError(CompletionError):
+    """One attempt got no response, a 429 or a 5xx, so the request may be
+    sent again; ``retry_after_s`` is the delay a 429 or 503 named, if any."""
+
+    def __init__(self, message: str, retry_after_s: float | None = None):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 @dataclass(frozen=True)
@@ -58,6 +71,9 @@ class CompletionRequest:
 class CompletionResponse:
     text: str
     finish_reason: str = FINISH_STOP
+
+
+_RESPONSE_TYPES = typing.get_type_hints(CompletionResponse)
 
 
 @dataclass(frozen=True)
@@ -93,18 +109,65 @@ def completion_request(client: CompletionClient, prompt: str,
 
 def complete_text(client: CompletionClient, prompt: str,
                   settings: GenerationSettings) -> CompletionResponse:
-    return client.complete(completion_request(client, prompt, settings))
+    """One request as a batch of one: its retries wait in this thread."""
+    return complete_all(client, [completion_request(client, prompt, settings)])[0]
 
 
 def complete_all(client: CompletionClient, requests: Sequence[CompletionRequest],
                  map_fn: MapFn = map) -> list[CompletionResponse]:
     """Responses to ``requests``, in order. The calls go through ``map_fn``,
-    so a pool's map overlaps them; a client with its own ``complete_all``,
-    such as the cache, decides which requests reach it."""
+    so a pool's map overlaps them, in the rounds of ``_answers``; a client
+    with its own ``complete_all``, such as the cache, decides which requests
+    reach it."""
     batch = getattr(client, "complete_all", None)
     if batch is not None:
         return batch(requests, map_fn)
-    return list(map_fn(client.complete, requests))
+    answers = dict(_answers(client, requests, map_fn))
+    return [answers[position] for position in range(len(requests))]
+
+
+def _attempt(client: CompletionClient,
+             request: CompletionRequest) -> CompletionResponse | tuple[TransientError, float]:
+    """The response to one try of ``request``, or the TransientError that
+    ended it and the ``time.monotonic()`` it ended at."""
+    try:
+        return client.complete(request)
+    except TransientError as exc:
+        return exc, time.monotonic()
+
+
+def _answers(client: CompletionClient, requests: Sequence[CompletionRequest],
+             map_fn: MapFn) -> Iterator[tuple[int, CompletionResponse]]:
+    """(position, response) for each of ``requests``, as the responses come
+    back. Each round sends the requests that are due through ``map_fn``. One
+    that fails transiently is due again the client's ``retry_delay_s`` after
+    its failure, and goes in the first round that starts then or later; the
+    wait between rounds is in the calling thread, so no worker of the map
+    sleeps through a backoff. Any other error ends the batch."""
+    retry_delay_s = getattr(client, "retry_delay_s", None)
+    attempts = [0] * len(requests)
+    due = dict.fromkeys(range(len(requests)), -math.inf)
+    while due:
+        wait_s = min(due.values()) - time.monotonic()
+        if wait_s > 0:
+            time.sleep(wait_s)
+        now = time.monotonic()
+        batch = [position for position, due_at in due.items() if due_at <= now]
+        for position in batch:
+            del due[position]
+        outcomes = map_fn(partial(_attempt, client), [requests[i] for i in batch])
+        for position, outcome in zip(batch, outcomes):
+            if isinstance(outcome, CompletionResponse):
+                yield position, outcome
+                continue
+            error, failed_at = outcome
+            delay_s = retry_delay_s(error, attempts[position]) if retry_delay_s else None
+            if delay_s is None:
+                raise CompletionError(f"retries exhausted: {error}") from error
+            attempts[position] += 1
+            logger.warning("completion attempt %d failed (%s); retry due in %.2f s",
+                           attempts[position], error, delay_s)
+            due[position] = failed_at + delay_s
 
 
 def cache_key(request: CompletionRequest) -> str:
@@ -131,14 +194,16 @@ class ResponseCache:
 
     def get(self, request: CompletionRequest) -> CompletionResponse | None:
         path = self._path(cache_key(request))
+        where = f"cache entry {path}"
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            return CompletionResponse(text=data["text"], finish_reason=data["finish_reason"])
+            entry = _json_object(where, path.read_bytes())
+            _check_fields(where, entry, _RESPONSE_TYPES)
         except FileNotFoundError:
             return None
-        except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("unreadable cache entry %s (%s); treated as a miss", path, exc)
+        except CorpusError as exc:
+            logger.warning("unreadable %s; treated as a miss", exc)
             return None
+        return CompletionResponse(**{name: entry[name] for name in _RESPONSE_TYPES})
 
     def put(self, request: CompletionRequest, response: CompletionResponse) -> None:
         key = cache_key(request)
@@ -197,7 +262,8 @@ class CachingClient:
 
     ``complete_all`` reads the cache in the calling thread and sends only
     the distinct misses through the map, writing each to the cache as its
-    response arrives; ``complete`` is its one-request case.
+    response arrives, in every round of retries; ``complete`` is its
+    one-request case.
     """
 
     def __init__(self, inner: CompletionClient, cache_dir: str | Path,
@@ -219,9 +285,9 @@ class CachingClient:
         misses = [request for request, hit in found.items() if hit is None]
         if misses and self.cache_only:
             raise CompletionError(f"cache miss in cache-only mode ({len(misses)} requests)")
-        for request, response in zip(misses, map_fn(self.inner.complete, misses)):
-            self.cache.put(request, response)
-            found[request] = response
+        for position, response in _answers(self.inner, misses, map_fn):
+            self.cache.put(misses[position], response)
+            found[misses[position]] = response
         return [found[request] for request in requests]
 
 
@@ -261,14 +327,15 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
 
 
 class HttpCompletionClient:
-    """Completions-endpoint client with retries.
+    """Completions-endpoint client.
 
-    Transient failures (no response, 429, 5xx) are retried with
-    exponential backoff, or after the delay a 429 or 503 names in a
-    delta-seconds ``Retry-After``; window rejections surface as
-    ContextLengthError so callers can shrink their prompts. The client
-    bounds nothing itself: concurrency is the width of the pool whose map
-    calls ``complete``.
+    ``complete`` makes one attempt. A transient failure (no response, 429,
+    5xx) raises TransientError, and ``complete_all`` and ``complete_text``
+    retry it up to ``max_retries`` times, after exponential backoff or the
+    delay a 429 or 503 names in a delta-seconds ``Retry-After``; window
+    rejections surface as ContextLengthError so callers can shrink their
+    prompts. The client bounds nothing itself: concurrency is the width of
+    the pool whose map calls ``complete``.
     """
 
     def __init__(self, url: str | None = None, model: str = "default",
@@ -284,40 +351,34 @@ class HttpCompletionClient:
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
 
+    def retry_delay_s(self, error: TransientError, attempt: int) -> float | None:
+        """Seconds from the failure of ``attempt`` (0 for the first) to the
+        next attempt, or None once the retries are spent."""
+        if attempt >= self.max_retries:
+            return None
+        if error.retry_after_s is not None:
+            return error.retry_after_s
+        return self.backoff_s * 2 ** attempt
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        payload = dict(vars(request))
-        headers = {}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error = "no attempt made"
-        delay_s = 0.0
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                time.sleep(delay_s)
-            delay_s = self.backoff_s * 2 ** attempt
-            try:
-                status, resp_headers, body = post_json(self.url, payload, headers, self.timeout_s)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = f"request failed: {exc!r}"
-                logger.warning("completion attempt %d failed: %r", attempt + 1, exc)
-                continue
-            if _looks_like_context_overflow(status, body):
-                raise ContextLengthError(body[:500])
-            if status == 429 or status >= 500:
-                last_error = f"HTTP {status}"
-                logger.warning("completion attempt %d got HTTP %d", attempt + 1, status)
-                retry_after_s = _retry_after_s(resp_headers) if status in (429, 503) else None
-                if retry_after_s is not None:
-                    delay_s = retry_after_s
-                continue
-            if status != 200:
-                raise CompletionError(f"HTTP {status}: {body[:500]}")
-            try:
-                choice = json.loads(body)["choices"][0]
-                text, finish_reason = choice["text"], choice.get("finish_reason", FINISH_STOP)
-            except (ValueError, LookupError, TypeError) as exc:
-                raise CompletionError(f"malformed endpoint response: {exc!r}") from exc
-            if not isinstance(text, str) or not isinstance(finish_reason, str):
-                raise CompletionError(f"malformed endpoint response: {body[:500]}")
-            return CompletionResponse(text=text, finish_reason=finish_reason)
-        raise CompletionError(f"retries exhausted: {last_error}")
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
+        try:
+            status, resp_headers, body = post_json(self.url, vars(request), headers,
+                                                   self.timeout_s)
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransientError(f"request failed: {exc!r}") from exc
+        if _looks_like_context_overflow(status, body):
+            raise ContextLengthError(body[:500])
+        if status == 429 or status >= 500:
+            raise TransientError(
+                f"HTTP {status}", _retry_after_s(resp_headers) if status in (429, 503) else None)
+        if status != 200:
+            raise CompletionError(f"HTTP {status}: {body[:500]}")
+        try:
+            choice = json.loads(body)["choices"][0]
+            text, finish_reason = choice["text"], choice.get("finish_reason", FINISH_STOP)
+        except (ValueError, LookupError, TypeError) as exc:
+            raise CompletionError(f"malformed endpoint response: {exc!r}") from exc
+        if not isinstance(text, str) or not isinstance(finish_reason, str):
+            raise CompletionError(f"malformed endpoint response: {body[:500]}")
+        return CompletionResponse(text=text, finish_reason=finish_reason)

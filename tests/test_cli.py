@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from claimdecomp import cli
+from claimdecomp import cli, validate
 from claimdecomp.llm import CompletionError
 from claimdecomp.metrics import MetricsError
 
@@ -358,6 +358,20 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["correlate", "parses"])
+    def test_file_not_utf8(self, data_dir, tmp_path, capsys, kind):
+        bad = tmp_path / f"{kind}.txt"
+        if kind == "correlate":
+            bad.write_bytes(b"generator,metric\nCaf\xe9,1.0\n")
+            argv = ["correlate", str(bad), str(bad), "--columns", "metric"]
+        else:
+            bad.write_bytes(b"# text = Caf\xe9\n")
+            argv = ["decompose", *_common(data_dir, tmp_path / "out"), "--parses", str(bad)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8: ")
+        assert "Traceback" not in err
+
 
 class FailingOnCall:
     """Delegates to ``inner`` but raises CompletionError on call number ``n``
@@ -457,6 +471,52 @@ class TestStagePool:
         err = capsys.readouterr().err
         assert "endpoint error: injected failure" in err and "Traceback" not in err
         assert not cli.jsonl_path(out, stage, "rnd").exists()
+
+    def test_one_batch_per_judgment_stage(self, data_dir, tmp_path, monkeypatch):
+        alone = {}
+        for name in ("rnd", "wice"):
+            out = tmp_path / name
+            run_pipeline(data_dir, out, ["--method", name])
+            alone[name] = _tree_bytes(out)
+        batches = []
+        complete_all = validate.complete_all
+
+        def recording(client, requests, map_fn):
+            batches.append(len(requests))
+            return complete_all(client, requests, map_fn)
+
+        monkeypatch.setattr(validate, "complete_all", recording)
+        out = tmp_path / "both"
+        run_pipeline(data_dir, out, ["--method", "wice", "--max-inflight", "1"])
+        # rnd from _common, then wice: one request batch for each judgment stage
+        assert len(batches) == 2
+        assert batches[0] == 2 * len(cli._load_subclaims(out, "rnd"))
+        both = _tree_bytes(out)
+        for name in ("rnd", "wice"):
+            for stage in cli.JSONL_FILES:
+                path = cli.jsonl_path(Path(), stage, name).name
+                assert both[path] == alone[name][path], path
+
+    @pytest.mark.parametrize("stage", ["decompscore", "factscore"])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_judgment_failure_keeps_answered_responses_cached(self, data_dir, tmp_path,
+                                                              monkeypatch, stage, n):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"),
+                 "--cache-dir", str(cache), "--max-inflight", "1"]
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
+        mock = cli.MockCompletionClient
+        monkeypatch.setattr(cli, "MockCompletionClient",
+                            lambda **spec: FailingOnCall(mock(**spec), n))
+        assert cli.main([stage, *_common(data_dir, out, extra)]) == 3
+        assert len(list((cache / "validator").glob("*.json"))) == n - 1
+
+        monkeypatch.setattr(cli, "MockCompletionClient", mock)
+        clean = tmp_path / "clean"
+        run_pipeline(data_dir, clean)
+        assert cli.main([stage, *_common(data_dir, out, extra)]) == 0
+        path = cli.jsonl_path(Path(), stage, "rnd").name
+        assert (out / path).read_bytes() == (clean / path).read_bytes()
 
 
 class TestCorrelate:
@@ -654,6 +714,21 @@ class TestCacheModes:
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "replay"),
                        "--cache-dir", str(cache), "--cache-only"])
         assert rc == 3
+
+    def test_cache_only_with_wrong_typed_entry_is_endpoint_error(self, data_dir, tmp_path,
+                                                                  capsys):
+        cache = tmp_path / "cache"
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm"),
+                         "--cache-dir", str(cache)]) == 0
+        for entry in (cache / "decomposer").glob("*.json"):
+            record = json.loads(entry.read_text(encoding="utf-8"))
+            entry.write_text(json.dumps({**record, "text": 5}), encoding="utf-8")
+        capsys.readouterr()
+        rc = cli.main(["decompose", *_common(data_dir, tmp_path / "replay"),
+                       "--cache-dir", str(cache), "--cache-only"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "endpoint error: cache miss" in err and "Traceback" not in err
 
 
 class TestConfigFile:

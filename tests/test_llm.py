@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 import urllib.error
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError,
                              HttpCompletionClient, MockCompletionClient,
-                             ResponseCache, cache_key, complete_all)
+                             ResponseCache, TransientError, cache_key, complete_all)
 from claimdecomp.validate import HttpNliClient, NliVerdict, ValidateError
 
 
@@ -32,6 +33,28 @@ class CountingClient:
     def complete(self, request):
         self.calls += 1
         return CompletionResponse(text=self.text)
+
+
+class FlakyClient(CountingClient):
+    """Fails the first attempt at each of ``flaky`` prompts transiently;
+    retries at once, up to ``max_retries`` times."""
+
+    max_retries = 1
+
+    def __init__(self, *flaky):
+        super().__init__()
+        self.flaky = set(flaky)
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt)
+        if request.prompt in self.flaky:
+            self.flaky.discard(request.prompt)
+            raise TransientError("HTTP 503")
+        return super().complete(request)
+
+    def retry_delay_s(self, error, attempt):
+        return 0.0 if attempt < self.max_retries else None
 
 
 def _put_one_key(cache_dir: str, writer: int, threads: int, rounds: int) -> None:
@@ -201,6 +224,22 @@ class TestCache:
         assert "unreadable cache entry" in caplog.text
         assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "fresh"
 
+    def test_wrong_typed_entry_is_a_logged_miss(self, tmp_path, caplog):
+        request = req("p")
+        entry = tmp_path / f"{cache_key(request)}.json"
+        entry.write_text('{"text": 5, "finish_reason": "stop"}', encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            assert ResponseCache(tmp_path).get(request) is None
+        assert "unreadable cache entry" in caplog.text and "field 'text'" in caplog.text
+
+    def test_each_round_writes_its_responses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("claimdecomp.llm.time", FakeClock())
+        inner = FlakyClient("b")
+        client = CachingClient(inner, tmp_path)
+        assert [r.text for r in complete_all(client, [req("a"), req("b")])] == ["out"] * 2
+        assert inner.prompts == ["a", "b", "b"]
+        assert ResponseCache(tmp_path).get(req("b")).text == "out"
+
     def test_writers_in_two_processes_share_a_key(self, tmp_path):
         ctx = multiprocessing.get_context("spawn")
         procs = [ctx.Process(target=_put_one_key, args=(str(tmp_path), w, 4, 150))
@@ -220,6 +259,27 @@ class TestCache:
         assert ResponseCache(tmp_path).get(req("shared")).text.startswith("w")
 
 
+class FakeClock:
+    """Stands in for the ``time`` module in ``claimdecomp.llm``: the clock
+    moves only when the code sleeps or a fake post advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def send(client, request):
+    """One request through ``complete_all``, which retries."""
+    return complete_all(client, [request])[0]
+
+
 def reply(status=200, payload=None, text="", headers=None):
     """A ``post_json`` result: status, headers and body text."""
     return status, headers or {}, text or (json.dumps(payload) if payload else "")
@@ -227,18 +287,27 @@ def reply(status=200, payload=None, text="", headers=None):
 
 class FakePost:
     """Stands in for ``llm.post_json``: returns (or raises) the scripted
-    items in turn."""
+    items in turn, and notes the ``clock`` time of each call."""
 
-    def __init__(self, items):
+    def __init__(self, items, clock=None):
         self.items = list(items)
         self.calls = 0
+        self.clock = clock
+        self.times = []
 
     def __call__(self, url, payload, headers, timeout_s):
         self.calls += 1
+        if self.clock is not None:
+            self.times.append(self.clock.now)
         item = self.items.pop(0)
         if isinstance(item, Exception):
             raise item
         return item
+
+    def waits(self):
+        """Seconds between one call and the next: with posts that take no
+        clock time, the wait from each failure to its retry."""
+        return [later - earlier for earlier, later in zip(self.times, self.times[1:])]
 
 
 class TestHttpClient:
@@ -247,6 +316,11 @@ class TestHttpClient:
         kw.setdefault("backoff_s", 0.0)
         return HttpCompletionClient(url="http://example.test/v1/completions",
                                     model="m", **kw)
+
+    def _clock(self, monkeypatch):
+        clock = FakeClock()
+        monkeypatch.setattr("claimdecomp.llm.time", clock)
+        return clock
 
     def test_success(self, monkeypatch):
         post = FakePost([reply(payload={
@@ -261,9 +335,15 @@ class TestHttpClient:
             reply(status=429),
             reply(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
         ])
-        response = self._client(monkeypatch, post, max_retries=3).complete(req())
+        response = send(self._client(monkeypatch, post, max_retries=3), req())
         assert response.text == "ok"
         assert post.calls == 3
+
+    def test_one_attempt_per_complete(self, monkeypatch):
+        post = FakePost([reply(status=429, headers={"Retry-After": "7"})])
+        with pytest.raises(TransientError, match="HTTP 429") as raised:
+            self._client(monkeypatch, post).complete(req())
+        assert raised.value.retry_after_s == 7.0 and post.calls == 1
 
     @pytest.mark.parametrize("failure", [
         http.client.IncompleteRead(b""),
@@ -273,7 +353,7 @@ class TestHttpClient:
     ], ids=lambda exc: type(exc).__name__)
     def test_no_response_is_retried(self, monkeypatch, failure):
         post = FakePost([failure, reply(payload={"choices": [{"text": "ok"}]})])
-        response = self._client(monkeypatch, post).complete(req())
+        response = send(self._client(monkeypatch, post), req())
         assert response == CompletionResponse(text="ok", finish_reason="stop")
         assert post.calls == 2
 
@@ -285,29 +365,44 @@ class TestHttpClient:
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5]),  # HTTP-date form: backoff
     ])
     def test_retry_after_replaces_backoff(self, monkeypatch, status, retry_after, slept):
-        sleeps = []
-        monkeypatch.setattr("claimdecomp.llm.time.sleep", sleeps.append)
         headers = {"Retry-After": retry_after} if retry_after is not None else {}
         post = FakePost([
             reply(status=status, headers=headers),
             reply(payload={"choices": [{"text": "ok", "finish_reason": "stop"}]}),
-        ])
-        response = self._client(monkeypatch, post, backoff_s=0.5).complete(req())
+        ], self._clock(monkeypatch))
+        response = send(self._client(monkeypatch, post, backoff_s=0.5), req())
         assert response.text == "ok"
-        assert sleeps == slept
+        assert post.waits() == slept
 
     def test_backoff_doubles_per_attempt(self, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr("claimdecomp.llm.time.sleep", sleeps.append)
-        post = FakePost([reply(status=500)] * 4)
+        post = FakePost([reply(status=500)] * 4, self._clock(monkeypatch))
         with pytest.raises(CompletionError, match="retries exhausted"):
-            self._client(monkeypatch, post, backoff_s=0.5, max_retries=3).complete(req())
-        assert sleeps == [0.5, 1.0, 2.0]
+            send(self._client(monkeypatch, post, backoff_s=0.5, max_retries=3), req())
+        assert post.waits() == [0.5, 1.0, 2.0]
 
     def test_retries_exhausted(self, monkeypatch):
         post = FakePost([reply(status=500)] * 3)
         with pytest.raises(CompletionError, match="retries exhausted"):
-            self._client(monkeypatch, post, max_retries=2).complete(req())
+            send(self._client(monkeypatch, post, max_retries=2), req())
+
+    def test_retry_waits_for_the_rest_of_its_batch(self, monkeypatch):
+        clock = self._clock(monkeypatch)
+        sent = []
+
+        def post(url, payload, headers, timeout_s):
+            sent.append((payload["prompt"], clock.now))
+            clock.now += 0.1  # each post takes 0.1 s
+            if [prompt for prompt, _ in sent] == ["a"]:
+                return reply(status=429)
+            return reply(payload={"choices": [{"text": payload["prompt"].upper()}]})
+
+        client = self._client(monkeypatch, post, backoff_s=0.5)
+        responses = complete_all(client, [req("a"), req("b"), req("c"), req("d")], map)
+        assert [r.text for r in responses] == ["A", "B", "C", "D"]
+        assert [prompt for prompt, _ in sent] == ["a", "b", "c", "d", "a"]
+        # "a" failed at 0.1 s; the wait runs from then, not from the round's end at 0.4 s
+        assert clock.sleeps == [pytest.approx(0.2)]
+        assert sent[-1][1] == pytest.approx(0.6)
 
     def test_context_length_error_kind(self, monkeypatch):
         post = FakePost([reply(
@@ -352,10 +447,10 @@ class TestHttpClient:
         assert client.url == "http://env.test"
 
     def test_url_without_scheme_fails_as_no_response(self, monkeypatch):
-        monkeypatch.setattr("claimdecomp.llm.time.sleep", lambda s: None)
+        self._clock(monkeypatch)
         client = HttpCompletionClient(url="example.test/v1/completions", max_retries=1)
         with pytest.raises(CompletionError, match="retries exhausted: request failed"):
-            client.complete(req())
+            send(client, req())
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -402,7 +497,7 @@ class TestLoopback:
         server.script = [(429, {"Retry-After": "0"}, "slow down"),
                          (200, {}, '{"choices": [{"text": "hi", "finish_reason": "length"}]}')]
         client = HttpCompletionClient(url=url, model="m", api_key="k", backoff_s=5.0)
-        assert client.complete(req("p", max_tokens=8)) == \
+        assert send(client, req("p", max_tokens=8)) == \
             CompletionResponse(text="hi", finish_reason="length")
         assert len(server.received) == 2
         headers, payload = server.received[-1]
@@ -420,8 +515,21 @@ class TestLoopback:
         server, url = loopback
         server.script = [(500, {}, "boom")] * 3
         with pytest.raises(CompletionError, match="retries exhausted: HTTP 500"):
-            HttpCompletionClient(url=url, max_retries=2, backoff_s=0.0).complete(req())
+            send(HttpCompletionClient(url=url, max_retries=2, backoff_s=0.0), req())
         assert len(server.received) == 3
+
+    def test_retry_arrives_after_the_rest_of_its_batch(self, loopback):
+        server, url = loopback
+        prompts = [f"p{i}" for i in range(6)]
+        ok = '{"choices": [{"text": "ok"}]}'
+        server.script = [(429, {"Retry-After": "0"}, "slow down")] + [(200, {}, ok)] * 6
+        client = HttpCompletionClient(url=url, backoff_s=5.0)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            responses = complete_all(client, [req(p) for p in prompts], pool.map)
+        assert [r.text for r in responses] == ["ok"] * 6
+        arrived = [payload["prompt"] for _, payload in server.received]
+        # whichever request arrived first got the 429; its retry came last
+        assert sorted(arrived[:-1]) == prompts and arrived[-1] == arrived[0]
 
     def test_non_json_success_body(self, loopback):
         server, url = loopback
