@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import threading
 import time
 import typing
 import urllib.error
@@ -126,48 +127,52 @@ def complete_all(client: CompletionClient, requests: Sequence[CompletionRequest]
     return [answers[position] for position in range(len(requests))]
 
 
-def _attempt(client: CompletionClient,
-             request: CompletionRequest) -> CompletionResponse | tuple[TransientError, float]:
-    """The response to one try of ``request``, or the TransientError that
-    ended it and the ``time.monotonic()`` it ended at."""
-    try:
-        return client.complete(request)
-    except TransientError as exc:
-        return exc, time.monotonic()
+def _attempt(client: CompletionClient, next_round: threading.Lock, tried: int,
+             request: CompletionRequest) -> CompletionResponse | tuple[float, int]:
+    """The response to ``request``, tried ``tried`` times before; or, once a
+    transient failure is the first to take ``next_round``, the
+    ``time.monotonic()`` its retry is due and the tries so far. Any other
+    transient failure is retried here after the client's ``retry_delay_s``."""
+    retry_delay_s = getattr(client, "retry_delay_s", None)
+    while True:
+        try:
+            return client.complete(request)
+        except TransientError as exc:
+            delay_s = retry_delay_s(exc, tried) if retry_delay_s else None
+            if delay_s is None:
+                raise CompletionError(f"retries exhausted: {exc}") from exc
+            tried += 1
+            logger.warning("completion attempt %d failed (%s); retry due in %.2f s",
+                           tried, exc, delay_s)
+            if next_round.acquire(blocking=False):
+                return time.monotonic() + delay_s, tried
+            time.sleep(delay_s)
 
 
 def _answers(client: CompletionClient, requests: Sequence[CompletionRequest],
              map_fn: MapFn) -> Iterator[tuple[int, CompletionResponse]]:
     """(position, response) for each of ``requests``, as the responses come
-    back. Each round sends the requests that are due through ``map_fn``. One
-    that fails transiently is due again the client's ``retry_delay_s`` after
-    its failure, and goes in the first round that starts then or later; the
-    wait between rounds is in the calling thread, so no worker of the map
-    sleeps through a backoff. Any other error ends the batch."""
-    retry_delay_s = getattr(client, "retry_delay_s", None)
-    attempts = [0] * len(requests)
-    due = dict.fromkeys(range(len(requests)), -math.inf)
-    while due:
-        wait_s = min(due.values()) - time.monotonic()
+    back. The requests go through ``map_fn`` in rounds. A request that fails
+    transiently is due again the client's ``retry_delay_s`` after its
+    failure. The first to fail in a round makes up the next round, sent once
+    it is due, so its worker moves on to the rest of the batch and the wait
+    is in the calling thread. Any other that fails in the round is retried by
+    its own worker after the delay: each such wait takes a worker out of the
+    pool, so a throttled endpoint slows the batch down instead of using up
+    its retries. Any other error ends the batch."""
+    pending, tried, due_at = list(range(len(requests))), 0, -math.inf
+    while pending:
+        wait_s = due_at - time.monotonic()
         if wait_s > 0:
             time.sleep(wait_s)
-        now = time.monotonic()
-        batch = [position for position, due_at in due.items() if due_at <= now]
-        for position in batch:
-            del due[position]
-        outcomes = map_fn(partial(_attempt, client), [requests[i] for i in batch])
+        batch, pending = pending, []
+        outcomes = map_fn(partial(_attempt, client, threading.Lock(), tried),
+                          [requests[position] for position in batch])
         for position, outcome in zip(batch, outcomes):
             if isinstance(outcome, CompletionResponse):
                 yield position, outcome
-                continue
-            error, failed_at = outcome
-            delay_s = retry_delay_s(error, attempts[position]) if retry_delay_s else None
-            if delay_s is None:
-                raise CompletionError(f"retries exhausted: {error}") from error
-            attempts[position] += 1
-            logger.warning("completion attempt %d failed (%s); retry due in %.2f s",
-                           attempts[position], error, delay_s)
-            due[position] = failed_at + delay_s
+            else:
+                pending, (due_at, tried) = [position], outcome
 
 
 def cache_key(request: CompletionRequest) -> str:

@@ -490,7 +490,7 @@ class TestStagePool:
         run_pipeline(data_dir, out, ["--method", "wice", "--max-inflight", "1"])
         # rnd from _common, then wice: one request batch for each judgment stage
         assert len(batches) == 2
-        assert batches[0] == 2 * len(cli._load_subclaims(out, "rnd"))
+        assert batches[0] == sum(len(cli._load_subclaims(out, name)) for name in ("rnd", "wice"))
         both = _tree_bytes(out)
         for name in ("rnd", "wice"):
             for stage in cli.JSONL_FILES:

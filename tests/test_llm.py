@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 import urllib.error
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -404,6 +405,26 @@ class TestHttpClient:
         assert clock.sleeps == [pytest.approx(0.2)]
         assert sent[-1][1] == pytest.approx(0.6)
 
+    def test_later_failure_in_a_round_waits_in_its_worker(self, monkeypatch):
+        clock = self._clock(monkeypatch)
+        sent = []
+
+        def post(url, payload, headers, timeout_s):
+            sent.append((payload["prompt"], clock.now))
+            clock.now += 0.1  # each post takes 0.1 s
+            if len(sent) <= 2:  # the first tries of "a" and "b"
+                return reply(status=429)
+            return reply(payload={"choices": [{"text": payload["prompt"].upper()}]})
+
+        client = self._client(monkeypatch, post, backoff_s=0.5)
+        responses = complete_all(client, [req("a"), req("b"), req("c")], map)
+        assert [r.text for r in responses] == ["A", "B", "C"]
+        # "a" waits for the next round; "b" fails while it waits, so b's
+        # worker sleeps through the backoff and sends it again before "c"
+        assert [prompt for prompt, _ in sent] == ["a", "b", "b", "c", "a"]
+        assert clock.sleeps == [pytest.approx(0.5)]
+        assert sent[2][1] == pytest.approx(0.7) and sent[-1][1] == pytest.approx(0.9)
+
     def test_context_length_error_kind(self, monkeypatch):
         post = FakePost([reply(
             status=400, text='{"error": {"code": "context_length_exceeded"}}')])
@@ -453,6 +474,28 @@ class TestHttpClient:
             send(client, req())
 
 
+class TestRounds:
+    def test_one_failed_request_per_round_goes_to_the_next(self):
+        # Every request fails its first try at once; a lost update of the
+        # round's one place in the next round would put two requests there.
+        prompts = [f"p{i}" for i in range(64)]
+        inner = FlakyClient(*prompts)
+        rounds = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                def recording_map(fn, items):
+                    rounds.append(len(items))
+                    return pool.map(fn, items)
+
+                responses = complete_all(inner, [req(p) for p in prompts], recording_map)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.text for r in responses] == ["out"] * 64
+        assert rounds == [64, 1] and len(inner.prompts) == 128
+
+
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next (status, headers, body) of the
     server's ``script`` and records the request."""
@@ -465,6 +508,29 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+class RateLimitedHandler(BaseHTTPRequestHandler):
+    """Answers at most ``server.limit`` POSTs in any ``server.window_s``
+    seconds, and a bare 429 to every POST over that rate."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            now = time.monotonic()
+            server.admitted = [t for t in server.admitted if t > now - server.window_s]
+            admitted = len(server.admitted) < server.limit
+            if admitted:
+                server.admitted.append(now)
+        data = b'{"choices": [{"text": "ok"}]}' if admitted else b"slow down"
+        self.send_response(200 if admitted else 429)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -530,6 +596,28 @@ class TestLoopback:
         arrived = [payload["prompt"] for _, payload in server.received]
         # whichever request arrived first got the 429; its retry came last
         assert sorted(arrived[:-1]) == prompts and arrived[-1] == arrived[0]
+
+    def test_sustained_throttling_slows_the_batch_down(self):
+        # 4 answers per 50 ms, and a pool of 4 that could send far more. Each
+        # worker that waits through its backoff slows the batch down; sending
+        # every unanswered request again each round would spend their three
+        # retries within a few rounds.
+        server = ThreadingHTTPServer(("127.0.0.1", 0), RateLimitedHandler)
+        server.lock, server.admitted = threading.Lock(), []
+        server.limit, server.window_s = 4, 0.05
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = HttpCompletionClient(
+                url=f"http://127.0.0.1:{server.server_address[1]}/v1", backoff_s=0.1)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                responses = complete_all(client, [req(f"p{i}") for i in range(24)],
+                                         pool.map)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert [r.text for r in responses] == ["ok"] * 24
 
     def test_non_json_success_body(self, loopback):
         server, url = loopback
