@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import types
 import typing
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -241,16 +243,30 @@ def _records(path: str | Path) -> Iterator[tuple[str, dict]]:
                 yield where, _json_object(where, line)
 
 
-def _json_object(where: str, data: bytes) -> dict:
-    """The JSON object the UTF-8 ``data`` holds; anything else, undecodable
-    bytes included, is a CorpusError naming ``where``."""
+def _json_object(where: str, data: bytes | str) -> dict:
+    """The JSON object that ``data``, text or UTF-8 bytes, holds; anything
+    else, undecodable bytes included, is a CorpusError naming ``where``."""
     try:
-        value = json.loads(data.decode("utf-8"))
+        value = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
     except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
         raise CorpusError(f"{where}: malformed JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise CorpusError(f"{where}: expected a JSON object, got {value!r:.60}")
     return value
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """A temp file beside ``path`` for the block to write. It is renamed over
+    ``path`` when the block ends and removed when the block raises, so a
+    reader of ``path`` never sees a partial file."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fits(kind, value) -> bool:

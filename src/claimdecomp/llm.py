@@ -24,7 +24,7 @@ from functools import partial
 from pathlib import Path
 from typing import Protocol
 
-from .corpus import CorpusError, _check_fields, _json_object
+from .corpus import CorpusError, _check_fields, _json_object, _replacing
 
 logger = logging.getLogger(__name__)
 
@@ -211,18 +211,12 @@ class ResponseCache:
         return CompletionResponse(**{name: entry[name] for name in _RESPONSE_TYPES})
 
     def put(self, request: CompletionRequest, response: CompletionResponse) -> None:
-        key = cache_key(request)
-        tmp = self.cache_dir / f"{key}.{os.urandom(8).hex()}.tmp"
-        try:
+        with _replacing(self._path(cache_key(request))) as tmp:
             tmp.write_text(
                 json.dumps({**vars(request), **vars(response)}, sort_keys=True,
                            ensure_ascii=False),
                 encoding="utf-8",
             )
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
 
 
 class MockCompletionClient:

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 from importlib import resources
+from operator import setitem
 from pathlib import Path
 
 import pytest
@@ -117,6 +119,46 @@ class TestPipeline:
         assert {r[0] for r in rows[1:-1]} == {"alpha", "beta"}
 
 
+_PACKED_FIELDS = ("title_chunks", "lengths", "counts", "positions", "tfs")
+
+
+def _split_first_title(payload):
+    """List the first title's last chunk under a second entry of that title."""
+    payload["titles"].append(payload["titles"][0])
+    payload["title_chunks"][0] -= 1
+    payload["title_chunks"].append(1)
+
+
+def _move_first_title_chunks(payload):
+    """Give the first title's chunks to the second, leaving it a count of 0."""
+    counts = payload["title_chunks"]
+    counts[1] += counts[0]
+    counts[0] = 0
+
+
+def _move_first_term_postings(payload):
+    """Give the first term's postings to the second, leaving it a count of 0."""
+    counts = payload["counts"]
+    counts[1] += counts[0]
+    counts[0] = 0
+
+
+def _split_a_count(payload, name):
+    """Split the first count of ``name`` above 1 in two, so that there is one
+    count more than there are titles or terms."""
+    counts = payload[name]
+    i = next(i for i, count in enumerate(counts) if count >= 2)
+    counts[i:i + 1] = [counts[i] - 1, 1]
+
+
+def _repeat_a_position(payload):
+    """Set the second position of the first term with two to its first."""
+    counts = payload["counts"]
+    term = next(i for i, count in enumerate(counts) if count >= 2)
+    start = sum(counts[:term])
+    payload["positions"][start + 1] = payload["positions"][start]
+
+
 class TestExitCodes:
     def test_unknown_method(self, data_dir, tmp_path):
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
@@ -150,12 +192,25 @@ class TestExitCodes:
         assert cli.main(["index", "build", "--knowledge",
                          str(data_dir / "knowledge_small.jsonl"), "--out", str(index)]) == 0
         text = index.read_text(encoding="utf-8")
-        index.write_text(text[:text.index('"chunks": [') + len('"chunks": [')],
-                         encoding="utf-8")
+        index.write_text(text[:len(text) // 2], encoding="utf-8")
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
         capsys.readouterr()
         assert cli.main(["factscore", *_common(data_dir, out, ["--index", str(index)])]) == 2
         assert "malformed index file" in capsys.readouterr().err
+
+    def test_index_of_another_version(self, data_dir, tmp_path, capsys):
+        index = tmp_path / "index.json"
+        index.write_text(json.dumps({"version": 1, "chunk_words": 4, "k1": 0.9, "b": 0.4,
+                                     "chunks": [{"doc_title": "Zurich", "ordinal": 0,
+                                                 "text": "Zurich is a city"}]}),
+                         encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["factscore", *_common(data_dir, out, ["--index", str(index)])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed index file {index}: format version 1; "
+            "rebuild it with claimdecomp index build\n")
 
     def test_factscore_requires_knowledge_or_index(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -271,28 +326,52 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (out / "subclaims-rnd.jsonl").exists()
 
-    @pytest.mark.parametrize("change", [
-        {"k1": "0.9"}, {"b": None}, {"chunk_words": 1.5},
-        {"chunk": {"ordinal": "x"}}, {"chunk": {"doc_title": 5}}, {"split_title": True},
-    ], ids=["str-k1", "null-b", "float-chunk-words", "str-ordinal", "int-title",
-            "title-not-consecutive"])
-    def test_index_file_with_bad_field(self, data_dir, tmp_path, capsys, change):
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p.update(k1="0.9"), "field 'k1' must be float"),
+        (lambda p: p.update(b=None), "field 'b' must be float"),
+        (lambda p: p.update(chunk_words=1.5), "field 'chunk_words' must be int"),
+        (lambda p: setitem(p["titles"], 0, 5), "field 'titles' must be list[str]"),
+        (_split_first_title, "titles are not unique"),
+        (lambda p: p.update(title_chunks=5), "field 'title_chunks' must be str"),
+        # base64 with a stray character, which only a strict decoder rejects
+        (lambda p: p.update(positions="!" + base64.b64encode(bytes(p["positions"])).decode()),
+         "field 'positions' is not base64"),
+        (lambda p: p.update(chunk_words=256, lengths=[1, 0, 2]),
+         "field 'lengths' holds 3 bytes, not a whole number of 2-byte items"),
+        (lambda p: _split_a_count(p, "title_chunks"),
+         "title_chunks must hold one count >= 1 per title"),
+        (_move_first_title_chunks, "title_chunks must hold one count >= 1 per title"),
+        (lambda p: p["title_chunks"].append(p["title_chunks"].pop() + 1),
+         "title_chunks must hold one count >= 1 per title, summing to the 28 texts"),
+        (lambda p: p["lengths"].pop(), "lengths must hold one length per text"),
+        (lambda p: setitem(p["terms"], 1, p["terms"][0]), "terms are not unique"),
+        (lambda p: _split_a_count(p, "counts"), "counts must hold one count >= 1 per term"),
+        (_move_first_term_postings, "counts must hold one count >= 1 per term"),
+        (lambda p: p["counts"].append(p["counts"].pop() + 1),
+         "counts must hold one count >= 1 per term, summing to the"),
+        (lambda p: p["tfs"].pop(), "positions and tfs differ in length"),
+        (_repeat_a_position, "are not strictly ascending below the 28 texts"),
+        (lambda p: setitem(p["positions"], -1, 28), "are not strictly ascending below the 28"),
+        (lambda p: setitem(p["tfs"], 0, 0), "a tf is 0"),
+    ], ids=["str-k1", "null-b", "float-chunk-words", "int-title", "title-not-consecutive",
+            "int-title-chunks", "bad-base64", "partial-item", "title-chunks-count",
+            "zero-title-chunks", "title-chunks-sum", "lengths-count", "duplicate-term",
+            "counts-count", "zero-count", "counts-sum", "tfs-count", "positions-not-ascending",
+            "position-out-of-range", "zero-tf"])
+    def test_index_file_with_bad_field(self, data_dir, tmp_path, capsys, change, message):
         index = tmp_path / "index.json"
         assert cli.main(["index", "build", "--knowledge",
                          str(data_dir / "knowledge_small.jsonl"), "--out", str(index),
                          "--chunk-words", "4"]) == 0
         payload = json.loads(index.read_text(encoding="utf-8"))
-        chunks = payload["chunks"]
-        if "chunk" in change:
-            chunks[0].update(change["chunk"])
-        elif "split_title" in change:
-            # move the first document's last chunk behind another document
-            first = chunks[0]["doc_title"]
-            last = max(i for i, c in enumerate(chunks) if c["doc_title"] == first)
-            assert chunks[-1]["doc_title"] != first and last > 0
-            chunks.append(chunks.pop(last))
-        else:
-            payload.update(change)
+        # 28 chunks of 4 words: every packed field holds one byte per item
+        assert len(payload["texts"]) == 28
+        for name in _PACKED_FIELDS:
+            payload[name] = list(base64.b64decode(payload[name]))
+        change(payload)
+        for name in _PACKED_FIELDS:
+            if isinstance(payload[name], list):
+                payload[name] = base64.b64encode(bytes(payload[name])).decode("ascii")
         index.write_text(json.dumps(payload), encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
@@ -300,6 +379,7 @@ class TestExitCodes:
         assert cli.main(["factscore", *_common(data_dir, out, ["--index", str(index)])]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed index file {index}: ")
+        assert message in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind, line", [

@@ -1,8 +1,10 @@
+import json
 import math
+from itertools import islice
 
 import pytest
 
-from claimdecomp import KnowledgeDoc, build_index, load_index, save_index, search
+from claimdecomp import KnowledgeDoc, build_index, load_index, retrieval, save_index, search
 from claimdecomp.retrieval import RetrievalError, tokenize
 
 
@@ -149,17 +151,35 @@ class TestPersistence:
         path = tmp_path / "index.json"
         save_index(build_index(FIVE_DOCS, 8), path)
         text = path.read_text(encoding="utf-8")
-        path.write_text(text[:text.index('"chunks": [') + len('"chunks": [')],
-                        encoding="utf-8")
+        path.write_text(text[:len(text) // 2], encoding="utf-8")
         with pytest.raises(RetrievalError, match="malformed index file"):
             load_index(path)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "index.json"
-        path.write_text('{"version": 1, "chunk_words": 8, "k1": 0.9, "b": 0.4, '
-                        '"chunks": [{"doc_title": "T", "ordinal": 0}]}')
-        with pytest.raises(RetrievalError, match="'text'"):
+        save_index(build_index(FIVE_DOCS, 8), path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        del payload["texts"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(RetrievalError, match="'texts'"):
             load_index(path)
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.json"
+        save_index(build_index(FIVE_DOCS, 8), path)
+        before = path.read_bytes()
+        saved_fields = retrieval._saved_fields
+
+        def interrupted(index):
+            yield from islice(saved_fields(index), 6)
+            assert len(list(tmp_path.glob("*.tmp"))) == 1  # the save is under way
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(retrieval, "_saved_fields", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            save_index(build_index(FIVE_DOCS[:2], 4), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"

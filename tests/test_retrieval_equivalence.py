@@ -10,7 +10,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from claimdecomp import (KnowledgeDoc, build_index, load_index, retrieve_examples, save_index,
@@ -114,6 +114,10 @@ corpora = st.lists(st.tuples(st.sampled_from(TITLES), texts), max_size=6,
 restrictions = st.one_of(st.none(), st.sampled_from(TITLES + ["Absent title"]))
 
 
+def _as_lists(postings):
+    return {term: (list(positions), list(tfs)) for term, (positions, tfs) in postings.items()}
+
+
 def _as_tuples(results):
     return [(c.doc_title, c.ordinal, c.text, s) for c, s in results]
 
@@ -150,6 +154,25 @@ class TestSearchEquivalence:
         for query in queries:
             assert _as_tuples(search(index, query, 20, restrict_title=restrict_title)) == \
                 reference_search(docs, chunk_words, query, 20, restrict_title, k1=k1, b=b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora, st.one_of(st.integers(1, 6), st.sampled_from([256, 70000])),
+           st.sampled_from([(0.9, 0.4), (1.2, 0.75), (2, 0)]))
+    @example([], 4, (0.9, 0.4))
+    @example([KnowledgeDoc("Ada", ""), KnowledgeDoc("Ben", "Zurich films")], 1, (0.9, 0.4))
+    @example([KnowledgeDoc(f"T{i}", f"w{i % 7} w{i % 3}") for i in range(300)], 1, (0.9, 0.4))
+    def test_saved_index_equals_built(self, docs, chunk_words, k1_b):
+        built = build_index(docs, chunk_words, *k1_b)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.json"
+            save_index(built, path)
+            loaded = load_index(path)
+        assert (loaded.chunk_words, loaded.k1, loaded.b) == (built.chunk_words, built.k1, built.b)
+        assert loaded.chunks == built.chunks
+        assert _as_lists(loaded.postings) == _as_lists(built.postings)
+        assert loaded.idf == built.idf
+        assert loaded.norms == built.norms
+        assert loaded.title_ranges == built.title_ranges
 
     def test_repeated_query_terms_count_each_time(self):
         docs = [KnowledgeDoc("A", "zurich theater"), KnowledgeDoc("B", "zurich films films")]
