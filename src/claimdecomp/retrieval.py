@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import lt
 from pathlib import Path
 
@@ -40,6 +40,10 @@ DEFAULT_CHUNK_WORDS = 256
 INDEX_FORMAT_VERSION = 2
 
 _NON_TERM = re.compile(r"[^a-z0-9\s]+")
+# Standard base64 digits with at most two trailing pads; with a length that is
+# a multiple of 4, this is canonical base64. It rejects all that binascii's
+# strict_mode (Python 3.11+) rejects, and excess padding too.
+_BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 
 
 class RetrievalError(ValueError):
@@ -196,10 +200,11 @@ def _unpack(payload: dict, name: str, typecode: str) -> array:
     """The packed field ``name``, removed from ``payload`` so that its string
     is freed once decoded."""
     items = array(typecode)
-    try:
-        data = binascii.a2b_base64(payload.pop(name), strict_mode=True)
-    except ValueError as exc:  # binascii.Error, or a string that is not ASCII
-        raise RetrievalError(f"field {name!r} is not base64: {exc}") from exc
+    packed = payload.pop(name)
+    if len(packed) % 4 or not _BASE64.fullmatch(packed):
+        raise RetrievalError(f"field {name!r} is not base64")
+    data = binascii.a2b_base64(packed)  # reads the ASCII str in place, without a copy
+    del packed
     if len(data) % items.itemsize:
         raise RetrievalError(f"field {name!r} holds {len(data)} bytes, not a whole number "
                              f"of {items.itemsize}-byte items")

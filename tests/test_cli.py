@@ -333,8 +333,10 @@ class TestExitCodes:
         (lambda p: setitem(p["titles"], 0, 5), "field 'titles' must be list[str]"),
         (_split_first_title, "titles are not unique"),
         (lambda p: p.update(title_chunks=5), "field 'title_chunks' must be str"),
-        # base64 with a stray character, which only a strict decoder rejects
-        (lambda p: p.update(positions="!" + base64.b64encode(bytes(p["positions"])).decode()),
+        # a stray character in place of a digit, which only a strict decoder rejects
+        (lambda p: p.update(positions="!" + base64.b64encode(bytes(p["positions"])).decode()[1:]),
+         "field 'positions' is not base64"),
+        (lambda p: p.update(positions=base64.b64encode(bytes(p["positions"])).decode()[:-1]),
          "field 'positions' is not base64"),
         (lambda p: p.update(chunk_words=256, lengths=[1, 0, 2]),
          "field 'lengths' holds 3 bytes, not a whole number of 2-byte items"),
@@ -354,7 +356,7 @@ class TestExitCodes:
         (lambda p: setitem(p["positions"], -1, 28), "are not strictly ascending below the 28"),
         (lambda p: setitem(p["tfs"], 0, 0), "a tf is 0"),
     ], ids=["str-k1", "null-b", "float-chunk-words", "int-title", "title-not-consecutive",
-            "int-title-chunks", "bad-base64", "partial-item", "title-chunks-count",
+            "int-title-chunks", "bad-base64", "base64-length", "partial-item", "title-chunks-count",
             "zero-title-chunks", "title-chunks-sum", "lengths-count", "duplicate-term",
             "counts-count", "zero-count", "counts-sum", "tfs-count", "positions-not-ascending",
             "position-out-of-range", "zero-tf"])
