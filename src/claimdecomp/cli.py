@@ -242,7 +242,8 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
     request pool: ``cfg.max_inflight`` threads, the only concurrency in the
     pipeline. Its ordered map returns results in submission order, so the
     outputs do not depend on the pool's width."""
-    for key, least in (("max_inflight", 1), ("max_tokens", 1), ("temperature", 0)):
+    for key, least in (("max_inflight", 1), ("max_tokens", 1), ("temperature", 0),
+                       ("retrieval_k", 1), ("chunk_words", 1)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
     if not math.isfinite(cfg.temperature):
@@ -456,7 +457,13 @@ def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
             if not reader.fieldnames:
                 raise ConfigError(f"empty CSV {path}")
             key_field = reader.fieldnames[0]
-            return {row[key_field]: row for row in reader}
+            rows: dict[str, dict[str, str]] = {}
+            for row in reader:
+                key = row[key_field]
+                if key in rows:
+                    raise ConfigError(f"{path}: repeated key {key!r} in column {key_field!r}")
+                rows[key] = row
+            return rows
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
 

@@ -3,11 +3,12 @@ retrieval, prompt assembly under a token budget, completion parsing.
 
 A prompt is the concatenation of per-example blocks (instruction, example
 sentence, optional dependency parse, "- " subclaim lines) followed by a
-final block holding the instruction and the target sentence. When the
-estimated token count exceeds the budget, examples are dropped one at a
-time (most recently retrieved first, then static examples from the end).
-If even the zero-example prompt does not fit, the original sentence is
-returned as its own single subclaim.
+final block holding the instruction and the target sentence. The examples
+are the static ones followed by the retrieved ones; when the estimated
+token count exceeds the budget, or the endpoint rejects the prompt as too
+long, examples are dropped one at a time from the end of that list. If no
+example is left and the prompt still does not fit, the original sentence
+is returned as its own single subclaim.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 from itertools import islice
+from pathlib import Path
 
 from . import conllu as conllu_mod
 from .corpus import ExampleBank, ExampleEntry, Passage, Sentence, load_example_bank
@@ -101,9 +102,7 @@ def method_registry() -> dict[str, Method]:
 
 def default_bank() -> ExampleBank:
     """The bundled manually decomposed example bank."""
-    path = resources.files("claimdecomp.data") / "rnd_example_bank.jsonl"
-    with resources.as_file(path) as real_path:
-        return load_example_bank(real_path)
+    return load_example_bank(Path(__file__).parent / "data" / "rnd_example_bank.jsonl")
 
 
 @dataclass(frozen=True)
@@ -236,73 +235,54 @@ def _block(instruction: str, sentence: str, subclaims=None, parse_text=None) -> 
 def assemble_prompt(config: MethodConfig, sentence: str,
                     retrieved: list[ExampleEntry], budget: int,
                     parse=None, example_cap: int | None = None) -> AssembledPrompt:
-    """Build the prompt, dropping examples until the estimate fits ``budget``.
+    """Build the prompt over the static examples followed by the retrieved
+    ones, dropping examples from the end until the estimate fits ``budget``.
 
-    ``example_cap`` additionally limits the total example count before the
-    budget loop runs (used for endpoint-driven retries). A prompt that still
-    exceeds the budget with zero examples is returned flagged ``over_budget``
-    so the caller can back off.
+    ``example_cap`` keeps only that many leading examples before the budget
+    applies (used for endpoint-driven retries). A prompt that still exceeds
+    the budget with zero examples is returned flagged ``over_budget`` so the
+    caller can back off.
     """
     if not sentence:
         raise DecomposeError("sentence must be non-empty")
-    static = list(config.static_examples)
-    dynamic = list(retrieved)
-    if example_cap is not None:
-        while len(static) + len(dynamic) > example_cap:
-            if dynamic:
-                dynamic.pop()
-            else:
-                static.pop()
-
+    if example_cap is not None and example_cap < 0:
+        raise DecomposeError(f"example_cap must be >= 0, got {example_cap}")
     target_parse = _parse_text(parse) if config.include_parse else None
     if config.include_parse and target_parse is None:
         raise DecomposeError(f"method {config.name!r} requires a sentence parse")
 
+    static = config.static_examples
+    blocks = [
+        _block(config.instruction, e.sentence, e.subclaims,
+               e.conllu.rstrip("\n") if config.include_parse and e.conllu else None)
+        for e in [*static, *retrieved][:example_cap]
+    ]
+    final = _block(config.instruction, sentence, parse_text=target_parse)
     while True:
-        blocks = [
-            _block(config.instruction, e.sentence, e.subclaims,
-                   e.conllu.rstrip("\n") if config.include_parse and e.conllu else None)
-            for e in static + dynamic
-        ]
-        final = _block(config.instruction, sentence, parse_text=target_parse)
-        text = "\n\n".join(blocks + [final])
+        text = "\n\n".join([*blocks, final])
         fits = estimate_tokens(text) <= budget
-        if fits or not (static or dynamic):
+        if fits or not blocks:
+            static_used = min(len(blocks), len(static))
             return AssembledPrompt(
                 text=text,
-                static_used=len(static),
-                retrieved_used=len(dynamic),
+                static_used=static_used,
+                retrieved_used=len(blocks) - static_used,
                 over_budget=not fits,
             )
-        if dynamic:
-            dynamic.pop()
-        else:
-            static.pop()
+        blocks.pop()
 
 
 # --- completion parsing ---------------------------------------------------------
 
-_MARKERS = (re.compile(r"^[-•]\s+"), re.compile(r"^\d+\.\s+"))
-
-
-def _strip_markers(line: str) -> tuple[str, bool]:
-    stripped = line.strip()
-    marked = False
-    changed = True
-    while changed:
-        changed = False
-        for marker in _MARKERS:
-            new = marker.sub("", stripped)
-            if new != stripped:
-                stripped, marked, changed = new.strip(), True, True
-    return stripped, marked
+_MARKER = re.compile(r"(?:(?:[-•]|\d+\.)\s+)+")
 
 
 def parse_subclaims(completion: str) -> list[str]:
     """Extract subclaim lines from a completion.
 
-    Lines marked with "-", "•", or "N." are taken with the marker removed;
-    if no line is marked, every non-empty line is kept as-is.
+    Lines that start with one or more markers ("-", "•" or "N.", each
+    followed by whitespace) are taken with the markers removed; if no line
+    is marked, every non-empty line is kept as-is.
     """
     marked_claims: list[str] = []
     plain_lines: list[str] = []
@@ -310,12 +290,11 @@ def parse_subclaims(completion: str) -> list[str]:
         line = raw.strip()
         if not line:
             continue
-        text, marked = _strip_markers(line)
-        if marked:
-            if text:
-                marked_claims.append(text)
-        else:
+        marker = _MARKER.match(line)
+        if marker is None:
             plain_lines.append(line)
+        elif claim := line[marker.end():]:
+            marked_claims.append(claim)
     return marked_claims if marked_claims else plain_lines
 
 
@@ -339,27 +318,24 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
     budget = settings.context_window - settings.max_tokens
 
     cap: int | None = None
-    while True:
+    while cap is None or cap >= 0:
         assembled = assemble_prompt(config, sentence_text, retrieved, budget,
                                     parse=parse, example_cap=cap)
         if assembled.over_budget:
-            # Even the zero-example prompt does not fit: the sentence itself
-            # becomes the single subclaim.
-            return [" ".join(sentence_text.split())]
+            break
         try:
             response = complete_text(client, assembled.text, settings)
         except ContextLengthError:
-            used = assembled.static_used + assembled.retrieved_used
-            if used == 0:
-                return [" ".join(sentence_text.split())]
-            cap = used - 1
+            # The endpoint's window is smaller than estimated: one example fewer.
+            cap = assembled.static_used + assembled.retrieved_used - 1
             continue
-        break
-
-    claims = parse_subclaims(response.text)
-    if not claims:
-        logger.debug("empty decomposition for sentence: %.60s", sentence_text)
-    return claims
+        claims = parse_subclaims(response.text)
+        if not claims:
+            logger.debug("empty decomposition for sentence: %.60s", sentence_text)
+        return claims
+    # Over budget, or rejected by the endpoint, with no example left: the
+    # sentence itself becomes the single subclaim.
+    return [" ".join(sentence_text.split())]
 
 
 def _predarg_claim_texts(parse, client: CompletionClient,
@@ -403,9 +379,7 @@ def decompose_passage(method: Method, passage: Passage,
                       settings: GenerationSettings = GenerationSettings()) -> list[Subclaim]:
     """Decompose every sentence of a passage, one after another; output
     ordered by sentence."""
-    needs_parse = isinstance(method, PredArgMethod) or (
-        isinstance(method, MethodConfig) and method.include_parse)
-    if needs_parse:
+    if method.include_parse:
         for sentence in passage.sentences:
             if sentence.parse is None:
                 raise DecomposeError(

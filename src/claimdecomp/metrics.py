@@ -147,18 +147,11 @@ def results_from_judgments(
     knowledge_map = {key(j.claim): j.supported for j in knowledge_judgments or []}
 
     grouped: dict[tuple[str, str, str], list[Subclaim]] = {}
-    order: list[tuple[str, str, str]] = []
     for claim in subclaims:
-        group = (claim.generator, claim.topic, claim.method)
-        if group not in grouped:
-            grouped[group] = []
-            order.append(group)
-        grouped[group].append(claim)
+        grouped.setdefault((claim.generator, claim.topic, claim.method), []).append(claim)
 
     results = []
-    for group in order:
-        generator, topic, method = group
-        claims = grouped[group]
+    for (generator, topic, method), claims in grouped.items():
         n_sentence = n_knowledge = n_filtered = 0
         for claim in claims:
             k = key(claim)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .conllu import SentenceParse, Token, validate_parse
 from .llm import (CompletionClient, CompletionError, GenerationSettings,
@@ -330,3 +331,4 @@ class PredArgMethod:
     """Decomposition via extraction plus fluency rewriting."""
 
     name: str = "predpatt"
+    include_parse: ClassVar[bool] = True

@@ -281,7 +281,8 @@ class TestExitCodes:
         assert err.startswith(f"error: config key {next(iter(config))!r} must be ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value", [("max_tokens", 0), ("temperature", -1)])
+    @pytest.mark.parametrize("key, value", [("max_tokens", 0), ("temperature", -1),
+                                            ("retrieval_k", 0), ("chunk_words", 0)])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_sampling_value_out_of_range(self, data_dir, tmp_path, capsys, key, value, source):
         if source == "flag":
@@ -665,6 +666,21 @@ class TestCorrelate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'b.csv'}: row 'y', column 'metric': ")
         assert "Traceback" not in err
+
+    def test_repeated_key(self, tmp_path, capsys):
+        for name, rows in (("a.csv", [("x", "1"), ("y", "2"), ("x", "5"), ("z", "3")]),
+                           ("b.csv", [("x", "1"), ("y", "2"), ("z", "3")])):
+            with open(tmp_path / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["generator", "metric"])
+                writer.writerows(rows)
+        rc = cli.main(["correlate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                       "--columns", "metric"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"error: {tmp_path / 'a.csv'}: repeated key 'x' in column 'generator'")
+        assert "rho" not in captured.out
 
 
 class TestIndexCommands:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -7,8 +8,9 @@ from claimdecomp import (MockCompletionClient, assemble_prompt, builtin_configs,
                          parse_subclaims, retrieve_examples)
 from claimdecomp.corpus import ExampleBank, ExampleEntry, Sentence, make_passage
 from claimdecomp.llm import CompletionResponse
-from claimdecomp.decompose import (DecomposeError, GenerationSettings, MethodConfig,
-                                   Subclaim, estimate_tokens, method_registry)
+from claimdecomp.decompose import (AssembledPrompt, DecomposeError, GenerationSettings,
+                                   MethodConfig, Subclaim, _block, _parse_text,
+                                   estimate_tokens, method_registry)
 from claimdecomp.predarg import PredArgMethod
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -204,6 +206,112 @@ class TestAssemblePrompt:
                                  example_cap=3)
         assert (prompt.static_used, prompt.retrieved_used) == (3, 0)
 
+    def test_negative_example_cap_rejected(self, rnd_bank):
+        config = _bound("factscore", rnd_bank)
+        with pytest.raises(DecomposeError, match="example_cap"):
+            assemble_prompt(config, "x y z", [], budget=10 ** 9, example_cap=-1)
+
+
+def reference_assemble_prompt(config, sentence, retrieved, budget, parse=None,
+                              example_cap=None):
+    """Reference implementation with two trimming loops: the cap drops
+    retrieved examples, then static ones from the end; the budget loop then
+    does the same, rebuilding every block on each pass."""
+    static = list(config.static_examples)
+    dynamic = list(retrieved)
+    if example_cap is not None:
+        while len(static) + len(dynamic) > example_cap:
+            if dynamic:
+                dynamic.pop()
+            else:
+                static.pop()
+    target_parse = _parse_text(parse) if config.include_parse else None
+    while True:
+        blocks = [
+            _block(config.instruction, e.sentence, e.subclaims,
+                   e.conllu.rstrip("\n") if config.include_parse and e.conllu else None)
+            for e in static + dynamic
+        ]
+        final = _block(config.instruction, sentence, parse_text=target_parse)
+        text = "\n\n".join(blocks + [final])
+        fits = estimate_tokens(text) <= budget
+        if fits or not (static or dynamic):
+            return AssembledPrompt(text=text, static_used=len(static),
+                                   retrieved_used=len(dynamic), over_budget=not fits)
+        if dynamic:
+            dynamic.pop()
+        else:
+            static.pop()
+
+
+@st.composite
+def prompt_cases(draw, banks):
+    """A bound config, up to two retrieved entries, a budget from 1 to past
+    the full prompt and a cap of None or 0..n examples."""
+    name = draw(st.sampled_from(sorted(banks)))
+    bank, sentence, parse = banks[name]
+    config = _bound(name, bank)
+    pool = bank.entries[config.static_count:]
+    retrieved = draw(st.lists(st.sampled_from(pool), max_size=2))
+    full = reference_assemble_prompt(config, sentence, retrieved, 10 ** 9, parse)
+    budget = draw(st.integers(1, estimate_tokens(full.text) + 10))
+    n = len(config.static_examples) + len(retrieved)
+    cap = draw(st.none() | st.integers(0, n))
+    return config, sentence, retrieved, budget, parse, cap
+
+
+class TestAssemblePromptOracle:
+    @pytest.fixture(scope="class")
+    def banks(self, rnd_bank, data_dir, oracle_parses):
+        sentence = "He studied theater in Seoul."
+        banks = {name: (rnd_bank, sentence, None)
+                 for name in ("factscore", "wice", "chen", "rnd", "fs2")}
+        banks["conllu"] = (load_example_bank(data_dir / "conllu_bank.jsonl"),
+                           "Nash earned degrees .", oracle_parses["p004"])
+        return banks
+
+    def test_equals_two_loop_reference(self, banks):
+        @settings(max_examples=400, deadline=None)
+        @given(prompt_cases(banks))
+        def check(case):
+            config, sentence, retrieved, budget, parse, cap = case
+            assert assemble_prompt(config, sentence, retrieved, budget, parse=parse,
+                                   example_cap=cap) == \
+                reference_assemble_prompt(config, sentence, retrieved, budget, parse, cap)
+        check()
+
+
+_REFERENCE_MARKERS = (re.compile(r"^[-•]\s+"), re.compile(r"^\d+\.\s+"))
+
+
+def reference_strip_markers(line):
+    """Reference implementation: a fixpoint over the two marker patterns."""
+    stripped = line.strip()
+    marked = False
+    changed = True
+    while changed:
+        changed = False
+        for marker in _REFERENCE_MARKERS:
+            new = marker.sub("", stripped)
+            if new != stripped:
+                stripped, marked, changed = new.strip(), True, True
+    return stripped, marked
+
+
+def reference_parse_subclaims(completion):
+    marked_claims, plain_lines = [], []
+    for raw in completion.split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        text, marked = reference_strip_markers(line)
+        if marked:
+            if text:
+                marked_claims.append(text)
+        else:
+            plain_lines.append(line)
+    return marked_claims if marked_claims else plain_lines
+
 
 class TestParseSubclaims:
     def test_dash_lines(self):
@@ -225,6 +333,12 @@ class TestParseSubclaims:
         assert parse_subclaims("") == []
         assert parse_subclaims("\n \n") == []
 
+    def test_stacked_markers(self):
+        assert parse_subclaims("- 1. • A\n2.\t- B") == ["A", "B"]
+
+    def test_marker_needs_whitespace(self):
+        assert parse_subclaims("-A\n1.5 kg") == ["-A", "1.5 kg"]
+
     @settings(max_examples=200)
     @given(st.text(alphabet="-•. \nABCab12", max_size=60))
     def test_never_returns_newline_or_marker(self, completion):
@@ -232,6 +346,14 @@ class TestParseSubclaims:
             assert "\n" not in claim
             assert not claim.startswith("- ")
             assert not claim.startswith("• ")
+
+    @settings(max_examples=1000)
+    @given(st.lists(st.lists(st.sampled_from(["-", "•", "1", "23", ".", " ", "\t", "\u00a0",
+                                              "\u2003", "A", "b"]),
+                             max_size=10).map("".join),
+                    max_size=5).map("\n".join))
+    def test_equals_fixpoint_reference(self, completion):
+        assert parse_subclaims(completion) == reference_parse_subclaims(completion)
 
 
 class TestDecomposeSentence:
@@ -271,6 +393,15 @@ class TestDecomposeSentence:
         assert seventh_static in client.calls[0].prompt
         assert seventh_static not in client.calls[-1].prompt
 
+    def test_length_error_on_every_prompt_drops_every_example(self, rnd_bank):
+        config = _bound("factscore", rnd_bank)
+        client = MockCompletionClient(length_error_substrings=(config.instruction,))
+        claims = decompose_sentence(config, "Another  target sentence.", client)
+        assert [c.text for c in claims] == ["Another target sentence."]
+        # 7 static + 1 retrieved examples, then one fewer per rejection
+        assert [call.prompt.count(config.instruction) - 1 for call in client.calls] == \
+            list(range(8, -1, -1))
+
     def test_length_error_with_no_examples_backs_off(self):
         config = MethodConfig(name="bare", instruction="List facts:",
                               static_count=0, retrieved_count=0)
@@ -303,6 +434,11 @@ class TestDecomposePassage:
         passage = make_passage("T", "g", "No parse here.")
         with pytest.raises(DecomposeError, match="sentence 0"):
             decompose_passage(config, passage, MockCompletionClient())
+
+    def test_predpatt_without_parses(self):
+        passage = make_passage("T", "g", "No parse here.")
+        with pytest.raises(DecomposeError, match="'predpatt' requires a parse but sentence 0"):
+            decompose_passage(PredArgMethod(), passage, MockCompletionClient())
 
     def test_predpatt_method(self, oracle_parses):
         class Echo:
