@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import typing
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import conllu as conllu_mod
 from .corpus import (CorpusError, Passage, _check_fields, _fits, _json_object, _records,
                      attach_parses, load_example_bank, load_generations, load_knowledge)
-from .decompose import (DecomposeError, GenerationSettings, Subclaim,
+from .decompose import (DecomposeError, GenerationSettings, Subclaim, builtin_configs,
                         decompose_passage, default_bank, method_registry)
 from .llm import (CachingClient, CompletionClient, CompletionError,
                   HttpCompletionClient, MapFn, MockCompletionClient)
@@ -36,7 +37,7 @@ from .metrics import (MethodReport, MetricsError, method_report, pearson,
 from .predarg import PredArgMethod
 from .retrieval import RetrievalError, build_index, load_index, save_index, search
 from .validate import (VALIDATOR_SETTINGS, SupportJudgment, ValidateError,
-                       ValidationStats, judge_decomposition, judge_facts)
+                       judge_decomposition, judge_facts)
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +104,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"--bank expects METHOD=PATH, got {spec!r}")
             name, bank_path = spec.split("=", 1)
             cfg.example_banks[name] = bank_path
+    # a prompted method the run does not select may have a bank: configs are shared
+    prompted = builtin_configs().keys()
+    if unknown := sorted(cfg.example_banks.keys() - prompted):
+        raise ConfigError(f"example bank for {unknown[0]!r}, which is not a prompted "
+                          f"method; choose from {sorted(prompted)}")
     if not cfg.methods:
         cfg.methods = ["rnd"]
     return cfg
@@ -132,12 +138,6 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
         client = CachingClient(client, Path(cfg.cache_dir) / role,
                                cache_only=cfg.cache_only)
     return client
-
-
-def _validator_id(cfg: RunConfig) -> str:
-    if cfg.mock_responses:
-        return "mock"
-    return cfg.validator_model or cfg.model
 
 
 def _load_passages(cfg: RunConfig) -> list[Passage]:
@@ -237,6 +237,22 @@ def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
 
 # --- commands --------------------------------------------------------------------
 
+# A stage's counts of degraded paths, printed in this order when it is done.
+WARNINGS = {
+    "empty_sentences": "sentences decomposed to no subclaims",
+    "unparseable": "unparseable validator answers counted as unsupported",
+    "empty_context": "claims had empty retrieval context",
+    "unfiltered_passages": "passages have no sentence-supported subclaims; "
+                           "filtered factscore counts them as 0",
+}
+
+
+def _warn(counts: Counter[str]) -> None:
+    for key, message in WARNINGS.items():
+        if counts[key]:
+            print(f"warning: {counts[key]} {message}")
+
+
 def run_stage(stage: str, cfg: RunConfig) -> int:
     """Run ``decompose``, ``decompscore`` or ``factscore`` with the stage's one
     request pool: ``cfg.max_inflight`` threads, the only concurrency in the
@@ -265,7 +281,7 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    empty_sentences = 0
+    counts: Counter[str] = Counter()
     for name, method in methods.items():
         path = jsonl_path(outdir, "decompose", name)
         done: set[tuple[str, str]] = set()
@@ -279,11 +295,10 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
                 # a partially decomposed passage behind
                 fh.write("".join(_dump_line(_record(c)) for c in claims))
                 fh.flush()
-                empty_sentences += len({s.index for s in passage.sentences}
-                                       - {c.sentence_index for c in claims})
+                counts["empty_sentences"] += len({s.index for s in passage.sentences}
+                                                 - {c.sentence_index for c in claims})
         print(f"decompose[{name}]: {path}")
-    if empty_sentences:
-        print(f"warning: {empty_sentences} sentences decomposed to no subclaims")
+    _warn(counts)
     return EXIT_OK
 
 
@@ -329,7 +344,6 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
         else:
             raise ConfigError("factscore needs --index or --knowledge")
     client = _build_client(cfg, "validator")
-    validator_id = _validator_id(cfg)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -349,18 +363,17 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     group = attrgetter("generator", "topic", "sentence_index") if stage == "decompscore" \
         else attrgetter("generator", "topic")
     batch = [claim for claims in loaded.values() for claim in sorted(claims, key=group)]
-    stats = ValidationStats()
+    stats: Counter[str] = Counter()
     if stage == "decompscore":
         judged = judge_decomposition(
-            client, _with_sentences(batch, sentences), validator_id=validator_id,
+            client, _with_sentences(batch, sentences), validator_id=client.model,
             settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
     else:
         judged = judge_facts(
-            client, index, batch, k=cfg.retrieval_k, validator_id=validator_id,
+            client, index, batch, k=cfg.retrieval_k, validator_id=client.model,
             settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
 
     reports: dict[str, MethodReport] = {}
-    unfiltered_passages = 0
     rest = iter(judged)
     for name, claims in loaded.items():
         judgments = list(itertools.islice(rest, len(claims)))
@@ -376,17 +389,10 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
                                "zero-supported counts", name)
             results = results_from_judgments(claims, sentence_judgments=sentence_judgments,
                                              knowledge_judgments=judgments)
-            unfiltered_passages += sum(r.n_supported_by_sentence == 0 for r in results)
+            stats["unfiltered_passages"] += sum(r.n_supported_by_sentence == 0 for r in results)
         reports[name] = method_report(results)
 
-    if stats.unparseable:
-        print(f"warning: {stats.unparseable} unparseable validator answers "
-              "counted as unsupported")
-    if stats.empty_context:
-        print(f"warning: {stats.empty_context} claims had empty retrieval context")
-    if unfiltered_passages:
-        print(f"warning: {unfiltered_passages} passages have no sentence-supported "
-              "subclaims; filtered factscore counts them as 0")
+    _warn(stats)
     # report cells rounded to one decimal; a *_raw.csv sibling keeps full precision
     for filename, metric, scale in REPORT_COLUMNS[stage]:
         table = _report_table(reports, metric, scale)

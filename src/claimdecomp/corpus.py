@@ -51,8 +51,11 @@ class ExampleEntry:
     conllu: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExampleBank:
+    """Compared and hashed by identity, so a bank's retrieval vectors are
+    cached per bank object without hashing its entries."""
+
     entries: tuple[ExampleEntry, ...]
 
     def __len__(self) -> int:
@@ -151,10 +154,16 @@ def make_passage(topic: str, generator: str, text: str) -> Passage:
 
 def load_generations(path: str | Path, drop_invalid: bool = False) -> list[Passage]:
     """Load one passage per JSONL record; invalid LM responses are retained
-    unless ``drop_invalid`` is set."""
+    unless ``drop_invalid`` is set. A (topic, generator) pair names one
+    record: the stages key their outputs by it."""
     passages: list[Passage] = []
+    seen: set[tuple[str, str]] = set()
     for where, record in _records(path):
         _check_fields(where, record, _GENERATION_TYPES)
+        key = (record["topic"], record["generator"])
+        if key in seen:
+            raise CorpusError(f"{where}: repeated topic and generator {key!r}")
+        seen.add(key)
         if drop_invalid and is_invalid_response(record["output"]):
             continue
         try:

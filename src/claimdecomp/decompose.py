@@ -17,10 +17,10 @@ import heapq
 import logging
 import math
 import re
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 from . import conllu as conllu_mod
 from .corpus import ExampleBank, ExampleEntry, Passage, Sentence, load_example_bank
@@ -59,12 +59,14 @@ class MethodConfig:
     retrieved_count: int
     include_parse: bool = False
     example_bank: ExampleBank | None = None
+    # Static examples are the first bank entries; retrieval draws from the rest.
+    static_examples: tuple[ExampleEntry, ...] = field(init=False, compare=False, repr=False)
+    retrieval_pool: ExampleBank = field(init=False, compare=False, repr=False)
 
-    @property
-    def static_examples(self) -> tuple[ExampleEntry, ...]:
-        if self.example_bank is None:
-            return ()
-        return self.example_bank.entries[: self.static_count]
+    def __post_init__(self) -> None:
+        entries = self.example_bank.entries if self.example_bank is not None else ()
+        object.__setattr__(self, "static_examples", entries[: self.static_count])
+        object.__setattr__(self, "retrieval_pool", ExampleBank(entries[self.static_count:]))
 
     def with_bank(self, bank: ExampleBank) -> "MethodConfig":
         if len(bank) < self.static_count + self.retrieved_count:
@@ -150,12 +152,14 @@ class _BankVectors:
     postings: dict[str, list[tuple[int, float]]]
 
 
-@lru_cache(maxsize=16)
+# The vectors of each live bank. A result is stored only once it is whole;
+# threads that miss together each build their own.
+_VECTORS: WeakKeyDictionary[ExampleBank, _BankVectors] = WeakKeyDictionary()
+
+
 def _bank_vectors(bank: ExampleBank) -> _BankVectors:
-    # Keyed by bank equality, so the equal retrieval pool each sentence of a
-    # method brings finds the vectors built for the first one. The cache
-    # stores a result only once it is whole; threads that miss together each
-    # build their own.
+    if (cached := _VECTORS.get(bank)) is not None:
+        return cached
     docs = [_tokens(e.sentence) for e in bank.entries]
     doc_freq: dict[str, int] = {}
     for doc in docs:
@@ -166,7 +170,8 @@ def _bank_vectors(bank: ExampleBank) -> _BankVectors:
     for position, vector in enumerate(vectors):
         for term, weight in vector.items():
             postings.setdefault(term, []).append((position, weight))
-    return _BankVectors(doc_freq, tuple(map(_norm, vectors)), postings)
+    _VECTORS[bank] = result = _BankVectors(doc_freq, tuple(map(_norm, vectors)), postings)
+    return result
 
 
 def retrieve_examples(bank: ExampleBank, sentence: str, k: int) -> list[ExampleEntry]:
@@ -300,21 +305,13 @@ def parse_subclaims(completion: str) -> list[str]:
 
 # --- decomposition --------------------------------------------------------------
 
-def _retrieval_pool(config: MethodConfig) -> ExampleBank:
-    # Static examples are the first bank entries; retrieval draws from the rest.
-    if config.example_bank is None:
-        return ExampleBank(entries=())
-    return ExampleBank(entries=config.example_bank.entries[config.static_count:])
-
-
 def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
                           client: CompletionClient,
                           settings: GenerationSettings) -> list[str]:
     if config.example_bank is None and config.static_count + config.retrieved_count > 0:
         raise DecomposeError(f"method {config.name!r} has no example bank attached")
-    pool = _retrieval_pool(config)
-    k = min(config.retrieved_count, len(pool))
-    retrieved = retrieve_examples(pool, sentence_text, k)
+    pool = config.retrieval_pool
+    retrieved = retrieve_examples(pool, sentence_text, min(config.retrieved_count, len(pool)))
     budget = settings.context_window - settings.max_tokens
 
     cap: int | None = None
@@ -342,11 +339,6 @@ def _predarg_claim_texts(parse, client: CompletionClient,
                          settings: GenerationSettings) -> list[str]:
     if parse is None:
         raise DecomposeError("predicate-argument decomposition requires a parse")
-    if isinstance(parse, str):
-        parsed = conllu_mod.parse_conllu(parse)
-        if len(parsed) != 1:
-            raise DecomposeError("expected exactly one parse")
-        parse = parsed[0]
     return [fluency_rewrite(client, render_predication(parse, p), settings)
             for p in extract_predications(parse)]
 

@@ -9,8 +9,8 @@ text retrieved from the knowledge source. The validator prompt is fixed:
     True or False?
 
 The completion's first alphabetic token decides the verdict; anything that
-is not "true"/"false" counts as unsupported and is tallied as a warning so
-a flaky model cannot abort a long run.
+is not "true"/"false" counts as unsupported and is tallied in ``stats``
+("unparseable", beside "empty_context") so a flaky model cannot abort a run.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import http.client
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .decompose import Subclaim
@@ -50,14 +51,6 @@ class SupportJudgment:
     context_snapshot: str
 
 
-@dataclass
-class ValidationStats:
-    """Counts of degraded-path fallbacks, reported alongside scores."""
-
-    unparseable: int = 0
-    empty_context: int = 0
-
-
 def build_support_prompt(context: str, claim: str) -> str:
     return f"{context}\n\nClaim: {claim}\nTrue or False?"
 
@@ -78,7 +71,7 @@ def parse_verdict(completion: str) -> bool | None:
 
 
 def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
-              settings: GenerationSettings, stats: ValidationStats | None,
+              settings: GenerationSettings, stats: Counter | None,
               map_fn: MapFn) -> list[bool]:
     """Support verdicts for (context, claim) pairs, in order. Only the
     requests go through ``map_fn``; verdict parsing and counting stay in
@@ -92,38 +85,54 @@ def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
             logger.debug("unparseable validator answer %r for claim %.60s",
                          response.text[:40], claim)
             if stats is not None:
-                stats.unparseable += 1
+                stats["unparseable"] += 1
         verdicts.append(verdict is True)
     return verdicts
 
 
 def judge_support(client: CompletionClient, context: str, claim: str,
                   settings: GenerationSettings = VALIDATOR_SETTINGS,
-                  stats: ValidationStats | None = None) -> bool:
+                  stats: Counter | None = None) -> bool:
     if not claim:
         raise ValidateError("claim must be non-empty")
     return _verdicts(client, [(context, claim)], settings, stats, map)[0]
 
 
+def _judgments(client: CompletionClient, claims: list[Subclaim], contexts: list[str],
+               context_kind: str, validator_id: str, settings: GenerationSettings,
+               stats: Counter | None, map_fn: MapFn) -> list[SupportJudgment]:
+    """A judgment of each claim against its context, in order. A claim whose
+    context is empty is unsupported without a validator call; the others go
+    to the validator as one batch."""
+    verdicts = iter(_verdicts(
+        client, [(context, claim.text) for claim, context in zip(claims, contexts) if context],
+        settings, stats, map_fn))
+    judgments = []
+    for claim, context in zip(claims, contexts):
+        if not context:
+            logger.debug("empty context for claim %.60s", claim.text)
+            if stats is not None:
+                stats["empty_context"] += 1
+        judgments.append(SupportJudgment(
+            claim=claim,
+            context_kind=context_kind,
+            supported=bool(context) and next(verdicts),
+            validator_id=validator_id,
+            context_snapshot=context,
+        ))
+    return judgments
+
+
 def judge_decomposition(client: CompletionClient, claims: list[tuple[Subclaim, str]],
                         validator_id: str = "llm",
                         settings: GenerationSettings = VALIDATOR_SETTINGS,
-                        stats: ValidationStats | None = None,
+                        stats: Counter | None = None,
                         map_fn: MapFn = map) -> list[SupportJudgment]:
     """Judge each (subclaim, source sentence) pair: is the subclaim supported
     by the sentence it was decomposed from?"""
-    verdicts = _verdicts(client, [(sentence, claim.text) for claim, sentence in claims],
-                         settings, stats, map_fn)
-    return [
-        SupportJudgment(
-            claim=claim,
-            context_kind=CONTEXT_ORIGINAL_SENTENCE,
-            supported=supported,
-            validator_id=validator_id,
-            context_snapshot=sentence,
-        )
-        for (claim, sentence), supported in zip(claims, verdicts)
-    ]
+    return _judgments(client, [claim for claim, _ in claims],
+                      [sentence for _, sentence in claims], CONTEXT_ORIGINAL_SENTENCE,
+                      validator_id, settings, stats, map_fn)
 
 
 def _truncate_context(context: str, claim: str,
@@ -139,13 +148,12 @@ def _truncate_context(context: str, claim: str,
 def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim],
                 k: int = 5, validator_id: str = "llm",
                 settings: GenerationSettings = VALIDATOR_SETTINGS,
-                stats: ValidationStats | None = None,
+                stats: Counter | None = None,
                 map_fn: MapFn = map) -> list[SupportJudgment]:
     """Judge each subclaim against retrieved knowledge-source chunks.
 
     Retrieval is restricted to the document titled with the subclaim's
-    topic when the index has one, falling back to the whole corpus. An empty
-    context yields an unsupported judgment without a validator call.
+    topic when the index has one, falling back to the whole corpus.
     """
     contexts = []
     for claim in subclaims:
@@ -153,26 +161,8 @@ def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim
         hits = search(index, claim.text, k, restrict_title=restrict) if index.chunks else []
         contexts.append(_truncate_context(
             "\n\n".join(chunk.text for chunk, _ in hits), claim.text, settings))
-    verdicts = iter(_verdicts(
-        client, [(context, claim.text) for claim, context in zip(subclaims, contexts) if context],
-        settings, stats, map_fn))
-    judgments = []
-    for claim, context in zip(subclaims, contexts):
-        if context:
-            supported = next(verdicts)
-        else:
-            logger.debug("empty retrieval context for claim %.60s", claim.text)
-            if stats is not None:
-                stats.empty_context += 1
-            supported = False
-        judgments.append(SupportJudgment(
-            claim=claim,
-            context_kind=CONTEXT_KNOWLEDGE_SOURCE,
-            supported=supported,
-            validator_id=validator_id,
-            context_snapshot=context,
-        ))
-    return judgments
+    return _judgments(client, subclaims, contexts, CONTEXT_KNOWLEDGE_SOURCE,
+                      validator_id, settings, stats, map_fn)
 
 
 # --- NLI ----------------------------------------------------------------------

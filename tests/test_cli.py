@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from claimdecomp import cli, validate
-from claimdecomp.llm import CompletionError
+from claimdecomp.llm import CompletionError, CompletionResponse, HttpCompletionClient
 from claimdecomp.metrics import MetricsError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -173,6 +173,19 @@ class TestExitCodes:
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
                        "--bank", "rnd-no-equals"])
         assert rc == 2
+
+    @pytest.mark.parametrize("name", ["rdn", "predpatt"])
+    def test_bank_for_a_method_without_prompts(self, data_dir, tmp_path, capsys, name):
+        rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
+                       "--bank", f"{name}={tmp_path / 'bank.jsonl'}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: example bank for {name!r}, ")
+
+    def test_bank_for_an_unselected_prompted_method(self, data_dir, tmp_path):
+        # one config file may list banks for several runs' methods
+        rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
+                       "--bank", f"wice={tmp_path / 'bank.jsonl'}"])
+        assert rc == 0
 
     def test_no_endpoint_configured(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.delenv("CLAIMDECOMP_ENDPOINT_URL", raising=False)
@@ -391,6 +404,8 @@ class TestExitCodes:
         ("bank", '{"sentence": "S.", "subclaims": [["x"]]}'),
         ("generations", '"topic generator output"'),
         ("generations", '{"topic": "Ada Example", "generator": "alpha", "output": 7}'),
+        ("generations", '{"topic": "Ada Example", "generator": "alpha", "output": "A."}\n'
+                        '{"topic": "Ada Example", "generator": "alpha", "output": "B."}'),
         ("knowledge", '"x"'),
         ("knowledge", '{"title": "Ada Example", "text": 5}'),
         ("knowledge", '{"title": "Café", "text": "x"}'),
@@ -402,9 +417,10 @@ class TestExitCodes:
         ("mock", '{"decomposer": {"length_error_substrings": "k"}}'),
         ("mock", '{"default": "é"}'),
     ], ids=["bank-list", "bank-str-subclaims", "bank-nested-subclaims", "generations-string",
-            "generations-int-output", "knowledge-string", "knowledge-int-text",
-            "knowledge-latin-1", "mock-list", "mock-int-default", "mock-short-rule",
-            "mock-list-table", "mock-role-str", "mock-role-str-substrings", "mock-latin-1"])
+            "generations-int-output", "generations-repeated-pair", "knowledge-string",
+            "knowledge-int-text", "knowledge-latin-1", "mock-list", "mock-int-default",
+            "mock-short-rule", "mock-list-table", "mock-role-str", "mock-role-str-substrings",
+            "mock-latin-1"])
     def test_malformed_corpus_record(self, data_dir, tmp_path, capsys, kind, line):
         out = tmp_path / "out"
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
@@ -423,7 +439,8 @@ class TestExitCodes:
             argv = ["decompose", *_common(data_dir, tmp_path / "fresh"), "--mock-responses", str(bad)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: " if kind == "mock" else f"error: {bad}: line 1: ")
+        where = f"{bad}: " if kind == "mock" else f"{bad}: line {len(line.splitlines())}: "
+        assert err.startswith(f"error: {where}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--generations", "--output-dir", "--cache-dir", "--index"])
@@ -769,6 +786,29 @@ class TestDegenerateInputs:
         assert "sentence-supported" not in stdout["decompscore"]
 
 
+    def test_factscore_warnings_print_in_table_order(self, data_dir, tmp_path, capsys):
+        spec = json.loads((data_dir / "mock_responses.json").read_text())
+        spec["validator"] = {"default": "Maybe"}
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(spec))
+        # no Ada Example claim shares a term with its document: empty contexts
+        knowledge = tmp_path / "knowledge.jsonl"
+        knowledge.write_text(
+            '{"title": "Ada Example", "text": "Nothing here matches quux."}\n'
+            '{"title": "Ben Sample", "text": "Ben Sample was a chemist who died in 1980."}\n')
+        args = ["--generations", str(data_dir / "generations_small.jsonl"),
+                "--mock-responses", str(mock), "--method", "rnd",
+                "--output-dir", str(tmp_path / "out")]
+        assert cli.main(["decompose", *args]) == 0
+        assert cli.main(["decompscore", *args]) == 0
+        capsys.readouterr()
+        assert cli.main(["factscore", *args, "--knowledge", str(knowledge)]) == 0
+        assert [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning:")] == [
+            "warning: 5 unparseable validator answers counted as unsupported",
+            "warning: 10 claims had empty retrieval context",
+            "warning: 4 passages have no sentence-supported subclaims; "
+            "filtered factscore counts them as 0"]
+
     def test_empty_decompositions_reported_as_one_count(self, data_dir, tmp_path):
         mock = tmp_path / "mock.json"
         mock.write_text(json.dumps({"default": ""}))
@@ -781,6 +821,41 @@ class TestDegenerateInputs:
             capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "warning: 9 sentences decomposed to no subclaims" in proc.stdout.splitlines()
+
+
+class TestValidatorId:
+    @pytest.mark.parametrize("flags, model", [
+        ([], "base"),
+        (["--validator-model", "judge"], "judge"),
+        (["--validator-model", "judge", "--cache-dir", "CACHE"], "judge"),
+    ], ids=["model", "validator-model", "cached"])
+    def test_judgments_name_the_validator_clients_model(self, data_dir, tmp_path, monkeypatch,
+                                                        flags, model):
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        sent = []
+        monkeypatch.setattr(HttpCompletionClient, "complete",
+                            lambda self, request: sent.append(request.model) or
+                            CompletionResponse("True"))
+        args = ["decompscore", "--generations", str(data_dir / "generations_small.jsonl"),
+                "--method", "rnd", "--output-dir", str(out),
+                "--endpoint", "http://localhost:9/v1", "--model", "base",
+                *(str(tmp_path / "cache") if f == "CACHE" else f for f in flags)]
+        cfg = cli._merge_config(cli.build_parser().parse_args(args))
+        assert cli._build_client(cfg, "validator").model == model
+        assert cli._build_client(cfg, "decomposer").model == "base"
+        assert cli.main(args) == 0
+        records = [json.loads(l) for l in
+                   (out / "sentence-judgments-rnd.jsonl").read_text().splitlines()]
+        assert {r["validator_id"] for r in records} == set(sent) == {model}
+
+    def test_mock_validator_id(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        for stage in ("sentence-judgments", "knowledge-judgments"):
+            records = [json.loads(l) for l in
+                       (out / f"{stage}-rnd.jsonl").read_text().splitlines()]
+            assert {r["validator_id"] for r in records} == {"mock"}
 
 
 class TestCacheModes:
@@ -908,15 +983,14 @@ class TestPredpattPipeline:
 
 class TestBenchmarkHooks:
     """The benchmark's tracer wraps functions by the module-global names the
-    judgment stages call; a refactor that stops calling them through those
-    names detaches its per-layer metrics."""
+    stages call; a refactor that stops calling them through those names
+    detaches its per-layer metrics."""
 
     def test_tracer_sees_the_judgment_layers(self, data_dir, tmp_path):
         out = tmp_path / "out"
-        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         spans = set()
-        for stage, extra in (("decompscore", []), ("factscore", [
+        for stage, extra in (("decompose", []), ("decompscore", []), ("factscore", [
                 "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
             trace = tmp_path / f"{stage}.trace.json"
             proc = subprocess.run(
@@ -925,7 +999,9 @@ class TestBenchmarkHooks:
                 cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             spans |= {span[2] for span in json.loads(trace.read_text())["spans"]}
-        assert {"validate.judge_decomposition", "validate.judge_facts",
+        assert {"decompose.retrieve_examples", "decompose.assemble_prompt",
+                "decompose.prompted_claim_texts", "llm.request",
+                "validate.judge_decomposition", "validate.judge_facts",
                 "metrics.results_from_judgments", "metrics.method_report"} <= spans
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import pytest
 
@@ -8,8 +9,9 @@ from claimdecomp import (MockCompletionClient, assemble_prompt, builtin_configs,
                          parse_subclaims, retrieve_examples)
 from claimdecomp.corpus import ExampleBank, ExampleEntry, Sentence, make_passage
 from claimdecomp.llm import CompletionResponse
+from claimdecomp import decompose
 from claimdecomp.decompose import (AssembledPrompt, DecomposeError, GenerationSettings,
-                                   MethodConfig, Subclaim, _block, _parse_text,
+                                   MethodConfig, Subclaim, _bank_vectors, _block, _parse_text,
                                    estimate_tokens, method_registry)
 from claimdecomp.predarg import PredArgMethod
 from hypothesis import given, settings
@@ -66,6 +68,12 @@ class TestConfigs:
         with pytest.raises(DecomposeError):
             config.with_bank(small)
 
+    def test_with_bank_slices_static_examples_and_retrieval_pool(self, rnd_bank):
+        config = builtin_configs()["factscore"].with_bank(rnd_bank)
+        assert config.static_examples == rnd_bank.entries[:7]
+        assert config.retrieval_pool.entries == rnd_bank.entries[7:]
+        assert builtin_configs()["factscore"].retrieval_pool.entries == ()
+
     def test_conllu_bank_must_carry_parses(self, rnd_bank):
         with pytest.raises(DecomposeError, match="parse"):
             builtin_configs()["conllu"].with_bank(rnd_bank)
@@ -112,6 +120,16 @@ class TestRetrieveExamples:
         entry_b = ExampleEntry("beta alpha", ("B.",))
         bank = ExampleBank(entries=(entry_a, entry_b))
         assert retrieve_examples(bank, "alpha beta gamma", 1) == [entry_a]
+
+    def test_equal_banks_are_separate_cache_keys(self, rnd_bank):
+        a, b = ExampleBank(rnd_bank.entries), ExampleBank(rnd_bank.entries)
+        assert a != b and a == a
+        assert _bank_vectors(a) is _bank_vectors(a)
+        assert _bank_vectors(a) is not _bank_vectors(b)
+        # a bank's vectors go with it
+        vectors = weakref.ref(_bank_vectors(b))
+        del b
+        assert vectors() is None
 
     def test_deterministic(self, rnd_bank):
         a = retrieve_examples(rnd_bank, "He studied theater in Seoul.", 4)
@@ -427,6 +445,18 @@ class TestDecomposePassage:
         assert len(claims) == 5
         assert [(c.sentence_index, c.ordinal) for c in claims] == [
             (0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+
+    def test_one_retrieval_pool_per_method(self, rnd_bank, monkeypatch):
+        passage = make_passage("T", "g", "First sentence here. Second one here. A third.")
+        config = _bound("rnd", rnd_bank)
+        pools = []
+        retrieve = decompose.retrieve_examples
+        monkeypatch.setattr(decompose, "retrieve_examples",
+                            lambda bank, sentence, k: pools.append(bank) or
+                            retrieve(bank, sentence, k))
+        decompose_passage(config, passage, MockCompletionClient(default="- a"))
+        assert len(pools) == 3
+        assert all(pool is config.retrieval_pool for pool in pools)
 
     def test_parse_requiring_method_without_parses(self, data_dir):
         bank = load_example_bank(data_dir / "conllu_bank.jsonl")

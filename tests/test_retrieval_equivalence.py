@@ -216,14 +216,14 @@ class TestRetrieveExamplesEquivalence:
         entries = tuple(ExampleEntry(f"race {i} term{i % 7} extra{i % 3}", ("c.",))
                         for i in range(60))
         queries = [f"term{i % 7} extra{i % 5} race" for i in range(64)]
-        expected = [reference_retrieve_examples(ExampleBank(entries[1:]), q, 3)
-                    for q in queries]
+        bank = ExampleBank(entries[1:])
+        expected = [reference_retrieve_examples(bank, q, 3) for q in queries]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(
-                    lambda q: retrieve_examples(ExampleBank(entries[1:]), q, 3), queries,
+                    lambda q: retrieve_examples(bank, q, 3), queries,
                     timeout=60))
         finally:
             sys.setswitchinterval(interval)

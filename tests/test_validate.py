@@ -1,4 +1,5 @@
 import http.client
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,7 @@ from claimdecomp.llm import CHARS_PER_TOKEN, GenerationSettings
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
                                   CONTEXT_ORIGINAL_SENTENCE, HttpNliClient,
                                   NliVerdict, StaticNliClient, ValidateError,
-                                  ValidationStats, build_support_prompt,
-                                  parse_verdict)
+                                  build_support_prompt, parse_verdict)
 
 
 def claim(text, i=0, topic="T", generator="g", method="rnd"):
@@ -50,9 +50,9 @@ class TestJudgeSupport:
 
     def test_unparseable_counts_as_unsupported_with_warning(self):
         client = MockCompletionClient(default="maybe")
-        stats = ValidationStats()
+        stats = Counter()
         assert judge_support(client, "ctx", "claim", stats=stats) is False
-        assert stats.unparseable == 1
+        assert stats == Counter(unparseable=1)
 
     def test_empty_claim_rejected(self):
         with pytest.raises(ValidateError):
@@ -89,6 +89,17 @@ class TestJudgeDecomposition:
             client, [(claim("supported one", 0), "s"), (claim("unsupported one", 1), "s")])
         assert [j.supported for j in judgments] == [True, False]
 
+    def test_empty_sentence_unsupported_without_a_call(self):
+        client = MockCompletionClient(default="True")
+        stats = Counter()
+        judgments = judge_decomposition(
+            client, [(claim("a", 0), ""), (claim("b", 1), "The sentence.")], stats=stats)
+        assert [j.supported for j in judgments] == [False, True]
+        assert [j.context_snapshot for j in judgments] == ["", "The sentence."]
+        assert [r.prompt for r in client.calls] == [
+            build_support_prompt("The sentence.", "b")]
+        assert stats == Counter(empty_context=1)
+
 
 class TestJudgeFacts:
     def _index(self):
@@ -100,11 +111,11 @@ class TestJudgeFacts:
     def test_empty_index_all_unsupported_without_calls(self):
         index = build_index([], 16)
         client = MockCompletionClient(default="True")
-        stats = ValidationStats()
+        stats = Counter()
         judgments = judge_facts(client, index, [claim("composer claim")],
                                 stats=stats)
         assert [j.supported for j in judgments] == [False]
-        assert stats.empty_context == 1
+        assert stats == Counter(empty_context=1)
         assert client.calls == []
 
     def test_all_true(self):
