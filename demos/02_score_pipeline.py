@@ -51,11 +51,10 @@ for passage in passages:
     # each subclaim is judged against the sentence it came from ...
     text_of = {sentence.index: sentence.text for sentence in passage.sentences}
     sentence_judgments.extend(judge_decomposition(
-        validator, [(c, text_of[c.sentence_index]) for c in passage_claims],
-        validator_id="demo"))
+        validator, [(c, text_of[c.sentence_index]) for c in passage_claims]))
     # ... and against knowledge retrieved from its topic's document
     knowledge_judgments.extend(
-        judge_facts(validator, index, passage_claims, k=3, validator_id="demo"))
+        judge_facts(validator, index, passage_claims, k=3))
 
 # ---------------------------------------------------------------------------
 results = results_from_judgments(claims, sentence_judgments, knowledge_judgments)

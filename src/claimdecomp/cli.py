@@ -35,9 +35,9 @@ from .llm import (CachingClient, CompletionClient, CompletionError,
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
 from .predarg import PredArgMethod
-from .retrieval import RetrievalError, build_index, load_index, save_index, search
-from .validate import (VALIDATOR_SETTINGS, SupportJudgment, ValidateError,
-                       judge_decomposition, judge_facts)
+from .retrieval import (DEFAULT_CHUNK_WORDS, DEFAULT_TOP_K, RetrievalError, build_index,
+                        load_index, save_index, search)
+from .validate import SupportJudgment, ValidateError, judge_decomposition, judge_facts
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +66,8 @@ class RunConfig:
     model: str = "default"
     validator_model: str | None = None
     max_inflight: int = 8
-    chunk_words: int = 256
-    retrieval_k: int = 5
+    chunk_words: int = DEFAULT_CHUNK_WORDS
+    retrieval_k: int = DEFAULT_TOP_K
     context_window: int = GenerationSettings.context_window
     max_tokens: int = GenerationSettings.max_tokens
     temperature: float = GenerationSettings.temperature
@@ -316,24 +316,12 @@ def _load_judgments(outdir: Path, stage: str, method: str) -> list[SupportJudgme
     return [_judgment(r) for r in _read_jsonl(path, _JUDGMENT_TYPES)]
 
 
-def _with_sentences(claims: list[Subclaim],
-                    sentences: dict[tuple[str, str, int], str]) -> list[tuple[Subclaim, str]]:
-    pairs = []
-    for claim in claims:
-        key = (claim.generator, claim.topic, claim.sentence_index)
-        if key not in sentences:
-            raise ConfigError(f"no source sentence for subclaim group {key}")
-        pairs.append((claim, sentences[key]))
-    return pairs
-
-
 def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     """Judge every subclaim, write the judgments and the stage's report CSVs.
     ``decompscore`` judges against the sentence a subclaim came from,
     ``factscore`` against knowledge retrieved for it. Every method's requests
     go through ``map_fn`` as one batch."""
     passages = _load_passages(cfg)
-    known = {(p.generator, p.topic) for p in passages}
     sentences = {(p.generator, p.topic, s.index): s.text for p in passages for s in p.sentences}
     index = None
     if stage == "factscore":
@@ -347,31 +335,26 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    # A subclaim's group is its source sentence's key. Judgments are written
+    # in sorted group order; the stable sort keeps the file order in a group.
+    group = attrgetter("generator", "topic", "sentence_index")
     loaded: dict[str, list[Subclaim]] = {}
     for name in cfg.methods:
         claims = _load_subclaims(outdir, name)
         if not claims:
             logger.warning("method %s produced no subclaims; column omitted", name)
             continue
-        missing = sorted({(c.generator, c.topic) for c in claims} - known)
-        if missing:
-            raise ConfigError(f"no passage for subclaim group {missing[0]}")
+        if missing := sorted({group(c) for c in claims} - sentences.keys()):
+            raise ConfigError(f"no source sentence for subclaim group {missing[0]}")
         loaded[name] = claims
-    # Judgments are written grouped by passage in sorted (generator, topic)
-    # order, and for decompscore by ascending sentence index within a
-    # passage; the stable sort keeps the file order inside a group.
-    group = attrgetter("generator", "topic", "sentence_index") if stage == "decompscore" \
-        else attrgetter("generator", "topic")
     batch = [claim for claims in loaded.values() for claim in sorted(claims, key=group)]
     stats: Counter[str] = Counter()
     if stage == "decompscore":
         judged = judge_decomposition(
-            client, _with_sentences(batch, sentences), validator_id=client.model,
-            settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
+            client, [(c, sentences[group(c)]) for c in batch], stats=stats, map_fn=map_fn)
     else:
-        judged = judge_facts(
-            client, index, batch, k=cfg.retrieval_k, validator_id=client.model,
-            settings=VALIDATOR_SETTINGS, stats=stats, map_fn=map_fn)
+        judged = judge_facts(client, index, batch, k=cfg.retrieval_k, stats=stats,
+                             map_fn=map_fn)
 
     reports: dict[str, MethodReport] = {}
     rest = iter(judged)
@@ -407,6 +390,8 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
 
 def cmd_correlate(file_a: str, file_b: str, columns: list[str],
                   out: str | None = None) -> int:
+    if not columns:
+        raise ConfigError("--columns names no column")
     rows_a = _read_keyed_csv(Path(file_a))
     rows_b = _read_keyed_csv(Path(file_b))
     if sorted(rows_a) != sorted(rows_b):
@@ -448,11 +433,13 @@ def _numbers(path: str, rows: dict[str, dict[str, str]], keys: list[str],
     for key in keys:
         if column not in rows[key]:
             raise ConfigError(f"missing column {column!r} in {path}")
+        where, cell = f"{path}: row {key!r}, column {column!r}", rows[key][column]
         try:
-            values.append(float(rows[key][column]))
+            values.append(float(cell))
         except (TypeError, ValueError) as exc:  # a short row's cell is None
-            raise ConfigError(f"{path}: row {key!r}, column {column!r}: not a number: "
-                              f"{rows[key][column]!r}") from exc
+            raise ConfigError(f"{where}: not a number: {cell!r}") from exc
+        if not math.isfinite(values[-1]):
+            raise ConfigError(f"{where}: not finite: {cell!r}")
     return values
 
 
@@ -585,11 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = isub.add_parser("build")
     p_build.add_argument("--knowledge", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--chunk-words", type=int, default=256)
+    p_build.add_argument("--chunk-words", type=int, default=DEFAULT_CHUNK_WORDS)
     p_search = isub.add_parser("search")
     p_search.add_argument("--index", required=True)
     p_search.add_argument("--query", required=True)
-    p_search.add_argument("--k", type=int, default=5)
+    p_search.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     p_search.add_argument("--title")
 
     return parser

@@ -36,6 +36,7 @@ from .corpus import CorpusError, KnowledgeDoc, _check_fields, _json_object, _rep
 DEFAULT_K1 = 0.9
 DEFAULT_B = 0.4
 DEFAULT_CHUNK_WORDS = 256
+DEFAULT_TOP_K = 5
 
 INDEX_FORMAT_VERSION = 2
 
@@ -84,8 +85,7 @@ class Index:
 
 def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS,
                 k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
-    if chunk_words < 1:
-        raise RetrievalError("chunk_words must be >= 1")
+    _check_settings(chunk_words, k1, b)
     titles = [d.title for d in docs]
     if len(titles) != len(set(titles)):
         raise RetrievalError("duplicate document titles")
@@ -113,6 +113,16 @@ def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS
             pair[0].append(position)
             pair[1].append(tf)
     return _with_statistics(chunks, postings, title_ranges, chunk_words, k1, b)
+
+
+def _check_settings(chunk_words: int, k1: float, b: float) -> None:
+    """Reject settings that would chunk nothing, score NaN or divide by zero."""
+    if chunk_words < 1:
+        raise RetrievalError(f"chunk_words must be >= 1, got {chunk_words}")
+    if not (math.isfinite(k1) and k1 >= 0.0):
+        raise RetrievalError(f"k1 must be finite and >= 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise RetrievalError(f"b must be within [0, 1], got {b}")
 
 
 def _typecodes(chunks: int, chunk_words: int) -> tuple[str, str]:
@@ -282,6 +292,7 @@ def load_index(path: str | Path) -> Index:
 def _decode(payload: dict) -> Index:
     """The index a type-checked payload holds, after checking that its parts
     agree; the packed fields are removed from ``payload``."""
+    _check_settings(payload["chunk_words"], payload["k1"], payload["b"])
     titles, texts, terms = payload["titles"], payload["texts"], payload["terms"]
     n = len(texts)
     by_chunks, by_words = _typecodes(n, payload["chunk_words"])

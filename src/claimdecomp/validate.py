@@ -11,6 +11,8 @@ text retrieved from the knowledge source. The validator prompt is fixed:
 The completion's first alphabetic token decides the verdict; anything that
 is not "true"/"false" counts as unsupported and is tallied in ``stats``
 ("unparseable", beside "empty_context") so a flaky model cannot abort a run.
+Every request uses ``VALIDATOR_SETTINGS``, and every judgment's
+``validator_id`` is the validator client's ``model``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn,
                   complete_all, completion_request, post_json)
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
-from .retrieval import Index, search
+from .retrieval import DEFAULT_TOP_K, Index, search
 
 logger = logging.getLogger(__name__)
 
@@ -71,13 +73,12 @@ def parse_verdict(completion: str) -> bool | None:
 
 
 def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
-              settings: GenerationSettings, stats: Counter | None,
-              map_fn: MapFn) -> list[bool]:
+              stats: Counter | None, map_fn: MapFn) -> list[bool]:
     """Support verdicts for (context, claim) pairs, in order. Only the
     requests go through ``map_fn``; verdict parsing and counting stay in
     this thread."""
-    requests = [completion_request(client, build_support_prompt(context, claim), settings)
-                for context, claim in pairs]
+    requests = [completion_request(client, build_support_prompt(*pair), VALIDATOR_SETTINGS)
+                for pair in pairs]
     verdicts = []
     for (_, claim), response in zip(pairs, complete_all(client, requests, map_fn)):
         verdict = parse_verdict(response.text)
@@ -91,22 +92,20 @@ def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
 
 
 def judge_support(client: CompletionClient, context: str, claim: str,
-                  settings: GenerationSettings = VALIDATOR_SETTINGS,
                   stats: Counter | None = None) -> bool:
     if not claim:
         raise ValidateError("claim must be non-empty")
-    return _verdicts(client, [(context, claim)], settings, stats, map)[0]
+    return _verdicts(client, [(context, claim)], stats, map)[0]
 
 
 def _judgments(client: CompletionClient, claims: list[Subclaim], contexts: list[str],
-               context_kind: str, validator_id: str, settings: GenerationSettings,
-               stats: Counter | None, map_fn: MapFn) -> list[SupportJudgment]:
+               context_kind: str, stats: Counter | None, map_fn: MapFn) -> list[SupportJudgment]:
     """A judgment of each claim against its context, in order. A claim whose
     context is empty is unsupported without a validator call; the others go
     to the validator as one batch."""
     verdicts = iter(_verdicts(
         client, [(context, claim.text) for claim, context in zip(claims, contexts) if context],
-        settings, stats, map_fn))
+        stats, map_fn))
     judgments = []
     for claim, context in zip(claims, contexts):
         if not context:
@@ -117,27 +116,24 @@ def _judgments(client: CompletionClient, claims: list[Subclaim], contexts: list[
             claim=claim,
             context_kind=context_kind,
             supported=bool(context) and next(verdicts),
-            validator_id=validator_id,
+            validator_id=client.model,
             context_snapshot=context,
         ))
     return judgments
 
 
 def judge_decomposition(client: CompletionClient, claims: list[tuple[Subclaim, str]],
-                        validator_id: str = "llm",
-                        settings: GenerationSettings = VALIDATOR_SETTINGS,
                         stats: Counter | None = None,
                         map_fn: MapFn = map) -> list[SupportJudgment]:
     """Judge each (subclaim, source sentence) pair: is the subclaim supported
     by the sentence it was decomposed from?"""
     return _judgments(client, [claim for claim, _ in claims],
                       [sentence for _, sentence in claims], CONTEXT_ORIGINAL_SENTENCE,
-                      validator_id, settings, stats, map_fn)
+                      stats, map_fn)
 
 
-def _truncate_context(context: str, claim: str,
-                      settings: GenerationSettings) -> str:
-    budget_tokens = settings.context_window - settings.max_tokens
+def _truncate_context(context: str, claim: str) -> str:
+    budget_tokens = VALIDATOR_SETTINGS.context_window - VALIDATOR_SETTINGS.max_tokens
     overhead = len(build_support_prompt("", claim))
     allowed = int(budget_tokens * CHARS_PER_TOKEN) - overhead
     if allowed < 0:
@@ -146,9 +142,7 @@ def _truncate_context(context: str, claim: str,
 
 
 def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim],
-                k: int = 5, validator_id: str = "llm",
-                settings: GenerationSettings = VALIDATOR_SETTINGS,
-                stats: Counter | None = None,
+                k: int = DEFAULT_TOP_K, stats: Counter | None = None,
                 map_fn: MapFn = map) -> list[SupportJudgment]:
     """Judge each subclaim against retrieved knowledge-source chunks.
 
@@ -160,9 +154,8 @@ def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim
         restrict = claim.topic if index.has_title(claim.topic) else None
         hits = search(index, claim.text, k, restrict_title=restrict) if index.chunks else []
         contexts.append(_truncate_context(
-            "\n\n".join(chunk.text for chunk, _ in hits), claim.text, settings))
-    return _judgments(client, subclaims, contexts, CONTEXT_KNOWLEDGE_SOURCE,
-                      validator_id, settings, stats, map_fn)
+            "\n\n".join(chunk.text for chunk, _ in hits), claim.text))
+    return _judgments(client, subclaims, contexts, CONTEXT_KNOWLEDGE_SOURCE, stats, map_fn)
 
 
 # --- NLI ----------------------------------------------------------------------

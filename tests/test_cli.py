@@ -276,6 +276,29 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: line 2: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage", ["decompscore", "factscore"])
+    @pytest.mark.parametrize("change, group", [
+        (lambda r: r.update(topic="Nobody"), "('alpha', 'Nobody', 0)"),
+        (lambda r: r.update(sentence_index=99), "('alpha', 'Ada Example', 99)"),
+    ], ids=["absent-passage", "absent-sentence"])
+    def test_subclaim_without_source_sentence(self, data_dir, tmp_path, capsys, stage,
+                                              change, group):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        path = out / "subclaims-rnd.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert (records[0]["generator"], records[0]["topic"]) == ("alpha", "Ada Example")
+        change(records[0])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"), "--cache-dir", str(cache)]
+        capsys.readouterr()
+        assert cli.main([stage, *_common(data_dir, out, extra)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no source sentence for subclaim group {group}\n"
+        # the check comes before the first validator request
+        assert not [p for p in cache.rglob("*") if p.is_file()]
+        assert not (out / f"{cli.JSONL_FILES[stage]}-rnd.jsonl").exists()
+
     @pytest.mark.parametrize("stage, config", [
         ("decompose", {"max_inflight": "8"}),
         ("factscore", {"retrieval_k": "5"}),
@@ -369,11 +392,17 @@ class TestExitCodes:
         (_repeat_a_position, "are not strictly ascending below the 28 texts"),
         (lambda p: setitem(p["positions"], -1, 28), "are not strictly ascending below the 28"),
         (lambda p: setitem(p["tfs"], 0, 0), "a tf is 0"),
+        (lambda p: p.update(k1=float("nan")), "k1 must be finite and >= 0, got nan"),
+        (lambda p: p.update(b=float("inf")), "b must be within [0, 1], got inf"),
+        (lambda p: p.update(k1=-1.0), "k1 must be finite and >= 0, got -1.0"),
+        (lambda p: p.update(b=1.5), "b must be within [0, 1], got 1.5"),
+        (lambda p: p.update(chunk_words=0), "chunk_words must be >= 1, got 0"),
     ], ids=["str-k1", "null-b", "float-chunk-words", "int-title", "title-not-consecutive",
             "int-title-chunks", "bad-base64", "base64-length", "partial-item", "title-chunks-count",
             "zero-title-chunks", "title-chunks-sum", "lengths-count", "duplicate-term",
             "counts-count", "zero-count", "counts-sum", "tfs-count", "positions-not-ascending",
-            "position-out-of-range", "zero-tf"])
+            "position-out-of-range", "zero-tf", "nan-k1", "inf-b", "negative-k1",
+            "b-above-1", "zero-chunk-words"])
     def test_index_file_with_bad_field(self, data_dir, tmp_path, capsys, change, message):
         index = tmp_path / "index.json"
         assert cli.main(["index", "build", "--knowledge",
@@ -683,6 +712,29 @@ class TestCorrelate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'b.csv'}: row 'y', column 'metric': ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, tmp_path, capsys, cell):
+        for name, last in (("a.csv", "1.5"), ("b.csv", cell)):
+            with open(tmp_path / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["generator", "metric"])
+                writer.writerows([["x", "1.0"], ["y", last], ["z", "2.0"]])
+        rc = cli.main(["correlate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"),
+                       "--columns", "metric"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {tmp_path / 'b.csv'}: row 'y', column 'metric': "
+                                f"not finite: {cell!r}\n")
+        assert "rho" not in captured.out
+
+    @pytest.mark.parametrize("columns", [",", " , ", ""])
+    def test_no_column(self, benchmark_files, capsys, columns):
+        a, b = benchmark_files
+        assert cli.main(["correlate", a, b, "--columns", columns]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --columns names no column\n"
+        assert captured.out == ""
 
     def test_repeated_key(self, tmp_path, capsys):
         for name, rows in (("a.csv", [("x", "1"), ("y", "2"), ("x", "5"), ("z", "3")]),

@@ -7,11 +7,12 @@ from claimdecomp import (KnowledgeDoc, MockCompletionClient, build_index,
                          judge_decomposition, judge_facts, judge_support,
                          nli_entails)
 from claimdecomp.decompose import Subclaim
-from claimdecomp.llm import CHARS_PER_TOKEN, GenerationSettings
+from claimdecomp.llm import CHARS_PER_TOKEN, CachingClient
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
-                                  CONTEXT_ORIGINAL_SENTENCE, HttpNliClient,
-                                  NliVerdict, StaticNliClient, ValidateError,
-                                  build_support_prompt, parse_verdict)
+                                  CONTEXT_ORIGINAL_SENTENCE, VALIDATOR_SETTINGS,
+                                  HttpNliClient, NliVerdict, StaticNliClient,
+                                  ValidateError, build_support_prompt,
+                                  parse_verdict)
 
 
 def claim(text, i=0, topic="T", generator="g", method="rnd"):
@@ -141,10 +142,7 @@ class TestJudgeFacts:
         doc = KnowledgeDoc("T", "composer " + "filler " * 5000)
         index = build_index([doc], 6000)
         client = MockCompletionClient(default="True")
-        settings = GenerationSettings(temperature=0.0, max_tokens=128,
-                                      context_window=2048)
-        judgments = judge_facts(client, index, [claim("composer claim")],
-                                settings=settings)
+        judge_facts(client, index, [claim("composer claim")])
         prompt = client.calls[0].prompt
         assert len(prompt) <= (2048 - 128) * CHARS_PER_TOKEN + 64
 
@@ -152,6 +150,32 @@ class TestJudgeFacts:
         client = MockCompletionClient(default="True")
         judge_facts(client, self._index(), [claim("a very unique claim")])
         assert client.calls[0].prompt.count("a very unique claim") == 1
+
+
+class TestValidatorId:
+    """Every judgment names the validator client's model; every request
+    uses the fixed validator settings."""
+
+    def _judge_both(self, client):
+        index = build_index([KnowledgeDoc("T", "A composer lived in Zurich.")], 16)
+        claims = [claim("The composer lived in Zurich.")]
+        return [*judge_decomposition(client, [(claims[0], "The sentence.")]),
+                *judge_facts(client, index, claims)]
+
+    def test_mock_stamps_mock(self):
+        client = MockCompletionClient(default="True")
+        judgments = self._judge_both(client)
+        assert [j.validator_id for j in judgments] == ["mock", "mock"]
+        judge_support(client, "ctx", "claim")
+        assert {(r.model, r.max_tokens, r.temperature) for r in client.calls} == {
+            ("mock", VALIDATOR_SETTINGS.max_tokens, VALIDATOR_SETTINGS.temperature)}
+
+    def test_caching_client_stamps_inner_model(self, tmp_path):
+        inner = MockCompletionClient(default="True")
+        inner.model = "inner-model"
+        judgments = self._judge_both(CachingClient(inner, tmp_path / "cache"))
+        assert [j.validator_id for j in judgments] == ["inner-model", "inner-model"]
+        assert {r.model for r in inner.calls} == {"inner-model"}
 
 
 class TestNli:
