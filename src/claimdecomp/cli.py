@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import typing
+import urllib.parse
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,11 +27,12 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import conllu as conllu_mod
-from .corpus import (CorpusError, Passage, _check_fields, _fits, _json_object, _records,
-                     attach_parses, load_example_bank, load_generations, load_knowledge)
+from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _fits, _json_object,
+                     _records, attach_parses, load_example_bank, load_generations,
+                     load_knowledge)
 from .decompose import (DecomposeError, GenerationSettings, Subclaim, builtin_configs,
                         decompose_passage, default_bank, method_registry)
-from .llm import (CachingClient, CompletionClient, CompletionError,
+from .llm import (ENDPOINT_URL_ENV, CachingClient, CompletionClient, CompletionError,
                   HttpCompletionClient, MapFn, MockCompletionClient)
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
@@ -128,12 +130,13 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
         _check_fields(where, spec, present)
         client = MockCompletionClient(**{name: spec[name] for name in present})
     else:
-        if not cfg.endpoint_url and not os.environ.get("CLAIMDECOMP_ENDPOINT_URL"):
+        url = cfg.endpoint_url or os.environ.get(ENDPOINT_URL_ENV)
+        if urllib.parse.urlsplit(url or "").scheme not in ("http", "https"):
             raise ConfigError(
-                "no endpoint configured: pass --endpoint, set "
-                "CLAIMDECOMP_ENDPOINT_URL, or use --mock-responses")
+                f"no http or https endpoint configured (got {url!r}): pass --endpoint, "
+                f"set {ENDPOINT_URL_ENV}, or use --mock-responses")
         model = cfg.validator_model if role == "validator" and cfg.validator_model else cfg.model
-        client = HttpCompletionClient(url=cfg.endpoint_url, model=model)
+        client = HttpCompletionClient(url=url, model=model)
     if cfg.cache_dir:
         client = CachingClient(client, Path(cfg.cache_dir) / role,
                                cache_only=cfg.cache_only)
@@ -187,8 +190,7 @@ del _JUDGMENT_TYPES["claim"]
 # Per stage: the prefix of the JSONL file it writes per method, and the
 # report columns of a judgment stage as (csv file, LmMetrics field, scale);
 # then the columns of factscore's scatter.csv, one row per method, as
-# (column, macro LmMetrics field, scale). The writers and `audit_outputs`
-# all read these.
+# (column, macro LmMetrics field, scale). `_report_files` reads these.
 JSONL_FILES = {"decompose": "subclaims", "decompscore": "sentence-judgments",
                "factscore": "knowledge-judgments"}
 REPORT_COLUMNS = {
@@ -339,6 +341,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     # in sorted group order; the stable sort keeps the file order in a group.
     group = attrgetter("generator", "topic", "sentence_index")
     loaded: dict[str, list[Subclaim]] = {}
+    sentence_judgments: dict[str, list[SupportJudgment] | None] = {}
     for name in cfg.methods:
         claims = _load_subclaims(outdir, name)
         if not claims:
@@ -346,6 +349,14 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
             continue
         if missing := sorted({group(c) for c in claims} - sentences.keys()):
             raise ConfigError(f"no source sentence for subclaim group {missing[0]}")
+        if stage == "factscore":
+            sentence_judgments[name] = _load_judgments(outdir, "decompscore", name)
+            if sentence_judgments[name] is None:
+                logger.warning("no sentence judgments for %s; filtered scores use "
+                               "zero-supported counts", name)
+            else:
+                # raises on a subclaim without a sentence judgment, before any request
+                results_from_judgments(claims, sentence_judgments=sentence_judgments[name])
         loaded[name] = claims
     batch = [claim for claims in loaded.values() for claim in sorted(claims, key=group)]
     stats: Counter[str] = Counter()
@@ -366,24 +377,15 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
         if stage == "decompscore":
             results = results_from_judgments(claims, sentence_judgments=judgments)
         else:
-            sentence_judgments = _load_judgments(outdir, "decompscore", name)
-            if sentence_judgments is None:
-                logger.warning("no sentence judgments for %s; filtered scores use "
-                               "zero-supported counts", name)
-            results = results_from_judgments(claims, sentence_judgments=sentence_judgments,
+            results = results_from_judgments(claims, sentence_judgments=sentence_judgments[name],
                                              knowledge_judgments=judgments)
             stats["unfiltered_passages"] += sum(r.n_supported_by_sentence == 0 for r in results)
         reports[name] = method_report(results)
 
     _warn(stats)
-    # report cells rounded to one decimal; a *_raw.csv sibling keeps full precision
-    for filename, metric, scale in REPORT_COLUMNS[stage]:
-        table = _report_table(reports, metric, scale)
-        for name, fmt in ((filename, ".1f"), (Path(filename).stem + "_raw.csv", ".10g")):
-            _write_table(outdir / name, ["generator", *reports], table, fmt)
-    if stage == "factscore":
-        _write_table(outdir / "scatter.csv", ["method", *(c for c, _, _ in SCATTER_COLUMNS)],
-                     _scatter_table(reports), ".10g")
+    for filename, rows in _report_files(stage, reports).items():
+        with open(outdir / filename, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
     print(f"{stage}: {outdir / REPORT_COLUMNS[stage][0][0]}")
     return EXIT_OK
 
@@ -461,36 +463,33 @@ def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
             raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def _report_table(reports: dict[str, MethodReport], metric: str,
-                  scale: float) -> dict[str, dict[str, float]]:
-    """{row: {method: value}}: a row per generator, then the macro-average row."""
+def _report_files(stage: str, reports: dict[str, MethodReport]) -> dict[str, list[list[str]]]:
+    """Each report file ``stage`` writes, as rows of cells, header first: per
+    REPORT_COLUMNS entry a file rounded to one decimal and its *_raw.csv
+    sibling at full precision, a row per generator then the macro average;
+    for factscore also scatter.csv, a row of macro averages per method."""
     generators = sorted({lm for rep in reports.values() for lm in rep.per_lm})
-    return {key: {name: getattr(rep.macro if key == "macro-average" else rep.per_lm[key],
-                                metric) * scale
-                  for name, rep in reports.items()}
-            for key in [*generators, "macro-average"]}
-
-
-def _scatter_table(reports: dict[str, MethodReport]) -> dict[str, dict[str, float]]:
-    """{method: {column: value}} from each method's macro averages."""
-    return {name: {column: getattr(rep.macro, metric) * scale
-                   for column, metric, scale in SCATTER_COLUMNS}
-            for name, rep in reports.items()}
-
-
-def _write_table(path: Path, header: list[str], table: dict[str, dict[str, float]],
-                 fmt: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([key] + [format(row[column], fmt) for column in header[1:]]
-                         for key, row in table.items())
+    for name, rep in reports.items():
+        if missing := [lm for lm in generators if lm not in rep.per_lm]:
+            raise MetricsError(f"method {name!r} has no subclaims for generator {missing[0]!r}")
+    rows = [(lm, [rep.per_lm[lm] for rep in reports.values()]) for lm in generators]
+    rows.append((MACRO_ROW, [rep.macro for rep in reports.values()]))
+    files = {}
+    for filename, metric, scale in REPORT_COLUMNS[stage]:
+        for name, fmt in ((filename, ".1f"), (Path(filename).stem + "_raw.csv", ".10g")):
+            files[name] = [["generator", *reports], *([key, *(
+                format(getattr(m, metric) * scale, fmt) for m in cells)] for key, cells in rows)]
+    if stage == "factscore":
+        files["scatter.csv"] = [["method", *(column for column, _, _ in SCATTER_COLUMNS)], *(
+            [name, *(format(getattr(rep.macro, metric) * scale, ".10g")
+                     for _, metric, scale in SCATTER_COLUMNS)] for name, rep in reports.items())]
+    return files
 
 
 def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
-    """Recompute every cell of the report CSVs and scatter.csv from the
-    persisted judgment files and raise if one differs (within float
-    formatting) or a row is not derived from them."""
+    """Render each report file in ``outdir`` again from the judgment files,
+    for the methods it lists, and raise at the first cell that differs or
+    at a listed method not in ``methods``."""
     outdir = Path(outdir)
     reports: dict[str, MethodReport] = {}
     for name in methods:
@@ -502,20 +501,23 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
             knowledge_judgments=_load_judgments(outdir, "factscore", name))
         reports[name] = method_report(results)
 
-    tables = {filename: _report_table(reports, metric, scale)
-              for cols in REPORT_COLUMNS.values() for filename, metric, scale in cols}
-    tables["scatter.csv"] = _scatter_table(reports)
-    for filename, table in tables.items():
-        path = outdir / filename
-        if not path.exists():
-            continue
-        for key, row in _read_keyed_csv(path).items():
-            if key not in table:
-                raise MetricsError(f"{filename} row {key!r} is not derived from the judgments")
-            for column, value in table[key].items():
-                if column in row and abs(float(row[column]) - value) > 0.05 + 1e-9:
-                    raise MetricsError(f"{filename} cell ({key}, {column}) = {row[column]} "
-                                       f"but judgments give {value:.4f}")
+    for stage in REPORT_COLUMNS:
+        for filename in _report_files(stage, {}):
+            if not (outdir / filename).exists():
+                continue
+            with open(outdir / filename, newline="", encoding="utf-8") as fh:
+                found = list(csv.reader(fh)) or [[]]
+            listed = ([m for row in found[1:] for m in row[:1]] if filename == "scatter.csv"
+                      else found[0][1:])
+            if unknown := [m for m in listed if m not in reports]:
+                raise MetricsError(f"{filename} lists method {unknown[0]!r}, which is not "
+                                   f"among the audited methods {methods}")
+            derived = _report_files(stage, {m: reports[m] for m in listed})[filename]
+            for row, want in itertools.zip_longest(found, derived, fillvalue=[]):
+                for column, cell, value in itertools.zip_longest(derived[0], row, want):
+                    if cell != value:
+                        raise MetricsError(f"{filename} cell ({(want or row)[0]}, {column}) "
+                                           f"= {cell} but judgments give {value}")
 
 
 # --- argument parsing --------------------------------------------------------------

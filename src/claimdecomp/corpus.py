@@ -27,6 +27,10 @@ class CorpusError(ValueError):
     """Unreadable or malformed corpus input."""
 
 
+# The report files' last row, after one row per generator.
+MACRO_ROW = "macro-average"
+
+
 @dataclass(frozen=True)
 class Sentence:
     text: str
@@ -155,12 +159,15 @@ def make_passage(topic: str, generator: str, text: str) -> Passage:
 def load_generations(path: str | Path, drop_invalid: bool = False) -> list[Passage]:
     """Load one passage per JSONL record; invalid LM responses are retained
     unless ``drop_invalid`` is set. A (topic, generator) pair names one
-    record: the stages key their outputs by it."""
+    record: the stages key their outputs by it. A generator may not be named
+    ``MACRO_ROW``, the reports' average row."""
     passages: list[Passage] = []
     seen: set[tuple[str, str]] = set()
     for where, record in _records(path):
         _check_fields(where, record, _GENERATION_TYPES)
         key = (record["topic"], record["generator"])
+        if record["generator"] == MACRO_ROW:
+            raise CorpusError(f"{where}: generator {MACRO_ROW!r} names the reports' average row")
         if key in seen:
             raise CorpusError(f"{where}: repeated topic and generator {key!r}")
         seen.add(key)

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from claimdecomp import cli, validate
-from claimdecomp.llm import CompletionError, CompletionResponse, HttpCompletionClient
+from claimdecomp.llm import (ENDPOINT_URL_ENV, CompletionError, CompletionResponse,
+                             HttpCompletionClient)
 from claimdecomp.metrics import MetricsError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -100,6 +101,42 @@ class TestPipeline:
             writer.writerows(rows)
         with pytest.raises(MetricsError, match=f"scatter.csv cell \\(rnd, {column}\\)"):
             cli.audit_outputs(out, ["rnd"])
+
+    @pytest.mark.parametrize("filename, change, message", [
+        ("decompscore_raw.csv", lambda rows: setitem(rows[1], 1, "95"),
+         "decompscore_raw.csv cell (alpha, rnd) = 95 but judgments give 5"),
+        ("decompscore.csv", lambda rows: setitem(rows[1], 1, "5.04"),
+         "decompscore.csv cell (alpha, rnd) = 5.04 but judgments give 5.0"),
+        ("decompscore.csv", lambda rows: rows.pop(),
+         "decompscore.csv cell (macro-average, generator) = None but judgments give "
+         "macro-average"),
+        ("factscore.csv", lambda rows: rows.pop(2),
+         "factscore.csv cell (beta, generator) = macro-average but judgments give beta"),
+        ("decompscore.csv", lambda rows: setitem(rows[0], 1, "xyz"),
+         "decompscore.csv lists method 'xyz', which is not among the audited methods"),
+    ], ids=["raw-cell", "rounded-cell", "no-macro-row", "no-generator-row", "unknown-method"])
+    def test_audit_requires_the_rendered_rows(self, data_dir, tmp_path, filename, change,
+                                              message):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        with open(out / filename, newline="") as fh:
+            rows = list(csv.reader(fh))
+        change(rows)
+        with open(out / filename, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(MetricsError) as caught:
+            cli.audit_outputs(out, ["rnd"])
+        assert str(caught.value).startswith(message)
+
+    def test_audit_of_a_mixed_run(self, data_dir, tmp_path):
+        # each report file is rendered for the methods it lists
+        out = tmp_path / "out"
+        both = ["--method", "wice"]
+        assert cli.main(["decompose", *_common(data_dir, out, both)]) == 0
+        assert cli.main(["decompscore", *_common(data_dir, out, both)]) == 0
+        assert cli.main(["factscore", *_common(
+            data_dir, out, ["--knowledge", str(data_dir / "knowledge_small.jsonl")])]) == 0
+        cli.audit_outputs(out, ["rnd", "wice"])
 
     def test_scatter_columns(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -193,6 +230,24 @@ class TestExitCodes:
                        "--generations", str(data_dir / "generations_small.jsonl"),
                        "--output-dir", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("url", ["localhost:9", "file:///nowhere"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_endpoint_url_not_http(self, data_dir, tmp_path, capsys, monkeypatch, url, source):
+        monkeypatch.delenv(ENDPOINT_URL_ENV, raising=False)
+        extra = []
+        if source == "flag":
+            extra = ["--endpoint", url]
+        else:
+            monkeypatch.setenv(ENDPOINT_URL_ENV, url)
+        cache = tmp_path / "cache"
+        rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
+                       "--output-dir", str(tmp_path / "out"), "--cache-dir", str(cache), *extra])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: no http or https endpoint configured (got {url!r}): pass --endpoint, "
+            f"set {ENDPOINT_URL_ENV}, or use --mock-responses\n")
+        assert not cache.exists()
 
     def test_max_inflight_below_one(self, data_dir, tmp_path):
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
@@ -298,6 +353,34 @@ class TestExitCodes:
         # the check comes before the first validator request
         assert not [p for p in cache.rglob("*") if p.is_file()]
         assert not (out / f"{cli.JSONL_FILES[stage]}-rnd.jsonl").exists()
+
+    def test_generator_a_method_lacks(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        both = ["--method", "wice"]
+        assert cli.main(["decompose", *_common(data_dir, out, both)]) == 0
+        path = out / "subclaims-wice.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if '"generator": "beta"' not in l),
+                        encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["decompscore", *_common(data_dir, out, both)]) == 2
+        assert capsys.readouterr().err == (
+            "error: method 'wice' has no subclaims for generator 'beta'\n")
+
+    def test_sentence_judgments_checked_before_any_request(self, data_dir, tmp_path, capsys):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        assert cli.main(["decompscore", *_common(data_dir, out)]) == 0
+        path = out / "subclaims-rnd.jsonl"
+        first = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(first | {"ordinal": 99}) + "\n")
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"), "--cache-dir", str(cache)]
+        capsys.readouterr()
+        assert cli.main(["factscore", *_common(data_dir, out, extra)]) == 2
+        assert capsys.readouterr().err.startswith("error: missing sentence judgment for ")
+        assert not [p for p in cache.rglob("*") if p.is_file()]
+        assert not (out / "knowledge-judgments-rnd.jsonl").exists()
 
     @pytest.mark.parametrize("stage, config", [
         ("decompose", {"max_inflight": "8"}),

@@ -92,6 +92,13 @@ class TestLoadGenerations:
         with pytest.raises(CorpusError, match="line 2"):
             load_generations(path)
 
+    def test_generator_named_as_the_average_row(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"topic": "a", "generator": "b", "output": "c"}\n'
+                        '{"topic": "a", "generator": "macro-average", "output": "c"}\n')
+        with pytest.raises(CorpusError, match=f"^{path}: line 2: generator 'macro-average' "):
+            load_generations(path)
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "g.jsonl"
         path.write_text('{"topic": "a", "generator": "b"}\n')
