@@ -22,7 +22,6 @@ import urllib.parse
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 from pathlib import Path
 
@@ -160,6 +159,8 @@ def _resolve_methods(cfg: RunConfig) -> dict[str, object]:
         if name not in registry:
             raise ConfigError(f"unknown method {name!r}; choose from {sorted(registry)}")
         method = registry[name]
+        if method.include_parse and not cfg.parses:
+            raise ConfigError(f"method {name!r} needs sentence parses (--parses PATH)")
         if isinstance(method, PredArgMethod):
             resolved[name] = method
             continue
@@ -172,11 +173,6 @@ def _resolve_methods(cfg: RunConfig) -> dict[str, object]:
             bank = default_bank()
         resolved[name] = method.with_bank(bank)
     return resolved
-
-
-def _decomposition_settings(cfg: RunConfig) -> GenerationSettings:
-    return GenerationSettings(temperature=cfg.temperature, max_tokens=cfg.max_tokens,
-                              context_window=cfg.context_window)
 
 
 # --- JSONL records ---------------------------------------------------------------
@@ -279,27 +275,32 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
     passages = _load_passages(cfg)
     methods = _resolve_methods(cfg)
     client = _build_client(cfg, "decomposer")
-    settings = _decomposition_settings(cfg)
+    settings = GenerationSettings(temperature=cfg.temperature, max_tokens=cfg.max_tokens,
+                                  context_window=cfg.context_window)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    counts: Counter[str] = Counter()
-    for name, method in methods.items():
+    pending: dict[str, list[Passage]] = {}
+    for name in methods:
         path = jsonl_path(outdir, "decompose", name)
-        done: set[tuple[str, str]] = set()
-        if path.exists():
-            done = {(r["generator"], r["topic"]) for r in _read_jsonl(path, _CLAIM_TYPES)}
-        pending = [p for p in passages if (p.generator, p.topic) not in done]
-        decompose = partial(decompose_passage, method, client=client, settings=settings)
-        with open(path, "a", encoding="utf-8") as fh:
-            for passage, claims in zip(pending, map_fn(decompose, pending)):
+        done = {(r["generator"], r["topic"])
+                for r in (_read_jsonl(path, _CLAIM_TYPES) if path.exists() else [])}
+        pending[name] = [p for p in passages if (p.generator, p.topic) not in done]
+
+    # every method's pending passages go through the pool as one batch
+    decomposed = map_fn(lambda job: decompose_passage(*job, client, settings),
+                        [(methods[name], p) for name, todo in pending.items() for p in todo])
+    counts: Counter[str] = Counter()
+    for name, todo in pending.items():
+        with open(jsonl_path(outdir, "decompose", name), "a", encoding="utf-8") as fh:
+            for passage, claims in zip(todo, decomposed):  # todo first: no extra result taken
                 # one buffered write per passage so an interrupt never leaves
                 # a partially decomposed passage behind
                 fh.write("".join(_dump_line(_record(c)) for c in claims))
                 fh.flush()
                 counts["empty_sentences"] += len({s.index for s in passage.sentences}
                                                  - {c.sentence_index for c in claims})
-        print(f"decompose[{name}]: {path}")
+        print(f"decompose[{name}]: {fh.name}")
     _warn(counts)
     return EXIT_OK
 

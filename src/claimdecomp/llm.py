@@ -17,6 +17,7 @@ import threading
 import time
 import typing
 import urllib.error
+import urllib.parse
 import urllib.request
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -43,6 +44,8 @@ class CompletionError(RuntimeError):
 
 class ContextLengthError(CompletionError):
     """The prompt (plus requested output) does not fit the model window."""
+
+    request: CompletionRequest | None = None  # the rejected request, set in a batch
 
 
 class TransientError(CompletionError):
@@ -75,6 +78,7 @@ class CompletionResponse:
 
 
 _RESPONSE_TYPES = typing.get_type_hints(CompletionResponse)
+_REJECTED = "context_length_error"  # a cache entry's field for a window rejection
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,9 @@ def _attempt(client: CompletionClient, next_round: threading.Lock, tried: int,
     while True:
         try:
             return client.complete(request)
+        except ContextLengthError as exc:
+            exc.request = request
+            raise
         except TransientError as exc:
             delay_s = retry_delay_s(exc, tried) if retry_delay_s else None
             if delay_s is None:
@@ -187,7 +194,8 @@ class ResponseCache:
     conflate. Each write goes to a temp file of its own and is renamed into
     place, so concurrent writers of one key, in any process, cannot clobber
     each other and readers never see a partial entry. An unreadable entry
-    counts as a miss.
+    counts as a miss. A window rejection is an entry with a
+    ``context_length_error`` message in place of the response fields.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -197,24 +205,29 @@ class ResponseCache:
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
-    def get(self, request: CompletionRequest) -> CompletionResponse | None:
+    def get(self, request: CompletionRequest) -> CompletionResponse | ContextLengthError | None:
         path = self._path(cache_key(request))
         where = f"cache entry {path}"
         try:
             entry = _json_object(where, path.read_bytes())
-            _check_fields(where, entry, _RESPONSE_TYPES)
+            rejected = _REJECTED in entry
+            _check_fields(where, entry, {_REJECTED: str} if rejected else _RESPONSE_TYPES)
         except FileNotFoundError:
             return None
         except CorpusError as exc:
             logger.warning("unreadable %s; treated as a miss", exc)
             return None
+        if rejected:
+            return ContextLengthError(entry[_REJECTED])
         return CompletionResponse(**{name: entry[name] for name in _RESPONSE_TYPES})
 
-    def put(self, request: CompletionRequest, response: CompletionResponse) -> None:
+    def put(self, request: CompletionRequest,
+            outcome: CompletionResponse | ContextLengthError) -> None:
+        fields = (vars(outcome) if isinstance(outcome, CompletionResponse)
+                  else {_REJECTED: str(outcome)})
         with _replacing(self._path(cache_key(request))) as tmp:
             tmp.write_text(
-                json.dumps({**vars(request), **vars(response)}, sort_keys=True,
-                           ensure_ascii=False),
+                json.dumps({**vars(request), **fields}, sort_keys=True, ensure_ascii=False),
                 encoding="utf-8",
             )
 
@@ -262,7 +275,8 @@ class CachingClient:
     ``complete_all`` reads the cache in the calling thread and sends only
     the distinct misses through the map, writing each to the cache as its
     response arrives, in every round of retries; ``complete`` is its
-    one-request case.
+    one-request case. A window rejection is cached too and raised again on
+    a hit, so a replay backs off as the first run did.
     """
 
     def __init__(self, inner: CompletionClient, cache_dir: str | Path,
@@ -281,12 +295,18 @@ class CachingClient:
     def complete_all(self, requests: Sequence[CompletionRequest],
                      map_fn: MapFn = map) -> list[CompletionResponse]:
         found = {request: self.cache.get(request) for request in dict.fromkeys(requests)}
+        if rejected := [hit for hit in found.values() if isinstance(hit, ContextLengthError)]:
+            raise rejected[0]
         misses = [request for request, hit in found.items() if hit is None]
         if misses and self.cache_only:
             raise CompletionError(f"cache miss in cache-only mode ({len(misses)} requests)")
-        for position, response in _answers(self.inner, misses, map_fn):
-            self.cache.put(misses[position], response)
-            found[misses[position]] = response
+        try:
+            for position, response in _answers(self.inner, misses, map_fn):
+                self.cache.put(misses[position], response)
+                found[misses[position]] = response
+        except ContextLengthError as exc:
+            self.cache.put(exc.request, exc)
+            raise
         return [found[request] for request in requests]
 
 
@@ -313,6 +333,9 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     """POST ``payload`` as JSON; the response's status, headers and body text,
     error statuses included. No response raises OSError or HTTPException."""
     try:
+        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+            # urllib would answer a file: URL with a status of None
+            raise ValueError(f"not an http or https URL: {url!r}")
         request = urllib.request.Request(
             url, json.dumps(payload).encode(), method="POST",
             headers={"Content-Type": "application/json", **headers})
@@ -321,7 +344,7 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     except urllib.error.HTTPError as exc:
         with exc:
             return exc.code, exc.headers, exc.read().decode("utf-8", "replace")
-    except ValueError as exc:  # a URL without a scheme never gets a response
+    except ValueError as exc:  # such a URL, or a header urllib refuses, gets no response
         raise urllib.error.URLError(exc) from exc
 
 

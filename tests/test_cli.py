@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from operator import setitem
 from pathlib import Path
@@ -39,14 +40,36 @@ def run_pipeline(data_dir, out_dir, extra=()):
         extra=["--knowledge", str(data_dir / "knowledge_small.jsonl"), *extra])]) == 0
 
 
-def _first_passage_only(full: Path, resumed: Path) -> None:
-    """Write to ``resumed`` the subclaims file an interrupt after the first
-    passage of ``full`` leaves behind."""
-    lines = (full / "subclaims-rnd.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
-    resumed.mkdir(parents=True)
-    (resumed / "subclaims-rnd.jsonl").write_text(
+def _decompose(data_dir, out_dir, methods, extra=()) -> int:
+    return cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
+                     "--mock-responses", str(data_dir / "mock_responses.json"),
+                     *(arg for name in methods for arg in ("--method", name)),
+                     "--output-dir", str(out_dir), *extra])
+
+
+def _first_passage_only(full: Path, resumed: Path, method: str = "rnd") -> None:
+    """Write to ``resumed`` the subclaims file of ``method`` an interrupt
+    after the first passage of ``full`` leaves behind."""
+    name = f"subclaims-{method}.jsonl"
+    lines = (full / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    resumed.mkdir(parents=True, exist_ok=True)
+    (resumed / name).write_text(
         "".join(l for l in lines if '"topic": "Ada Example"' in l
                 and '"generator": "alpha"' in l), encoding="utf-8")
+
+
+@pytest.fixture()
+def pool_maps(monkeypatch):
+    """The items of each ``map`` call on a stage pool, in call order."""
+    maps = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def map(self, fn, items):
+            maps.append(list(items))
+            return super().map(fn, maps[-1])
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    return maps
 
 
 class TestPipeline:
@@ -248,6 +271,17 @@ class TestExitCodes:
             f"error: no http or https endpoint configured (got {url!r}): pass --endpoint, "
             f"set {ENDPOINT_URL_ENV}, or use --mock-responses\n")
         assert not cache.exists()
+
+    @pytest.mark.parametrize("method", ["predpatt", "conllu"])
+    def test_method_needing_parses_run_without_them(self, data_dir, tmp_path, capsys, method):
+        # rnd comes first: no request of it may be sent before the run fails
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        extra = ["--method", method, "--cache-dir", str(cache),
+                 "--bank", f"conllu={data_dir / 'conllu_bank.jsonl'}"]
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: method {method!r} needs sentence parses (--parses PATH)\n")
+        assert not out.exists() and not cache.exists()
 
     def test_max_inflight_below_one(self, data_dir, tmp_path):
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
@@ -640,6 +674,34 @@ class TestStagePool:
                 data_dir, resumed, ["--max-inflight", width])]) == 0
             assert (resumed / "subclaims-rnd.jsonl").read_bytes() == full
 
+    def test_one_map_per_decompose_stage(self, data_dir, tmp_path, pool_maps):
+        alone = {}
+        for name in ("rnd", "wice"):
+            assert _decompose(data_dir, tmp_path / name, [name]) == 0
+            alone[name] = (tmp_path / name / f"subclaims-{name}.jsonl").read_bytes()
+        pool_maps.clear()
+        out = tmp_path / "both"
+        assert _decompose(data_dir, out, ["rnd", "wice"], ["--max-inflight", "1"]) == 0
+        # the fixture's 4 passages for each of the 2 methods, in one call
+        assert [len(items) for items in pool_maps] == [8]
+        for name in ("rnd", "wice"):
+            assert (out / f"subclaims-{name}.jsonl").read_bytes() == alone[name], name
+
+    @pytest.mark.parametrize("width", ["1", "8"])
+    def test_resume_across_methods(self, data_dir, tmp_path, pool_maps, width):
+        full, resumed = tmp_path / "full", tmp_path / "resumed"
+        assert _decompose(data_dir, full, ["rnd", "wice"]) == 0
+        resumed.mkdir()
+        (resumed / "subclaims-rnd.jsonl").write_bytes((full / "subclaims-rnd.jsonl").read_bytes())
+        _first_passage_only(full, resumed, "wice")
+        pool_maps.clear()
+        assert _decompose(data_dir, resumed, ["rnd", "wice"], ["--max-inflight", width]) == 0
+        assert [[(method.name, passage.generator, passage.topic) for method, passage in items]
+                for items in pool_maps] == [[("wice", "alpha", "Ben Sample"),
+                                             ("wice", "beta", "Ada Example"),
+                                             ("wice", "beta", "Ben Sample")]]
+        assert _tree_bytes(resumed) == _tree_bytes(full)
+
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_endpoint_failure_leaves_whole_passages(self, data_dir, tmp_path, capsys,
                                                      monkeypatch, n):
@@ -1013,6 +1075,25 @@ class TestCacheModes:
                        "--cache-dir", str(tmp_path / "empty-cache"), "--cache-only"])
         assert rc == 3
 
+    def test_cache_only_replays_window_rejections(self, data_dir, tmp_path):
+        # a static example of the bundled bank: every first prompt is rejected
+        spec = json.loads((data_dir / "mock_responses.json").read_text(encoding="utf-8"))
+        spec["decomposer"]["length_error_substrings"] = [
+            "She currently stars in the romantic comedy"]
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps(spec), encoding="utf-8")
+        cache = tmp_path / "cache"
+        extra = ["--mock-responses", str(mock), "--cache-dir", str(cache)]
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm", extra)]) == 0
+        entries = [json.loads(p.read_text(encoding="utf-8"))
+                   for p in (cache / "decomposer").glob("*.json")]
+        assert any("context_length_error" in entry for entry in entries)
+
+        assert cli.main(["decompose", *_common(data_dir, tmp_path / "replay", extra),
+                         "--cache-only"]) == 0
+        assert (tmp_path / "replay" / "subclaims-rnd.jsonl").read_bytes() == \
+            (tmp_path / "warm" / "subclaims-rnd.jsonl").read_bytes()
+
     def test_cache_only_with_unreadable_entry_is_endpoint_error(self, data_dir, tmp_path):
         cache = tmp_path / "cache"
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm"),
@@ -1134,8 +1215,8 @@ class TestBenchmarkHooks:
                 cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             spans |= {span[2] for span in json.loads(trace.read_text())["spans"]}
-        assert {"decompose.retrieve_examples", "decompose.assemble_prompt",
-                "decompose.prompted_claim_texts", "llm.request",
+        assert {"decompose.decompose_passage", "decompose.retrieve_examples",
+                "decompose.assemble_prompt", "decompose.prompted_claim_texts", "llm.request",
                 "validate.judge_decomposition", "validate.judge_facts",
                 "metrics.results_from_judgments", "metrics.method_report"} <= spans
 

@@ -196,6 +196,28 @@ class TestCache:
         assert inner.calls == 0 and mapped == []
         assert complete_all(client, [req("warm")], recording_map)[0].text == "out"
 
+    def test_window_rejection_is_cached_and_raised_again(self, tmp_path):
+        inner = MockCompletionClient(length_error_substrings=("too long",))
+        client = CachingClient(inner, tmp_path)
+        request = req("far too long")
+        for _ in range(2):
+            with pytest.raises(ContextLengthError, match="exceeds context window"):
+                client.complete(request)
+        assert inner.calls == [request]
+        entry = json.loads((tmp_path / f"{cache_key(request)}.json").read_text(encoding="utf-8"))
+        assert entry == {**vars(request),
+                         "context_length_error": "mock: prompt exceeds context window"}
+        with pytest.raises(ContextLengthError):
+            CachingClient(CountingClient(), tmp_path, cache_only=True).complete(request)
+
+    def test_wrong_typed_rejection_is_a_logged_miss(self, tmp_path, caplog):
+        request = req("p")
+        entry = tmp_path / f"{cache_key(request)}.json"
+        entry.write_text('{"context_length_error": 5}', encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            assert ResponseCache(tmp_path).get(request) is None
+        assert "field 'context_length_error'" in caplog.text
+
     def test_batch_without_cache_maps_every_request(self):
         inner = CountingClient()
         responses = complete_all(inner, [req("a"), req("a")])
@@ -470,6 +492,15 @@ class TestHttpClient:
     def test_url_without_scheme_fails_as_no_response(self, monkeypatch):
         self._clock(monkeypatch)
         client = HttpCompletionClient(url="example.test/v1/completions", max_retries=1)
+        with pytest.raises(CompletionError, match="retries exhausted: request failed"):
+            send(client, req())
+
+    def test_file_url_fails_as_no_response(self, monkeypatch, tmp_path):
+        # urllib answers a file: URL without an HTTP status
+        self._clock(monkeypatch)
+        target = tmp_path / "f.json"
+        target.write_text('{"choices": [{"text": "x"}]}', encoding="utf-8")
+        client = HttpCompletionClient(url=target.as_uri(), max_retries=1)
         with pytest.raises(CompletionError, match="retries exhausted: request failed"):
             send(client, req())
 
