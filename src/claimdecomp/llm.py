@@ -8,7 +8,6 @@ POST ``{model, prompt, max_tokens, temperature}`` returning
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import logging
 import math
@@ -16,9 +15,7 @@ import os
 import threading
 import time
 import typing
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -26,6 +23,9 @@ from pathlib import Path
 from typing import Protocol
 
 from .corpus import CorpusError, _check_fields, _json_object, _replacing
+
+if typing.TYPE_CHECKING:  # imported where a request is sent, so a run that sends none skips it
+    import http.client
 
 logger = logging.getLogger(__name__)
 
@@ -328,24 +328,93 @@ def _retry_after_s(headers: http.client.HTTPMessage) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
+class _Connections(dict):
+    """One thread's open connections by (scheme, host, port, timeout): each
+    is the connection and, when it goes through an http proxy, the headers
+    that proxy gets, or else None. They close when the thread ends."""
+
+    def __del__(self) -> None:
+        for connection, _ in self.values():
+            connection.close()
+
+
+_local = threading.local()
+
+
+def _connect(parts: urllib.parse.SplitResult,
+             timeout_s: float) -> tuple[http.client.HTTPConnection, dict[str, str] | None]:
+    """A ``_Connections`` entry for the origin of ``parts``, routed as
+    ``urlopen`` routes it by the ``*_proxy`` environment: an http proxy
+    gets absolute-form targets, and an https one a CONNECT tunnel."""
+    import base64
+    import http.client
+    import urllib.request
+
+    connection_class = (http.client.HTTPSConnection if parts.scheme == "https"
+                        else http.client.HTTPConnection)
+    # a port of None would have http.client read an IPv6 host's last group as one
+    port = parts.port or connection_class.default_port
+    proxy = urllib.request.getproxies().get(parts.scheme)
+    if not proxy or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return connection_class(parts.hostname, port, timeout=timeout_s), None
+    proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+    proxy_headers = {}
+    if proxy.username and proxy.password:
+        credentials = ":".join(map(urllib.parse.unquote, (proxy.username, proxy.password)))
+        proxy_headers["Proxy-Authorization"] = \
+            f"Basic {base64.b64encode(credentials.encode()).decode()}"
+    connection = connection_class(proxy.hostname, proxy.port or connection_class.default_port,
+                                  timeout=timeout_s)
+    if parts.scheme == "http":
+        return connection, proxy_headers
+    connection.set_tunnel(parts.hostname, port, proxy_headers)
+    return connection, None
+
+
 def post_json(url: str, payload: dict, headers: dict[str, str],
               timeout_s: float) -> tuple[int, http.client.HTTPMessage, str]:
     """POST ``payload`` as JSON; the response's status, headers and body text,
-    error statuses included. No response raises OSError or HTTPException."""
+    error statuses included. No response raises OSError or HTTPException.
+
+    Each thread sends its requests to an origin over one HTTP/1.1 keep-alive
+    connection. A kept-alive connection that fails before any status line
+    was closed by the server while idle, so the request goes once more over
+    a new one, at once: that is not an attempt of the caller's retries. Any
+    other failure, a timeout or one on a new connection, is raised."""
+    parts = urllib.parse.urlsplit(url)
+    connections = getattr(_local, "connections", None)
+    if connections is None:
+        connections = _local.connections = _Connections()
     try:
-        if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
-            # urllib would answer a file: URL with a status of None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(f"not an http or https URL: {url!r}")
-        request = urllib.request.Request(
-            url, json.dumps(payload).encode(), method="POST",
-            headers={"Content-Type": "application/json", **headers})
-        with urllib.request.urlopen(request, timeout=timeout_s) as resp:
-            return resp.status, resp.headers, resp.read().decode("utf-8", "replace")
-    except urllib.error.HTTPError as exc:
-        with exc:
-            return exc.code, exc.headers, exc.read().decode("utf-8", "replace")
-    except ValueError as exc:  # such a URL, or a header urllib refuses, gets no response
-        raise urllib.error.URLError(exc) from exc
+        key = (parts.scheme, parts.hostname, parts.port, timeout_s)
+        body = json.dumps(payload).encode()
+        while True:
+            if key not in connections:
+                connections[key] = _connect(parts, timeout_s)
+            connection, proxy_headers = connections[key]
+            target = urllib.parse.urlunsplit(
+                ("", "", parts.path or "/", parts.query, "") if proxy_headers is None
+                else parts._replace(fragment=""))
+            reused, answered = connection.sock is not None, False
+            try:
+                connection.request("POST", target, body, {
+                    "Content-Type": "application/json", **(proxy_headers or {}), **headers})
+                with connection.getresponse() as response:
+                    answered = True
+                    # read to the end, whatever the status, so the connection can go on
+                    return (response.status, response.headers,
+                            response.read().decode("utf-8", "replace"))
+            except BaseException as exc:
+                connections.pop(key)[0].close()
+                if not (reused and not answered
+                        and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
+                    raise
+    except ValueError as exc:  # such a URL, or a header http.client refuses, gets no response
+        from urllib.error import URLError
+
+        raise URLError(exc) from exc
 
 
 class HttpCompletionClient:
@@ -383,6 +452,8 @@ class HttpCompletionClient:
         return self.backoff_s * 2 ** attempt
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import http.client
+
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
             status, resp_headers, body = post_json(self.url, vars(request), headers,

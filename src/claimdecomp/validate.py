@@ -17,7 +17,6 @@ Every request uses ``VALIDATOR_SETTINGS``, and every judgment's
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import re
@@ -188,6 +187,8 @@ class HttpNliClient:
         self.timeout_s = timeout_s
 
     def classify(self, premise: str, hypothesis: str) -> NliVerdict:
+        import http.client
+
         try:
             status, _, body = post_json(
                 self.url, {"premise": premise, "hypothesis": hypothesis}, {}, self.timeout_s)

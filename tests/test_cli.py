@@ -1222,11 +1222,18 @@ class TestBenchmarkHooks:
 
 
 class TestStdlibRuntime:
-    def test_cli_imports_no_third_party_runtime(self):
-        code = ("import sys, claimdecomp.cli; "
-                "print(sorted({'numpy', 'requests', 'urllib3'} & set(sys.modules)))")
+    def _loaded_by_import(self, modules):
+        """Which of ``modules`` a fresh interpreter holds after ``import claimdecomp.cli``."""
+        code = f"import sys, claimdecomp.cli; print(sorted({modules!r} & set(sys.modules)))"
         proc = subprocess.run([sys.executable, "-c", code], cwd=REPO,
                               env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip()
+
+    def test_cli_imports_no_third_party_runtime(self):
+        assert self._loaded_by_import({"numpy", "requests", "urllib3"}) == "[]"
+
+    def test_cli_imports_no_http_client(self):
+        # mock, --cache-only and index build runs send no request, so never load them
+        assert self._loaded_by_import({"http.client", "urllib.request", "email"}) == "[]"

@@ -668,3 +668,129 @@ class TestLoopback:
             client.classify("p", "h")
         with pytest.raises(ValidateError, match="malformed"):
             client.classify("p", "h")
+
+
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """An HTTP/1.1 server that counts the connections it accepts and records
+    each POST's target and prompt. It answers ``server.body``; or, with
+    ``server.hold_s`` set, reads the request and waits that long without
+    answering. With ``server.close_after`` set it closes each connection
+    after its first response, without saying so."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.received.append((self.path, self.headers["Host"],
+                                     payload.get("prompt", payload.get("premise"))))
+        if self.server.hold_s is not None:
+            self.server.release.wait(self.server.hold_s)
+            self.close_connection = True
+            return
+        data = self.server.body.encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = self.server.close_after
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def keepalive():
+    """A ``KeepAliveHandler`` server on 127.0.0.1; yields (server, url)."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
+    server.lock, server.connections, server.received = threading.Lock(), 0, []
+    server.body, server.hold_s = '{"choices": [{"text": "ok"}]}', None
+    server.close_after, server.release = False, threading.Event()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server, f"http://127.0.0.1:{server.server_address[1]}/v1"
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+def in_a_thread(fn):
+    """``fn()`` run in a thread of its own, whose connections close when it ends."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
+
+
+class TestConnectionReuse:
+    def test_each_pool_worker_keeps_one_connection(self, keepalive):
+        server, url = keepalive
+        client = HttpCompletionClient(url=url)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            responses = complete_all(client, [req(f"p{i}") for i in range(20)], pool.map)
+        assert [r.text for r in responses] == ["ok"] * 20
+        assert len(server.received) == 20 and server.connections <= 2
+
+    def test_nli_client_keeps_one_connection(self, keepalive):
+        server, url = keepalive
+        server.body = '{"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}'
+        client = HttpNliClient(url)
+        verdicts = in_a_thread(lambda: [client.classify("p", "h") for _ in range(3)])
+        assert verdicts == [NliVerdict(0.7, 0.2, 0.1)] * 3
+        assert len(server.received) == 3 and server.connections == 1
+
+    def test_connection_closed_while_idle_is_sent_once_more_at_once(self, keepalive):
+        server, url = keepalive
+        server.close_after = True
+        client = HttpCompletionClient(url=url, backoff_s=5.0)
+
+        def two_requests():
+            send(client, req("a"))
+            started = time.monotonic()
+            response = send(client, req("b"))
+            return response, time.monotonic() - started
+
+        response, took_s = in_a_thread(two_requests)
+        assert response.text == "ok" and took_s < 1.0
+        assert [prompt for _, _, prompt in server.received] == ["a", "b"]
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("hold_s", [5.0, 0.0], ids=["timeout", "hang-up"])
+    def test_no_answer_on_a_new_connection_is_not_sent_again(self, keepalive, hold_s):
+        server, url = keepalive
+        server.hold_s = hold_s
+        client = HttpCompletionClient(url=url, timeout_s=0.2)
+        with pytest.raises(TransientError, match="request failed"):
+            in_a_thread(lambda: client.complete(req("a")))
+        assert [prompt for _, _, prompt in server.received] == ["a"]
+
+
+class TestProxy:
+    @pytest.fixture(autouse=True)
+    def no_proxy_settings(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    def test_http_proxy_gets_the_absolute_form_target(self, keepalive, monkeypatch):
+        server, url = keepalive
+        monkeypatch.setenv("http_proxy", url.removesuffix("/v1"))
+        # nothing listens on port 9, so a request that skipped the proxy fails
+        client = HttpCompletionClient(url="http://localhost:9/v1/completions?x=1")
+        assert in_a_thread(lambda: client.complete(req("a"))).text == "ok"
+        assert server.received == [
+            ("http://localhost:9/v1/completions?x=1", "localhost:9", "a")]
+
+    def test_no_proxy_host_goes_direct(self, keepalive, monkeypatch):
+        server, url = keepalive
+        monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+        monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+        client = HttpCompletionClient(url=url + "/completions")
+        assert in_a_thread(lambda: client.complete(req("a"))).text == "ok"
+        assert [(path, prompt) for path, _, prompt in server.received] == \
+            [("/v1/completions", "a")]
