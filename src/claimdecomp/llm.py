@@ -114,72 +114,121 @@ def completion_request(client: CompletionClient, prompt: str,
 
 def complete_text(client: CompletionClient, prompt: str,
                   settings: GenerationSettings) -> CompletionResponse:
-    """One request as a batch of one: its retries wait in this thread."""
+    """One request as a batch of one, sent from this thread: its retries go
+    through the client's throttle like any other request's."""
     return complete_all(client, [completion_request(client, prompt, settings)])[0]
 
 
 def complete_all(client: CompletionClient, requests: Sequence[CompletionRequest],
                  map_fn: MapFn = map) -> list[CompletionResponse]:
-    """Responses to ``requests``, in order. The calls go through ``map_fn``,
-    so a pool's map overlaps them, in the rounds of ``_answers``; a client
-    with its own ``complete_all``, such as the cache, decides which requests
-    reach it."""
+    """Responses to ``requests``, in order. Each request goes through
+    ``map_fn``, so a pool's map overlaps them, and is sent and retried by
+    ``_send``; a client with its own ``complete_all``, such as the cache,
+    decides which requests reach it."""
     batch = getattr(client, "complete_all", None)
     if batch is not None:
         return batch(requests, map_fn)
-    answers = dict(_answers(client, requests, map_fn))
-    return [answers[position] for position in range(len(requests))]
+    return list(map_fn(partial(_send, client), requests))
 
 
-def _attempt(client: CompletionClient, next_round: threading.Lock, tried: int,
-             request: CompletionRequest) -> CompletionResponse | tuple[float, int]:
-    """The response to ``request``, tried ``tried`` times before; or, once a
-    transient failure is the first to take ``next_round``, the
-    ``time.monotonic()`` its retry is due and the tries so far. Any other
-    transient failure is retried here after the client's ``retry_delay_s``."""
-    retry_delay_s = getattr(client, "retry_delay_s", None)
-    while True:
-        try:
-            return client.complete(request)
-        except ContextLengthError as exc:
-            exc.request = request
-            raise
-        except TransientError as exc:
-            delay_s = retry_delay_s(exc, tried) if retry_delay_s else None
-            if delay_s is None:
-                raise CompletionError(f"retries exhausted: {exc}") from exc
-            tried += 1
-            logger.warning("completion attempt %d failed (%s); retry due in %.2f s",
-                           tried, exc, delay_s)
-            if next_round.acquire(blocking=False):
-                return time.monotonic() + delay_s, tried
-            time.sleep(delay_s)
+def _send(client: CompletionClient, request: CompletionRequest) -> CompletionResponse:
+    """The response to ``request``, retried by the client's ``throttle``; a
+    client without one makes one attempt."""
+    throttle = getattr(client, "throttle", None)
+    try:
+        return throttle.send(client.complete, request) if throttle else client.complete(request)
+    except ContextLengthError as exc:
+        exc.request = request
+        raise
 
 
-def _answers(client: CompletionClient, requests: Sequence[CompletionRequest],
-             map_fn: MapFn) -> Iterator[tuple[int, CompletionResponse]]:
-    """(position, response) for each of ``requests``, as the responses come
-    back. The requests go through ``map_fn`` in rounds. A request that fails
-    transiently is due again the client's ``retry_delay_s`` after its
-    failure. The first to fail in a round makes up the next round, sent once
-    it is due, so its worker moves on to the rest of the batch and the wait
-    is in the calling thread. Any other that fails in the round is retried by
-    its own worker after the delay: each such wait takes a worker out of the
-    pool, so a throttled endpoint slows the batch down instead of using up
-    its retries. Any other error ends the batch."""
-    pending, tried, due_at = list(range(len(requests))), 0, -math.inf
-    while pending:
-        wait_s = due_at - time.monotonic()
-        if wait_s > 0:
+class Throttle:
+    """When one client's requests may be sent, shared by every thread that
+    sends through the client: a window on how many are in flight, and a hold
+    on every worker.
+
+    The window starts unbounded, so the pool's width is the only cap, and
+    each answer grows it by 1/window. A transient failure with no
+    ``Retry-After`` while other requests are in flight halves it to
+    max(1, in-flight / 2), counting the failed one, and the request is sent
+    again as soon as the window admits it: no wait, no retry spent. The same
+    failure with nothing else in flight holds every worker for ``backoff_s *
+    2 ** tries``, and a ``Retry-After`` holds every worker until the time it
+    names; each spends one of the request's ``max_retries``. A resend that
+    spends nothing needs another request in flight, and only answers grow
+    the window, so against an endpoint that answers nothing the window
+    falls to 1 within log2(width) halvings and every later failure spends a
+    retry. Waits go through ``time.sleep``, one warning per decision.
+    """
+
+    def __init__(self, max_retries: int, backoff_s: float):
+        if max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        if not math.isfinite(backoff_s) or backoff_s < 0:
+            raise ValueError(f"backoff_s must be finite and >= 0, got {backoff_s}")
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
+        self.window = math.inf
+        self.in_flight = 0
+        self.held_until = -math.inf
+        self._changed = threading.Condition()
+
+    def send(self, complete: Callable[[CompletionRequest], CompletionResponse],
+             request: CompletionRequest) -> CompletionResponse:
+        """``complete(request)``, attempted as the rule above admits it."""
+        tries = 0
+        while True:
+            self._admit()
+            try:
+                response = complete(request)
+            except TransientError as exc:
+                tries += self._failed(exc, tries)
+                continue
+            except BaseException:
+                self._leave(answered=False)
+                raise
+            self._leave(answered=True)
+            return response
+
+    def _admit(self) -> None:
+        """Wait until no hold is on and the window has room, then count one
+        more request in flight."""
+        while True:
+            with self._changed:
+                while self.in_flight >= self.window:
+                    self._changed.wait()
+                wait_s = self.held_until - time.monotonic()
+                if wait_s <= 0:
+                    self.in_flight += 1
+                    return
             time.sleep(wait_s)
-        batch, pending = pending, []
-        outcomes = map_fn(partial(_attempt, client, threading.Lock(), tried),
-                          [requests[position] for position in batch])
-        for position, outcome in zip(batch, outcomes):
-            if isinstance(outcome, CompletionResponse):
-                yield position, outcome
-            else:
-                pending, (due_at, tried) = [position], outcome
+
+    def _leave(self, answered: bool) -> None:
+        with self._changed:
+            self.in_flight -= 1
+            if answered:
+                self.window += 1 / self.window
+            self._changed.notify_all()
+
+    def _failed(self, error: TransientError, tries: int) -> int:
+        """Count a request tried ``tries`` times before out of flight after
+        ``error``, and apply the rule: 1 if that spent a retry, else 0."""
+        with self._changed:
+            in_flight, self.in_flight = self.in_flight, self.in_flight - 1
+            self._changed.notify_all()
+            if error.retry_after_s is None and in_flight > 1:
+                self.window = min(self.window, max(1.0, in_flight / 2))
+                logger.warning("completion attempt failed (%s) with %d in flight; "
+                               "window halved to %.3g", error, in_flight, self.window)
+                return 0
+            if tries >= self.max_retries:
+                raise CompletionError(f"retries exhausted: {error}") from error
+            hold_s = (self.backoff_s * 2 ** tries if error.retry_after_s is None
+                      else error.retry_after_s)
+            self.held_until = max(self.held_until, time.monotonic() + hold_s)
+            logger.warning("completion attempt %d failed (%s); all workers held %.2f s",
+                           tries + 1, error, hold_s)
+            return 1
 
 
 def cache_key(request: CompletionRequest) -> str:
@@ -273,10 +322,10 @@ class CachingClient:
     into errors instead of forwarding them.
 
     ``complete_all`` reads the cache in the calling thread and sends only
-    the distinct misses through the map, writing each to the cache as its
-    response arrives, in every round of retries; ``complete`` is its
-    one-request case. A window rejection is cached too and raised again on
-    a hit, so a replay backs off as the first run did.
+    the distinct misses through the map, writing each response to the cache
+    as the map yields it; ``complete`` is its one-request case. A window
+    rejection is cached too and raised again on a hit, so a replay backs off
+    as the first run did.
     """
 
     def __init__(self, inner: CompletionClient, cache_dir: str | Path,
@@ -301,9 +350,9 @@ class CachingClient:
         if misses and self.cache_only:
             raise CompletionError(f"cache miss in cache-only mode ({len(misses)} requests)")
         try:
-            for position, response in _answers(self.inner, misses, map_fn):
-                self.cache.put(misses[position], response)
-                found[misses[position]] = response
+            for request, response in zip(misses, map_fn(partial(_send, self.inner), misses)):
+                self.cache.put(request, response)
+                found[request] = response
         except ContextLengthError as exc:
             self.cache.put(exc.request, exc)
             raise
@@ -322,10 +371,28 @@ def _looks_like_context_overflow(status: int, body: str) -> bool:
 
 
 def _retry_after_s(headers: http.client.HTTPMessage) -> float | None:
-    """The delta-seconds ``Retry-After`` of a response, or None (absent, or
-    the HTTP-date form)."""
+    """The delay a response's ``Retry-After`` names, in delta-seconds or as an
+    HTTP-date (RFC 9110, section 10.2.3), never below 0; None when it is
+    absent or unreadable."""
     value = headers.get("Retry-After", "").strip()
-    return float(value) if value.isascii() and value.isdigit() else None
+    if value.isascii() and value.isdigit():
+        return float(value)
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
+    try:
+        date = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if date.tzinfo is None:  # an HTTP-date is always GMT; "-0000" parses as naive
+        date = date.replace(tzinfo=timezone.utc)
+    return max(0.0, (date - datetime.now(timezone.utc)).total_seconds())
+
+
+def _checked_timeout_s(timeout_s: float) -> float:
+    if not math.isfinite(timeout_s) or timeout_s <= 0:
+        raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s}")
+    return timeout_s
 
 
 class _Connections(dict):
@@ -421,12 +488,14 @@ class HttpCompletionClient:
     """Completions-endpoint client.
 
     ``complete`` makes one attempt. A transient failure (no response, 429,
-    5xx) raises TransientError, and ``complete_all`` and ``complete_text``
-    retry it up to ``max_retries`` times, after exponential backoff or the
-    delay a 429 or 503 names in a delta-seconds ``Retry-After``; window
+    5xx) raises TransientError, with the delay a 429 or 503 names in its
+    ``Retry-After``. ``complete_all`` and ``complete_text`` send every
+    request through the client's one ``Throttle``, shared by all the threads
+    that send through it, which resends on a shrunken window or holds every
+    worker and spends one of ``max_retries`` (see ``Throttle``); window
     rejections surface as ContextLengthError so callers can shrink their
-    prompts. The client bounds nothing itself: concurrency is the width of
-    the pool whose map calls ``complete``.
+    prompts. The client takes no concurrency bound: the width of the pool
+    whose map sends its requests is the only cap.
     """
 
     def __init__(self, url: str | None = None, model: str = "default",
@@ -438,18 +507,8 @@ class HttpCompletionClient:
                 f"no endpoint URL configured (flag/config or {ENDPOINT_URL_ENV})")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.timeout_s = timeout_s
-
-    def retry_delay_s(self, error: TransientError, attempt: int) -> float | None:
-        """Seconds from the failure of ``attempt`` (0 for the first) to the
-        next attempt, or None once the retries are spent."""
-        if attempt >= self.max_retries:
-            return None
-        if error.retry_after_s is not None:
-            return error.retry_after_s
-        return self.backoff_s * 2 ** attempt
+        self.throttle = Throttle(max_retries, backoff_s)
+        self.timeout_s = _checked_timeout_s(timeout_s)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         import http.client

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .decompose import Subclaim
 from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn,
-                  complete_all, completion_request, post_json)
+                  _checked_timeout_s, complete_all, completion_request, post_json)
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
 from .retrieval import DEFAULT_TOP_K, Index, search
@@ -184,7 +184,7 @@ class HttpNliClient:
 
     def __init__(self, url: str, timeout_s: float = 60.0):
         self.url = url
-        self.timeout_s = timeout_s
+        self.timeout_s = _checked_timeout_s(timeout_s)
 
     def classify(self, premise: str, hypothesis: str) -> NliVerdict:
         import http.client

@@ -8,6 +8,7 @@ import threading
 import time
 import urllib.error
 from concurrent.futures import ThreadPoolExecutor
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -15,7 +16,8 @@ import pytest
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError,
                              HttpCompletionClient, MockCompletionClient,
-                             ResponseCache, TransientError, cache_key, complete_all)
+                             ResponseCache, Throttle, TransientError, cache_key,
+                             complete_all)
 from claimdecomp.validate import HttpNliClient, NliVerdict, ValidateError
 
 
@@ -38,14 +40,13 @@ class CountingClient:
 
 class FlakyClient(CountingClient):
     """Fails the first attempt at each of ``flaky`` prompts transiently;
-    retries at once, up to ``max_retries`` times."""
-
-    max_retries = 1
+    its throttle retries once, with no backoff."""
 
     def __init__(self, *flaky):
         super().__init__()
         self.flaky = set(flaky)
         self.prompts = []
+        self.throttle = Throttle(max_retries=1, backoff_s=0.0)
 
     def complete(self, request):
         self.prompts.append(request.prompt)
@@ -53,9 +54,6 @@ class FlakyClient(CountingClient):
             self.flaky.discard(request.prompt)
             raise TransientError("HTTP 503")
         return super().complete(request)
-
-    def retry_delay_s(self, error, attempt):
-        return 0.0 if attempt < self.max_retries else None
 
 
 def _put_one_key(cache_dir: str, writer: int, threads: int, rounds: int) -> None:
@@ -333,12 +331,18 @@ class FakePost:
         return [later - earlier for earlier, later in zip(self.times, self.times[1:])]
 
 
+def http_client(monkeypatch, post, **kw):
+    monkeypatch.setattr("claimdecomp.llm.post_json", post)
+    return HttpCompletionClient(url="http://example.test/v1/completions", model="m", **kw)
+
+
+OK = reply(payload={"choices": [{"text": "ok"}]})
+
+
 class TestHttpClient:
     def _client(self, monkeypatch, post, **kw):
-        monkeypatch.setattr("claimdecomp.llm.post_json", post)
         kw.setdefault("backoff_s", 0.0)
-        return HttpCompletionClient(url="http://example.test/v1/completions",
-                                    model="m", **kw)
+        return http_client(monkeypatch, post, **kw)
 
     def _clock(self, monkeypatch):
         clock = FakeClock()
@@ -385,7 +389,8 @@ class TestHttpClient:
         (503, "0", [0.0]),
         (429, None, [0.5]),
         (500, "2", [0.5]),  # only a 429 or 503 names the delay
-        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.5]),  # HTTP-date form: backoff
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", [0.0]),  # an HTTP-date in the past
+        (429, "not a date", [0.5]),
     ])
     def test_retry_after_replaces_backoff(self, monkeypatch, status, retry_after, slept):
         headers = {"Retry-After": retry_after} if retry_after is not None else {}
@@ -397,6 +402,35 @@ class TestHttpClient:
         assert response.text == "ok"
         assert post.waits() == slept
 
+    def test_retry_after_http_date_in_the_future(self, monkeypatch):
+        post = FakePost([
+            reply(status=503, headers={"Retry-After": formatdate(time.time() + 30, usegmt=True)}),
+            OK,
+        ], self._clock(monkeypatch))
+        assert send(self._client(monkeypatch, post, backoff_s=0.5), req()).text == "ok"
+        # whole seconds on the wire, and the clock moved on since formatting
+        (wait,) = post.waits()
+        assert 28.0 < wait <= 30.0
+
+    @pytest.mark.parametrize("setting, value", [
+        ("max_retries", -1),
+        ("backoff_s", -1.0),
+        ("backoff_s", math.nan),
+        ("backoff_s", math.inf),
+        ("timeout_s", 0.0),
+        ("timeout_s", -1.0),
+        ("timeout_s", math.nan),
+        ("timeout_s", math.inf),
+    ])
+    def test_out_of_range_setting(self, setting, value):
+        with pytest.raises(ValueError, match=setting):
+            HttpCompletionClient(url="http://example.test/v1", **{setting: value})
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf])
+    def test_nli_client_out_of_range_timeout(self, timeout_s):
+        with pytest.raises(ValueError, match="timeout_s"):
+            HttpNliClient("http://example.test/nli", timeout_s=timeout_s)
+
     def test_backoff_doubles_per_attempt(self, monkeypatch):
         post = FakePost([reply(status=500)] * 4, self._clock(monkeypatch))
         with pytest.raises(CompletionError, match="retries exhausted"):
@@ -407,45 +441,6 @@ class TestHttpClient:
         post = FakePost([reply(status=500)] * 3)
         with pytest.raises(CompletionError, match="retries exhausted"):
             send(self._client(monkeypatch, post, max_retries=2), req())
-
-    def test_retry_waits_for_the_rest_of_its_batch(self, monkeypatch):
-        clock = self._clock(monkeypatch)
-        sent = []
-
-        def post(url, payload, headers, timeout_s):
-            sent.append((payload["prompt"], clock.now))
-            clock.now += 0.1  # each post takes 0.1 s
-            if [prompt for prompt, _ in sent] == ["a"]:
-                return reply(status=429)
-            return reply(payload={"choices": [{"text": payload["prompt"].upper()}]})
-
-        client = self._client(monkeypatch, post, backoff_s=0.5)
-        responses = complete_all(client, [req("a"), req("b"), req("c"), req("d")], map)
-        assert [r.text for r in responses] == ["A", "B", "C", "D"]
-        assert [prompt for prompt, _ in sent] == ["a", "b", "c", "d", "a"]
-        # "a" failed at 0.1 s; the wait runs from then, not from the round's end at 0.4 s
-        assert clock.sleeps == [pytest.approx(0.2)]
-        assert sent[-1][1] == pytest.approx(0.6)
-
-    def test_later_failure_in_a_round_waits_in_its_worker(self, monkeypatch):
-        clock = self._clock(monkeypatch)
-        sent = []
-
-        def post(url, payload, headers, timeout_s):
-            sent.append((payload["prompt"], clock.now))
-            clock.now += 0.1  # each post takes 0.1 s
-            if len(sent) <= 2:  # the first tries of "a" and "b"
-                return reply(status=429)
-            return reply(payload={"choices": [{"text": payload["prompt"].upper()}]})
-
-        client = self._client(monkeypatch, post, backoff_s=0.5)
-        responses = complete_all(client, [req("a"), req("b"), req("c")], map)
-        assert [r.text for r in responses] == ["A", "B", "C"]
-        # "a" waits for the next round; "b" fails while it waits, so b's
-        # worker sleeps through the backoff and sends it again before "c"
-        assert [prompt for prompt, _ in sent] == ["a", "b", "b", "c", "a"]
-        assert clock.sleeps == [pytest.approx(0.5)]
-        assert sent[2][1] == pytest.approx(0.7) and sent[-1][1] == pytest.approx(0.9)
 
     def test_context_length_error_kind(self, monkeypatch):
         post = FakePost([reply(
@@ -505,26 +500,146 @@ class TestHttpClient:
             send(client, req())
 
 
-class TestRounds:
-    def test_one_failed_request_per_round_goes_to_the_next(self):
-        # Every request fails its first try at once; a lost update of the
-        # round's one place in the next round would put two requests there.
+class Logged(logging.Handler):
+    """Sets ``event`` once ``claimdecomp.llm`` logs a record containing
+    ``text``: a throttle decision has been taken."""
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+        self.event = threading.Event()
+
+    def emit(self, record):
+        if self.text in record.getMessage():
+            self.event.set()
+
+
+@pytest.fixture
+def logged():
+    """Attaches ``Logged(text)`` handlers to the ``claimdecomp.llm`` logger."""
+    handlers = []
+
+    def attach(text):
+        handlers.append(Logged(text))
+        logging.getLogger("claimdecomp.llm").addHandler(handlers[-1])
+        return handlers[-1].event
+
+    yield attach
+    for handler in handlers:
+        logging.getLogger("claimdecomp.llm").removeHandler(handler)
+
+
+class TestThrottle:
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_bare_429_with_others_in_flight_is_sent_again_at_once(
+            self, monkeypatch, caplog, logged, width):
+        # "a" fails while the others are in flight; they answer only once the
+        # window has been halved, so "a" cannot have been alone
+        others_sent, halved = threading.Barrier(width), logged("window halved")
+        events = []
+
+        def post(url, payload, headers, timeout_s):
+            prompt = payload["prompt"]
+            events.append(f"sent {prompt}")
+            if prompt == "a" and events.count("sent a") == 1:
+                others_sent.wait(timeout=5)
+                return reply(status=429)
+            if prompt != "a":
+                others_sent.wait(timeout=5)
+                halved.wait(timeout=2)
+            events.append(f"answered {prompt}")
+            return OK
+
+        client = http_client(monkeypatch, post, backoff_s=2.0)
+        prompts = ["a"] + [f"p{i}" for i in range(1, width)]
+        started = time.monotonic()
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            with ThreadPoolExecutor(max_workers=width) as pool:
+                responses = complete_all(client, [req(p) for p in prompts], pool.map)
+        assert [r.text for r in responses] == ["ok"] * width
+        assert time.monotonic() - started < 1.0  # no backoff_s wait
+        assert halved.is_set()
+        # in flight: "a" and its width - 1 others, so the window is max(1, width / 2),
+        # which admits "a" again once one of the others has answered
+        window = max(1, width / 2)
+        assert [r.getMessage().rsplit(" ", 1)[-1] for r in caplog.records] == [f"{window:g}"]
+        resent = events.index("sent a", events.index("sent a") + 1)
+        assert any(e.startswith("answered p") for e in events[:resent])
+        assert events.count("sent a") == 2 and len(events) == 2 * width + 1
+        for _ in range(width):  # each answer grows the window by 1/window
+            window += 1 / window
+        assert client.throttle.window == pytest.approx(window)
+
+    def test_retry_after_holds_every_worker(self, monkeypatch, caplog, logged):
+        # "a" names a 1 s Retry-After while "b" is in flight; b's worker
+        # then takes "c", which waits for the hold like a's retry
+        b_sent, held = threading.Event(), logged("all workers held")
+        sent = []
+
+        def post(url, payload, headers, timeout_s):
+            prompt = payload["prompt"]
+            sent.append((prompt, time.monotonic()))
+            if prompt == "a" and len(sent) <= 2:
+                b_sent.wait(timeout=5)
+                return reply(status=429, headers={"Retry-After": "1"})
+            if prompt == "b":
+                b_sent.set()
+                held.wait(timeout=0.5)
+            return OK
+
+        client = http_client(monkeypatch, post, backoff_s=0.0)
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                responses = complete_all(client, [req("a"), req("b"), req("c")], pool.map)
+        assert [r.text for r in responses] == ["ok"] * 3
+        assert held.is_set()
+        assert [r.getMessage() for r in caplog.records] == \
+            ["completion attempt 1 failed (HTTP 429); all workers held 1.00 s"]
+        at = dict(sent)  # each prompt's last send
+        failed_at = min(t for prompt, t in sent if prompt == "a")
+        assert [prompt for prompt, _ in sent].count("a") == 2
+        assert at["a"] - failed_at >= 0.99 and at["c"] - failed_at >= 0.99
+
+    def test_endpoint_that_answers_nothing_spends_the_retries(self, monkeypatch):
+        # Every attempt is a bare 429. The window falls to 1 within a few
+        # failures, so every later failure is alone and spends a retry:
+        # the batch ends after about the backoff of every worker's retries.
+        width, max_retries, backoff_s = 8, 2, 0.05
+        lock, posts = threading.Lock(), []
+
+        def post(url, payload, headers, timeout_s):
+            with lock:
+                posts.append(payload["prompt"])
+            time.sleep(0.005)  # long enough for the first attempts to overlap
+            return reply(status=429)
+
+        client = http_client(monkeypatch, post, max_retries=max_retries, backoff_s=backoff_s)
+        budget_s = width * backoff_s * (2 ** max_retries - 1)
+        started = time.monotonic()
+        with pytest.raises(CompletionError, match="retries exhausted: HTTP 429"):
+            with ThreadPoolExecutor(max_workers=width) as pool:
+                complete_all(client, [req(f"p{i}") for i in range(width)], pool.map)
+        assert time.monotonic() - started < 2 * budget_s
+        assert client.throttle.window == 1 and client.throttle.in_flight == 0
+        # each request: max_retries spent, one that found them spent, and
+        # fewer resends that spent nothing than there are workers
+        assert width * (max_retries + 1) <= len(posts) < width * (max_retries + 2)
+
+    def test_in_flight_count_survives_a_contended_pool(self):
+        # Every request fails its first try at once, with more workers than
+        # cores and a short switch interval; a lost update of the in-flight
+        # count would leave it above 0, or stall the pool on a full window.
         prompts = [f"p{i}" for i in range(64)]
         inner = FlakyClient(*prompts)
-        rounds = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                def recording_map(fn, items):
-                    rounds.append(len(items))
-                    return pool.map(fn, items)
-
-                responses = complete_all(inner, [req(p) for p in prompts], recording_map)
+                responses = complete_all(inner, [req(p) for p in prompts], pool.map)
         finally:
             sys.setswitchinterval(interval)
         assert [r.text for r in responses] == ["out"] * 64
-        assert rounds == [64, 1] and len(inner.prompts) == 128
+        assert len(inner.prompts) == 128 and inner.throttle.in_flight == 0
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -615,18 +730,29 @@ class TestLoopback:
             send(HttpCompletionClient(url=url, max_retries=2, backoff_s=0.0), req())
         assert len(server.received) == 3
 
-    def test_retry_arrives_after_the_rest_of_its_batch(self, loopback):
-        server, url = loopback
-        prompts = [f"p{i}" for i in range(6)]
-        ok = '{"choices": [{"text": "ok"}]}'
-        server.script = [(429, {"Retry-After": "0"}, "slow down")] + [(200, {}, ok)] * 6
-        client = HttpCompletionClient(url=url, backoff_s=5.0)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            responses = complete_all(client, [req(p) for p in prompts], pool.map)
-        assert [r.text for r in responses] == ["ok"] * 6
-        arrived = [payload["prompt"] for _, payload in server.received]
-        # whichever request arrived first got the 429; its retry came last
-        assert sorted(arrived[:-1]) == prompts and arrived[-1] == arrived[0]
+    def test_rate_limited_endpoint_answers_a_wide_pool(self):
+        # 100 requests through a pool of 8 against an endpoint that answers
+        # 8 per 100 ms: the window shrinks to what the endpoint answers
+        # instead of spending every request's retries on 429s.
+        server = ThreadingHTTPServer(("127.0.0.1", 0), RateLimitedHandler)
+        server.lock, server.admitted = threading.Lock(), []
+        server.limit, server.window_s = 8, 0.1
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = HttpCompletionClient(
+                url=f"http://127.0.0.1:{server.server_address[1]}/v1", backoff_s=0.1)
+            started = time.monotonic()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                responses = complete_all(client, [req(f"p{i}") for i in range(100)],
+                                         pool.map)
+            took_s = time.monotonic() - started
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert [r.text for r in responses] == ["ok"] * 100
+        assert took_s < 5.0
 
     def test_sustained_throttling_slows_the_batch_down(self):
         # 4 answers per 50 ms, and a pool of 4 that could send far more. Each
