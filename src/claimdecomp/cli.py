@@ -15,10 +15,8 @@ import itertools
 import json
 import logging
 import math
-import os
 import sys
 import typing
-import urllib.parse
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,8 +29,8 @@ from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _fits, _jso
                      load_knowledge)
 from .decompose import (DecomposeError, GenerationSettings, Subclaim, builtin_configs,
                         decompose_passage, default_bank, method_registry)
-from .llm import (ENDPOINT_URL_ENV, CachingClient, CompletionClient, CompletionError,
-                  HttpCompletionClient, MapFn, MockCompletionClient)
+from .llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CachingClient, CompletionClient,
+                  CompletionError, HttpCompletionClient, MapFn, MockCompletionClient)
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
 from .predarg import PredArgMethod
@@ -129,13 +127,13 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
         _check_fields(where, spec, present)
         client = MockCompletionClient(**{name: spec[name] for name in present})
     else:
-        url = cfg.endpoint_url or os.environ.get(ENDPOINT_URL_ENV)
-        if urllib.parse.urlsplit(url or "").scheme not in ("http", "https"):
-            raise ConfigError(
-                f"no http or https endpoint configured (got {url!r}): pass --endpoint, "
-                f"set {ENDPOINT_URL_ENV}, or use --mock-responses")
         model = cfg.validator_model if role == "validator" and cfg.validator_model else cfg.model
-        client = HttpCompletionClient(url=url, model=model)
+        try:
+            client = HttpCompletionClient(url=cfg.endpoint_url, model=model)
+        except ValueError as exc:  # the endpoint URL, or else the API key
+            hint = "" if API_KEY_ENV in str(exc) else (
+                f": pass --endpoint, set {ENDPOINT_URL_ENV}, or use --mock-responses")
+            raise ConfigError(f"{exc}{hint}") from None
     if cfg.cache_dir:
         client = CachingClient(client, Path(cfg.cache_dir) / role,
                                cache_only=cfg.cache_only)
@@ -292,8 +290,11 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
                         [(methods[name], p) for name, todo in pending.items() for p in todo])
     counts: Counter[str] = Counter()
     for name, todo in pending.items():
+        results = zip(todo, decomposed)  # todo first: no extra result taken
+        # the file opens once its first result is in hand, so a failure leaves none
+        first = list(itertools.islice(results, 1))
         with open(jsonl_path(outdir, "decompose", name), "a", encoding="utf-8") as fh:
-            for passage, claims in zip(todo, decomposed):  # todo first: no extra result taken
+            for passage, claims in itertools.chain(first, results):
                 # one buffered write per passage so an interrupt never leaves
                 # a partially decomposed passage behind
                 fh.write("".join(_dump_line(_record(c)) for c in claims))

@@ -45,8 +45,6 @@ class CompletionError(RuntimeError):
 class ContextLengthError(CompletionError):
     """The prompt (plus requested output) does not fit the model window."""
 
-    request: CompletionRequest | None = None  # the rejected request, set in a batch
-
 
 class TransientError(CompletionError):
     """One attempt got no response, a 429 or a 5xx, so the request may be
@@ -79,6 +77,7 @@ class CompletionResponse:
 
 _RESPONSE_TYPES = typing.get_type_hints(CompletionResponse)
 _REJECTED = "context_length_error"  # a cache entry's field for a window rejection
+Outcome = CompletionResponse | ContextLengthError  # what came back for one request
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ MapFn = Callable[[Callable, Iterable], Iterator]
 def completion_request(client: CompletionClient, prompt: str,
                        settings: GenerationSettings) -> CompletionRequest:
     return CompletionRequest(
-        model=getattr(client, "model", "default"),
+        model=client.model,
         prompt=prompt,
         max_tokens=settings.max_tokens,
         temperature=settings.temperature,
@@ -121,25 +120,31 @@ def complete_text(client: CompletionClient, prompt: str,
 
 def complete_all(client: CompletionClient, requests: Sequence[CompletionRequest],
                  map_fn: MapFn = map) -> list[CompletionResponse]:
-    """Responses to ``requests``, in order. Each request goes through
-    ``map_fn``, so a pool's map overlaps them, and is sent and retried by
-    ``_send``; a client with its own ``complete_all``, such as the cache,
-    decides which requests reach it."""
+    """Responses to ``requests``, in order. ``map_fn`` sends each through
+    ``_send``, so a pool's map overlaps them; a client with its own
+    ``complete_all``, such as the cache, decides which requests reach it.
+    The first window rejection, in request order, is raised after them all."""
     batch = getattr(client, "complete_all", None)
     if batch is not None:
         return batch(requests, map_fn)
-    return list(map_fn(partial(_send, client), requests))
+    return _responses(list(map_fn(partial(_send, client), requests)))
 
 
-def _send(client: CompletionClient, request: CompletionRequest) -> CompletionResponse:
-    """The response to ``request``, retried by the client's ``throttle``; a
-    client without one makes one attempt."""
+def _send(client: CompletionClient, request: CompletionRequest) -> Outcome:
+    """The response to ``request`` or its window rejection, retried by the
+    client's ``throttle``; a client without one makes one attempt."""
     throttle = getattr(client, "throttle", None)
     try:
         return throttle.send(client.complete, request) if throttle else client.complete(request)
     except ContextLengthError as exc:
-        exc.request = request
-        raise
+        return exc
+
+
+def _responses(outcomes: list[Outcome]) -> list[CompletionResponse]:
+    """``outcomes`` as responses, or else the first window rejection raised."""
+    if rejected := [item for item in outcomes if isinstance(item, ContextLengthError)]:
+        raise rejected[0]
+    return outcomes
 
 
 class Throttle:
@@ -254,7 +259,7 @@ class ResponseCache:
     def _path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.json"
 
-    def get(self, request: CompletionRequest) -> CompletionResponse | ContextLengthError | None:
+    def get(self, request: CompletionRequest) -> Outcome | None:
         path = self._path(cache_key(request))
         where = f"cache entry {path}"
         try:
@@ -270,8 +275,7 @@ class ResponseCache:
             return ContextLengthError(entry[_REJECTED])
         return CompletionResponse(**{name: entry[name] for name in _RESPONSE_TYPES})
 
-    def put(self, request: CompletionRequest,
-            outcome: CompletionResponse | ContextLengthError) -> None:
+    def put(self, request: CompletionRequest, outcome: Outcome) -> None:
         fields = (vars(outcome) if isinstance(outcome, CompletionResponse)
                   else {_REJECTED: str(outcome)})
         with _replacing(self._path(cache_key(request))) as tmp:
@@ -322,21 +326,19 @@ class CachingClient:
     into errors instead of forwarding them.
 
     ``complete_all`` reads the cache in the calling thread and sends only
-    the distinct misses through the map, writing each response to the cache
-    as the map yields it; ``complete`` is its one-request case. A window
-    rejection is cached too and raised again on a hit, so a replay backs off
-    as the first run did.
+    the distinct misses through the map; the worker that gets an outcome
+    writes it to the cache, so a batch that fails keeps every answer it got.
+    ``complete`` is its one-request case. A window rejection is an outcome
+    like a response: cached, and raised again on a hit, so a replay backs
+    off as the first run did.
     """
 
     def __init__(self, inner: CompletionClient, cache_dir: str | Path,
                  cache_only: bool = False):
         self.inner = inner
+        self.model = inner.model
         self.cache = ResponseCache(cache_dir)
         self.cache_only = cache_only
-
-    @property
-    def model(self) -> str:
-        return getattr(self.inner, "model", "default")
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         return self.complete_all([request])[0]
@@ -344,19 +346,16 @@ class CachingClient:
     def complete_all(self, requests: Sequence[CompletionRequest],
                      map_fn: MapFn = map) -> list[CompletionResponse]:
         found = {request: self.cache.get(request) for request in dict.fromkeys(requests)}
-        if rejected := [hit for hit in found.values() if isinstance(hit, ContextLengthError)]:
-            raise rejected[0]
         misses = [request for request, hit in found.items() if hit is None]
         if misses and self.cache_only:
             raise CompletionError(f"cache miss in cache-only mode ({len(misses)} requests)")
-        try:
-            for request, response in zip(misses, map_fn(partial(_send, self.inner), misses)):
-                self.cache.put(request, response)
-                found[request] = response
-        except ContextLengthError as exc:
-            self.cache.put(exc.request, exc)
-            raise
-        return [found[request] for request in requests]
+        found.update(zip(misses, map_fn(self._fetch, misses)))
+        return _responses([found[request] for request in requests])
+
+    def _fetch(self, request: CompletionRequest) -> Outcome:
+        outcome = _send(self.inner, request)
+        self.cache.put(request, outcome)
+        return outcome
 
 
 _CONTEXT_LENGTH_MARKERS = ("context_length", "context length", "maximum context",
@@ -389,10 +388,20 @@ def _retry_after_s(headers: http.client.HTTPMessage) -> float | None:
     return max(0.0, (date - datetime.now(timezone.utc)).total_seconds())
 
 
-def _checked_timeout_s(timeout_s: float) -> float:
+def _checked_endpoint(url: str | None, timeout_s: float) -> tuple[str, float]:
+    """The URL and timeout an HTTP client posts with, if the URL is http or
+    https with a host and a port from 1 to 65535, if it names one, and the
+    timeout is finite and positive."""
     if not math.isfinite(timeout_s) or timeout_s <= 0:
         raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s}")
-    return timeout_s
+    try:
+        parts = urllib.parse.urlsplit(url or "")
+        # reading ``port`` raises ValueError for one that does not parse
+        if parts.scheme in ("http", "https") and parts.hostname and parts.port != 0:
+            return url, timeout_s
+    except ValueError:
+        pass
+    raise ValueError(f"no http or https endpoint configured (got {url!r})")
 
 
 class _Connections(dict):
@@ -440,8 +449,9 @@ def _connect(parts: urllib.parse.SplitResult,
 
 def post_json(url: str, payload: dict, headers: dict[str, str],
               timeout_s: float) -> tuple[int, http.client.HTTPMessage, str]:
-    """POST ``payload`` as JSON; the response's status, headers and body text,
-    error statuses included. No response raises OSError or HTTPException.
+    """POST ``payload`` as JSON to a ``url`` its client checked when built;
+    the status, headers and body text, error statuses included. No response
+    raises OSError or HTTPException.
 
     Each thread sends its requests to an origin over one HTTP/1.1 keep-alive
     connection. A kept-alive connection that fails before any status line
@@ -453,8 +463,6 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     if connections is None:
         connections = _local.connections = _Connections()
     try:
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"not an http or https URL: {url!r}")
         key = (parts.scheme, parts.hostname, parts.port, timeout_s)
         body = json.dumps(payload).encode()
         while True:
@@ -478,37 +486,36 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
                 if not (reused and not answered
                         and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
                     raise
-    except ValueError as exc:  # such a URL, or a header http.client refuses, gets no response
+    except ValueError as exc:  # a header http.client refuses, or a malformed proxy port
         from urllib.error import URLError
 
         raise URLError(exc) from exc
 
 
 class HttpCompletionClient:
-    """Completions-endpoint client.
+    """Completions-endpoint client. Building it raises ValueError for a URL or
+    timeout that ``_checked_endpoint`` refuses, or an API key that is not
+    printable ASCII.
 
     ``complete`` makes one attempt. A transient failure (no response, 429,
     5xx) raises TransientError, with the delay a 429 or 503 names in its
-    ``Retry-After``. ``complete_all`` and ``complete_text`` send every
-    request through the client's one ``Throttle``, shared by all the threads
-    that send through it, which resends on a shrunken window or holds every
-    worker and spends one of ``max_retries`` (see ``Throttle``); window
-    rejections surface as ContextLengthError so callers can shrink their
-    prompts. The client takes no concurrency bound: the width of the pool
-    whose map sends its requests is the only cap.
+    ``Retry-After``; a window rejection raises ContextLengthError, so callers
+    can shrink their prompts. ``complete_all`` and ``complete_text`` send
+    every request through the client's one ``Throttle``, shared by every
+    thread that sends through it (see ``Throttle``). The width of the pool
+    whose map sends the requests is the only cap on concurrency.
     """
 
     def __init__(self, url: str | None = None, model: str = "default",
                  api_key: str | None = None, max_retries: int = 3,
                  backoff_s: float = 0.5, timeout_s: float = 60.0):
-        self.url = url or os.environ.get(ENDPOINT_URL_ENV)
-        if not self.url:
-            raise CompletionError(
-                f"no endpoint URL configured (flag/config or {ENDPOINT_URL_ENV})")
+        self.url, self.timeout_s = _checked_endpoint(
+            url or os.environ.get(ENDPOINT_URL_ENV), timeout_s)
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        if self.api_key and not (self.api_key.isascii() and self.api_key.isprintable()):
+            raise ValueError(f"the API key ({API_KEY_ENV} or api_key) is not printable ASCII")
         self.throttle = Throttle(max_retries, backoff_s)
-        self.timeout_s = _checked_timeout_s(timeout_s)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         import http.client

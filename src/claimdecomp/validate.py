@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .decompose import Subclaim
 from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn,
-                  _checked_timeout_s, complete_all, completion_request, post_json)
+                  _checked_endpoint, complete_all, completion_request, post_json)
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
 from .retrieval import DEFAULT_TOP_K, Index, search
@@ -180,11 +180,11 @@ class NliVerdict:
 
 class HttpNliClient:
     """POST {premise, hypothesis} to an NLI service returning the three
-    class probabilities."""
+    class probabilities. A URL or timeout that ``llm._checked_endpoint``
+    refuses raises ValueError when the client is built."""
 
     def __init__(self, url: str, timeout_s: float = 60.0):
-        self.url = url
-        self.timeout_s = _checked_timeout_s(timeout_s)
+        self.url, self.timeout_s = _checked_endpoint(url, timeout_s)
 
     def classify(self, premise: str, hypothesis: str) -> NliVerdict:
         import http.client

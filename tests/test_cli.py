@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from claimdecomp import cli, validate
-from claimdecomp.llm import (ENDPOINT_URL_ENV, CompletionError, CompletionResponse,
-                             HttpCompletionClient)
+from claimdecomp.llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CompletionError,
+                             CompletionResponse, HttpCompletionClient)
 from claimdecomp.metrics import MetricsError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -254,7 +254,8 @@ class TestExitCodes:
                        "--output-dir", str(tmp_path / "out")])
         assert rc == 2
 
-    @pytest.mark.parametrize("url", ["localhost:9", "file:///nowhere"])
+    @pytest.mark.parametrize("url", ["localhost:9", "file:///nowhere", "http://",
+                                     "http:///v1/completions", "http://localhost:notaport/v1"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_endpoint_url_not_http(self, data_dir, tmp_path, capsys, monkeypatch, url, source):
         monkeypatch.delenv(ENDPOINT_URL_ENV, raising=False)
@@ -270,7 +271,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: no http or https endpoint configured (got {url!r}): pass --endpoint, "
             f"set {ENDPOINT_URL_ENV}, or use --mock-responses\n")
-        assert not cache.exists()
+        assert not cache.exists() and not (tmp_path / "out").exists()
+
+    def test_api_key_not_a_header_value(self, data_dir, tmp_path, capsys, monkeypatch):
+        sent = []
+        monkeypatch.setattr("claimdecomp.llm.post_json", lambda *args: sent.append(args))
+        monkeypatch.setenv(API_KEY_ENV, "abc\ndef")
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
+                       "--endpoint", "http://localhost:9/v1", "--output-dir", str(out),
+                       "--cache-dir", str(cache)])
+        assert rc == 2 and sent == []
+        assert capsys.readouterr().err == (
+            f"error: the API key ({API_KEY_ENV} or api_key) is not printable ASCII\n")
+        assert not cache.exists() and not out.exists()
 
     @pytest.mark.parametrize("method", ["predpatt", "conllu"])
     def test_method_needing_parses_run_without_them(self, data_dir, tmp_path, capsys, method):
@@ -725,11 +739,25 @@ class TestStagePool:
         assert cli.main(["decompose", *_common(data_dir, out, ["--max-inflight", "4"])]) == 3
         err = capsys.readouterr().err
         assert "endpoint error: injected failure" in err and "Traceback" not in err
-        assert (out / "subclaims-rnd.jsonl").read_text(encoding="utf-8") in prefixes
+        written = out / "subclaims-rnd.jsonl"  # absent if the first passage failed
+        assert (written.read_text(encoding="utf-8") if written.exists() else "") in prefixes
 
         monkeypatch.setattr(cli, "_build_client", build_client)
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
         assert (out / "subclaims-rnd.jsonl").read_text(encoding="utf-8") == full
+
+    def test_endpoint_failure_before_any_passage_writes_no_file(self, data_dir, tmp_path,
+                                                                capsys, monkeypatch):
+        build_client = cli._build_client
+        monkeypatch.setattr(cli, "_build_client",
+                            lambda cfg, role: FailingOnCall(build_client(cfg, role), 1))
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out, ["--max-inflight", "4"])]) == 3
+        assert not (out / "subclaims-rnd.jsonl").exists()
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_build_client", build_client)
+        assert cli.main(["decompscore", *_common(data_dir, out)]) == 2
+        assert "missing subclaims file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["decompscore", "factscore"])
     def test_endpoint_failure_in_judgment_stage(self, data_dir, tmp_path, capsys,

@@ -208,6 +208,42 @@ class TestCache:
         with pytest.raises(ContextLengthError):
             CachingClient(CountingClient(), tmp_path, cache_only=True).complete(request)
 
+    def test_failed_batch_keeps_every_answer(self, tmp_path):
+        # the first of 8 requests gets a non-transient error; the other 7
+        # workers' answers are cached by the workers that got them
+        started, release = threading.Barrier(8), threading.Event()
+
+        class FirstFails(CountingClient):
+            def complete(self, request):
+                started.wait(timeout=10)
+                if request.prompt == "p0":
+                    raise CompletionError("HTTP 400: bad request")
+                release.wait(timeout=10)
+                return super().complete(request)
+
+        batch = [req(f"p{i}") for i in range(8)]
+        with ThreadPoolExecutor(8) as pool:
+            with pytest.raises(CompletionError, match="HTTP 400"):
+                complete_all(CachingClient(FirstFails(), tmp_path), batch, pool.map)
+            release.set()
+        cache = ResponseCache(tmp_path)
+        assert [cache.get(request) for request in batch] == \
+            [None] + [CompletionResponse(text="out")] * 7
+
+    def test_window_rejection_mid_batch_is_cached_and_raised_after_the_batch(self, tmp_path):
+        inner = MockCompletionClient(default="out", length_error_substrings=("too long",))
+        client = CachingClient(inner, tmp_path)
+        batch = [req("a"), req("b too long"), req("c"), req("d too long")]
+        with pytest.raises(ContextLengthError):
+            complete_all(client, batch)
+        assert inner.calls == batch
+        cache = ResponseCache(tmp_path)
+        assert [type(cache.get(request)) for request in batch] == \
+            [CompletionResponse, ContextLengthError] * 2
+        with pytest.raises(ContextLengthError):  # a replay sends nothing and raises again
+            complete_all(client, batch)
+        assert inner.calls == batch
+
     def test_wrong_typed_rejection_is_a_logged_miss(self, tmp_path, caplog):
         request = req("p")
         entry = tmp_path / f"{cache_key(request)}.json"
@@ -474,9 +510,9 @@ class TestHttpClient:
         with pytest.raises(CompletionError, match="malformed"):
             self._client(monkeypatch, post).complete(req())
 
-    def test_requires_url(self, monkeypatch):
+    def test_missing_url_fails_when_built(self, monkeypatch):
         monkeypatch.delenv("CLAIMDECOMP_ENDPOINT_URL", raising=False)
-        with pytest.raises(CompletionError, match="endpoint"):
+        with pytest.raises(ValueError, match=r"^no http or https endpoint configured \(got None"):
             HttpCompletionClient(url=None)
 
     def test_url_from_env(self, monkeypatch):
@@ -484,20 +520,37 @@ class TestHttpClient:
         client = HttpCompletionClient()
         assert client.url == "http://env.test"
 
-    def test_url_without_scheme_fails_as_no_response(self, monkeypatch):
-        self._clock(monkeypatch)
-        client = HttpCompletionClient(url="example.test/v1/completions", max_retries=1)
-        with pytest.raises(CompletionError, match="retries exhausted: request failed"):
-            send(client, req())
+    @pytest.mark.parametrize("url", [
+        "example.test/v1/completions", "http://", "http:///v1/completions",
+        "http://localhost:notaport/v1", "http://localhost:99999/v1", "http://localhost:0/v1",
+        "http://[::1/v1", "ftp://example.test/v1",
+    ])
+    def test_malformed_url_fails_when_built(self, monkeypatch, url):
+        with pytest.raises(ValueError, match=r"^no http or https endpoint configured \(got "):
+            HttpCompletionClient(url=url)
+        monkeypatch.setenv("CLAIMDECOMP_ENDPOINT_URL", url)
+        with pytest.raises(ValueError, match="no http or https endpoint"):
+            HttpCompletionClient()
 
-    def test_file_url_fails_as_no_response(self, monkeypatch, tmp_path):
-        # urllib answers a file: URL without an HTTP status
-        self._clock(monkeypatch)
+    def test_file_url_fails_when_built(self, tmp_path):
         target = tmp_path / "f.json"
         target.write_text('{"choices": [{"text": "x"}]}', encoding="utf-8")
-        client = HttpCompletionClient(url=target.as_uri(), max_retries=1)
-        with pytest.raises(CompletionError, match="retries exhausted: request failed"):
-            send(client, req())
+        with pytest.raises(ValueError, match="no http or https endpoint configured"):
+            HttpCompletionClient(url=target.as_uri())
+
+    @pytest.mark.parametrize("key", ["abc\ndef", "abc\rdef", "tab\tkey", "kéy"])
+    def test_api_key_not_printable_ascii_fails_when_built(self, monkeypatch, key):
+        with pytest.raises(ValueError, match="CLAIMDECOMP_API_KEY") as info:
+            HttpCompletionClient(url="http://example.test/v1", api_key=key)
+        assert key not in str(info.value)
+        monkeypatch.setenv("CLAIMDECOMP_API_KEY", key)
+        with pytest.raises(ValueError, match="not printable ASCII"):
+            HttpCompletionClient(url="http://example.test/v1")
+
+    def test_port_and_ipv6_host_pass(self):
+        for url in ("http://localhost:8080/v1", "https://[::1]:443/v1", "http://[::1]/v1"):
+            assert HttpCompletionClient(url=url).url == url
+            assert HttpNliClient(url).url == url
 
 
 class Logged(logging.Handler):
