@@ -137,6 +137,10 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
     if cfg.cache_dir:
         client = CachingClient(client, Path(cfg.cache_dir) / role,
                                cache_only=cfg.cache_only)
+        log = client.cache.path
+        if not log.exists() and next(log.parent.glob("*.json"), None):
+            raise ConfigError(f"{log.parent} holds cache entries in an older per-file "
+                              f"layout; remove it or use another --cache-dir")
     return client
 
 
@@ -263,6 +267,8 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
     if cfg.context_window <= cfg.max_tokens:
         raise ConfigError(f"context_window must exceed max_tokens, got "
                           f"{cfg.context_window} <= {cfg.max_tokens}")
+    if cfg.cache_only and not cfg.cache_dir:
+        raise ConfigError("--cache-only needs --cache-dir")
     with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
         if stage == "decompose":
             return cmd_decompose(cfg, pool.map)

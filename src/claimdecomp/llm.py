@@ -22,7 +22,7 @@ from functools import partial
 from pathlib import Path
 from typing import Protocol
 
-from .corpus import CorpusError, _check_fields, _json_object, _replacing
+from .corpus import CorpusError, _check_fields, _json_object
 
 if typing.TYPE_CHECKING:  # imported where a request is sent, so a run that sends none skips it
     import http.client
@@ -77,6 +77,8 @@ class CompletionResponse:
 
 _RESPONSE_TYPES = typing.get_type_hints(CompletionResponse)
 _REJECTED = "context_length_error"  # a cache entry's field for a window rejection
+_KEY_PREFIX = b'{"key": "'  # how every cache log line starts; its key follows
+_KEY_AT, _KEY_LEN = len(_KEY_PREFIX), 64  # a sha256 hex digest
 Outcome = CompletionResponse | ContextLengthError  # what came back for one request
 
 
@@ -242,32 +244,48 @@ def cache_key(request: CompletionRequest) -> str:
 
 
 class ResponseCache:
-    """Content-addressed directory of JSON response files; eviction is manual.
+    """Append-only log of outcomes, ``responses.jsonl`` in ``cache_dir``;
+    eviction is manual.
 
-    The key covers every request field, so distinct requests can never
-    conflate. Each write goes to a temp file of its own and is renamed into
-    place, so concurrent writers of one key, in any process, cannot clobber
-    each other and readers never see a partial entry. An unreadable entry
-    counts as a miss. A window rejection is an entry with a
-    ``context_length_error`` message in place of the response fields.
+    Each line is one entry: ``{"key": <cache_key>, ...}``, then the request
+    and response fields, sorted, with a ``context_length_error`` message in
+    place of the response for a window rejection. The key covers every
+    request field, so distinct requests never conflate. The log is read
+    once, when the cache is built, and indexed by key: a later line for a
+    key wins, a line is parsed when it is read, and one that is no entry is
+    a logged miss. A last line with no newline, a write cut short, is left
+    out. Each put is one ``O_APPEND`` write of one line, so writers in any
+    process never interleave within an entry; the first put opens the log,
+    so a cache that never puts makes no file.
     """
 
     def __init__(self, cache_dir: str | Path):
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+        self._fd: int | None = None
+        self._opening = threading.Lock()
+        self.path = Path(cache_dir) / "responses.jsonl"
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        *lines, torn = data.split(b"\n")
+        if torn:
+            logger.warning("%s ends inside an entry, a write cut short; that entry is "
+                           "left out", self.path)
+        self._torn = bool(torn)  # so the first put ends that line before its own
+        # the key sits at a fixed offset, so lines are indexed without parsing
+        self._lines = {line[_KEY_AT:_KEY_AT + _KEY_LEN]: line
+                       for line in lines if line.startswith(_KEY_PREFIX)}
 
     def get(self, request: CompletionRequest) -> Outcome | None:
-        path = self._path(cache_key(request))
-        where = f"cache entry {path}"
+        key = cache_key(request)
+        line = self._lines.get(key.encode())
+        if line is None:
+            return None
+        where = f"cache entry {key} in {self.path}"
         try:
-            entry = _json_object(where, path.read_bytes())
+            entry = _json_object(where, line)
             rejected = _REJECTED in entry
             _check_fields(where, entry, {_REJECTED: str} if rejected else _RESPONSE_TYPES)
-        except FileNotFoundError:
-            return None
         except CorpusError as exc:
             logger.warning("unreadable %s; treated as a miss", exc)
             return None
@@ -276,13 +294,28 @@ class ResponseCache:
         return CompletionResponse(**{name: entry[name] for name in _RESPONSE_TYPES})
 
     def put(self, request: CompletionRequest, outcome: Outcome) -> None:
+        key = cache_key(request)
         fields = (vars(outcome) if isinstance(outcome, CompletionResponse)
                   else {_REJECTED: str(outcome)})
-        with _replacing(self._path(cache_key(request))) as tmp:
-            tmp.write_text(
-                json.dumps({**vars(request), **fields}, sort_keys=True, ensure_ascii=False),
-                encoding="utf-8",
-            )
+        entry = dict(sorted({**vars(request), **fields}.items()))
+        line = json.dumps({"key": key, **entry}, ensure_ascii=False).encode("utf-8") + b"\n"
+        if os.write(self._log(), line) != len(line):
+            raise OSError(f"short write to {self.path}")
+        self._lines[key.encode()] = line
+
+    def _log(self) -> int:
+        """The log's descriptor, opened for appending by the first put."""
+        with self._opening:
+            if self._fd is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                if self._torn:
+                    os.write(self._fd, b"\n")
+            return self._fd
+
+    def __del__(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
 
 
 class MockCompletionClient:

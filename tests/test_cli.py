@@ -1,6 +1,8 @@
 import base64
 import csv
 import json
+import logging
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +25,14 @@ REPO = Path(__file__).resolve().parents[1]
 def _tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _cache_content(cache: Path) -> dict[tuple[str, str], dict]:
+    """Every entry of the role logs under ``cache`` by (role, key): lines
+    follow completion order, so caches compare by content."""
+    return {(log.parent.name, entry["key"]): entry
+            for log in sorted(cache.glob("*/responses.jsonl"))
+            for entry in map(json.loads, log.read_bytes().splitlines())}
 
 
 def _common(data_dir, out_dir, extra=()):
@@ -654,15 +664,17 @@ class FailingOnCall:
 class TestStagePool:
     @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
     def test_outputs_independent_of_max_inflight(self, data_dir, tmp_path, cache):
-        trees = []
+        trees, caches = [], []
         for width in ("1", "8"):
             out = tmp_path / f"width-{width}"
             extra = ["--max-inflight", width]
             if cache:
-                extra += ["--cache-dir", str(out / "cache")]
+                extra += ["--cache-dir", str(tmp_path / f"cache-{width}")]
             run_pipeline(data_dir, out, extra)
             trees.append(_tree_bytes(out))
+            caches.append(_cache_content(tmp_path / f"cache-{width}"))
         assert trees[0] == trees[1]
+        assert caches[0] == caches[1] and bool(caches[0]) is cache
 
     @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
     def test_each_judgment_gets_its_own_verdict(self, data_dir, tmp_path, cache):
@@ -811,7 +823,7 @@ class TestStagePool:
         monkeypatch.setattr(cli, "MockCompletionClient",
                             lambda **spec: FailingOnCall(mock(**spec), n))
         assert cli.main([stage, *_common(data_dir, out, extra)]) == 3
-        assert len(list((cache / "validator").glob("*.json"))) == n - 1
+        assert sum(role == "validator" for role, _ in _cache_content(cache)) == n - 1
 
         monkeypatch.setattr(cli, "MockCompletionClient", mock)
         clean = tmp_path / "clean"
@@ -1113,9 +1125,7 @@ class TestCacheModes:
         cache = tmp_path / "cache"
         extra = ["--mock-responses", str(mock), "--cache-dir", str(cache)]
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm", extra)]) == 0
-        entries = [json.loads(p.read_text(encoding="utf-8"))
-                   for p in (cache / "decomposer").glob("*.json")]
-        assert any("context_length_error" in entry for entry in entries)
+        assert any("context_length_error" in entry for entry in _cache_content(cache).values())
 
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "replay", extra),
                          "--cache-only"]) == 0
@@ -1126,8 +1136,9 @@ class TestCacheModes:
         cache = tmp_path / "cache"
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm"),
                          "--cache-dir", str(cache)]) == 0
-        entry = sorted((cache / "decomposer").glob("*.json"))[0]
-        entry.write_text(entry.read_text(encoding="utf-8")[:10], encoding="utf-8")
+        log = cache / "decomposer" / "responses.jsonl"
+        first, *rest = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(first[:80] + b"\n" + b"".join(rest))  # the key, then no entry
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "replay"),
                        "--cache-dir", str(cache), "--cache-only"])
         assert rc == 3
@@ -1137,15 +1148,71 @@ class TestCacheModes:
         cache = tmp_path / "cache"
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm"),
                          "--cache-dir", str(cache)]) == 0
-        for entry in (cache / "decomposer").glob("*.json"):
-            record = json.loads(entry.read_text(encoding="utf-8"))
-            entry.write_text(json.dumps({**record, "text": 5}), encoding="utf-8")
+        log = cache / "decomposer" / "responses.jsonl"
+        log.write_text("".join(json.dumps({**json.loads(line), "text": 5}) + "\n"
+                               for line in log.read_text(encoding="utf-8").splitlines()),
+                       encoding="utf-8")
         capsys.readouterr()
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "replay"),
                        "--cache-dir", str(cache), "--cache-only"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "endpoint error: cache miss" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cache_only_needs_cache_dir(self, data_dir, tmp_path, capsys, source):
+        config = tmp_path / "run.json"
+        config.write_text('{"cache_only": true}', encoding="utf-8")
+        extra = ["--cache-only"] if source == "flag" else ["--config", str(config)]
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 2
+        assert capsys.readouterr().err == "error: --cache-only needs --cache-dir\n"
+        assert not out.exists()
+
+    def test_per_file_cache_of_an_older_version(self, data_dir, tmp_path, capsys):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        old = cache / "decomposer"
+        old.mkdir(parents=True)
+        (old / f"{'0' * 64}.json").write_text('{"text": "x"}', encoding="utf-8")
+        assert cli.main(["decompose", *_common(data_dir, out, ["--cache-dir", str(cache)])]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {old} holds cache entries in an older per-file layout; "
+            f"remove it or use another --cache-dir\n")
+        assert not out.exists() and [p.name for p in old.iterdir()] == [f"{'0' * 64}.json"]
+
+    def test_torn_log_line_is_sent_again_then_replays(self, data_dir, tmp_path, monkeypatch,
+                                                      caplog):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        extra = ["--cache-dir", str(cache)]
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
+        assert cli.main(["decompscore", *_common(data_dir, out, extra)]) == 0
+        clean = _tree_bytes(out)
+        log = cache / "validator" / "responses.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines)[:-10])  # cut inside the last line
+
+        clients, mock = [], cli.MockCompletionClient
+
+        def counting(**spec):
+            clients.append(FailingOnCall(mock(**spec), math.inf))
+            return clients[-1]
+
+        monkeypatch.setattr(cli, "MockCompletionClient", counting)
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            assert cli.main(["decompscore", *_common(data_dir, out, extra)]) == 0
+        assert caplog.text.count("a write cut short") == 1
+        assert [client.calls for client in clients] == [1]
+        assert _tree_bytes(out) == clean
+        # the torn line got its newline, and the entry sent again a line of its own
+        now = log.read_bytes().splitlines(keepends=True)
+        assert now[:-1] == lines[:-1] + [lines[-1][:-10] + b"\n"]
+        assert json.loads(now[-1]) == json.loads(lines[-1])
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            assert cli.main(["decompscore", *_common(data_dir, out, extra),
+                             "--cache-only"]) == 0
+        assert caplog.text == "" and _tree_bytes(out) == clean
 
 
 class TestConfigFile:
@@ -1180,7 +1247,7 @@ class TestConfigFile:
             cache = tmp_path / f"cache-{how}"
             assert cli.main(["decompose", *_common(data_dir, tmp_path / how, extra),
                              "--cache-dir", str(cache)]) == 0
-            names[how] = sorted(p.name for p in (cache / "decomposer").iterdir())
+            names[how] = sorted(_cache_content(cache))
         assert names["config"] and names["config"] == names["flag"]
 
     def test_int_accepted_for_float_and_null_for_optional(self, data_dir, tmp_path):
@@ -1226,16 +1293,18 @@ class TestPredpattPipeline:
 
 
 class TestBenchmarkHooks:
-    """The benchmark's tracer wraps functions by the module-global names the
-    stages call; a refactor that stops calling them through those names
-    detaches its per-layer metrics."""
+    """The benchmark's tracer wraps functions by the names the stages call
+    them through, module globals and class attributes such as
+    ``ResponseCache.get``; a refactor that stops calling them through those
+    names detaches its per-layer metrics."""
 
     def test_tracer_sees_the_judgment_layers(self, data_dir, tmp_path):
         out = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         spans = set()
-        for stage, extra in (("decompose", []), ("decompscore", []), ("factscore", [
-                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        for stage, extra in (("decompose", cache), ("decompscore", cache), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl"), *cache])):
             trace = tmp_path / f"{stage}.trace.json"
             proc = subprocess.run(
                 [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(trace), stage,
@@ -1246,7 +1315,8 @@ class TestBenchmarkHooks:
         assert {"decompose.decompose_passage", "decompose.retrieve_examples",
                 "decompose.assemble_prompt", "decompose.prompted_claim_texts", "llm.request",
                 "validate.judge_decomposition", "validate.judge_facts",
-                "metrics.results_from_judgments", "metrics.method_report"} <= spans
+                "metrics.results_from_judgments", "metrics.method_report",
+                "llm.cache.get", "llm.cache.put"} <= spans
 
 
 class TestStdlibRuntime:

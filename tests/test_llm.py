@@ -56,6 +56,16 @@ class FlakyClient(CountingClient):
         return super().complete(request)
 
 
+def _log_lines(cache_dir) -> list[bytes]:
+    return (cache_dir / "responses.jsonl").read_bytes().splitlines(keepends=True)
+
+
+def _write_entry(cache_dir, request: CompletionRequest, rest: str) -> None:
+    """A cache log whose one line is ``request``'s key followed by ``rest``."""
+    (cache_dir / "responses.jsonl").write_text(
+        f'{{"key": "{cache_key(request)}", {rest}\n', encoding="utf-8")
+
+
 def _put_one_key(cache_dir: str, writer: int, threads: int, rounds: int) -> None:
     """Worker process: ``threads`` threads each put one shared key ``rounds``
     times. Exits non-zero if any put raised."""
@@ -202,8 +212,12 @@ class TestCache:
             with pytest.raises(ContextLengthError, match="exceeds context window"):
                 client.complete(request)
         assert inner.calls == [request]
-        entry = json.loads((tmp_path / f"{cache_key(request)}.json").read_text(encoding="utf-8"))
-        assert entry == {**vars(request),
+        [line] = _log_lines(tmp_path)
+        entry = json.loads(line)
+        # the key first, then the request and outcome fields, sorted
+        assert list(entry) == ["key", "context_length_error", "max_tokens", "model", "prompt",
+                               "temperature"]
+        assert entry == {"key": cache_key(request), **vars(request),
                          "context_length_error": "mock: prompt exceeds context window"}
         with pytest.raises(ContextLengthError):
             CachingClient(CountingClient(), tmp_path, cache_only=True).complete(request)
@@ -246,8 +260,7 @@ class TestCache:
 
     def test_wrong_typed_rejection_is_a_logged_miss(self, tmp_path, caplog):
         request = req("p")
-        entry = tmp_path / f"{cache_key(request)}.json"
-        entry.write_text('{"context_length_error": 5}', encoding="utf-8")
+        _write_entry(tmp_path, request, '"context_length_error": 5}')
         with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
             assert ResponseCache(tmp_path).get(request) is None
         assert "field 'context_length_error'" in caplog.text
@@ -272,19 +285,20 @@ class TestCache:
 
     def test_unreadable_entry_is_a_logged_miss_then_rewritten(self, tmp_path, caplog):
         request = req("p")
-        entry = tmp_path / f"{cache_key(request)}.json"
-        entry.write_text('{"text": "out", "finish_re', encoding="utf-8")
+        _write_entry(tmp_path, request, '"text": "out", "finish_re')
         inner = CountingClient("fresh")
         with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
             assert CachingClient(inner, tmp_path).complete(request).text == "fresh"
         assert inner.calls == 1
-        assert "unreadable cache entry" in caplog.text
-        assert json.loads(entry.read_text(encoding="utf-8"))["text"] == "fresh"
+        # the warning names the entry's key and its log
+        assert (f"unreadable cache entry {cache_key(request)} in "
+                f"{tmp_path / 'responses.jsonl'}") in caplog.text
+        assert len(_log_lines(tmp_path)) == 2  # a later line for the key wins
+        assert ResponseCache(tmp_path).get(request).text == "fresh"
 
     def test_wrong_typed_entry_is_a_logged_miss(self, tmp_path, caplog):
         request = req("p")
-        entry = tmp_path / f"{cache_key(request)}.json"
-        entry.write_text('{"text": 5, "finish_reason": "stop"}', encoding="utf-8")
+        _write_entry(tmp_path, request, '"finish_reason": "stop", "text": 5}')
         with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
             assert ResponseCache(tmp_path).get(request) is None
         assert "unreadable cache entry" in caplog.text and "field 'text'" in caplog.text
@@ -312,8 +326,40 @@ class TestCache:
                 if proc.is_alive():
                     proc.kill()
         assert [proc.exitcode for proc in procs] == [0, 0]
-        assert [p.name for p in tmp_path.iterdir()] == [f"{cache_key(req('shared'))}.json"]
+        assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
+        # no write joined or cut another: every line is one whole entry
+        entries = [json.loads(line) for line in _log_lines(tmp_path)]
+        assert len(entries) == 2 * 4 * 150
+        assert {entry["key"] for entry in entries} == {cache_key(req("shared"))}
         assert ResponseCache(tmp_path).get(req("shared")).text.startswith("w")
+
+    def test_torn_last_line_is_left_out_and_ended_by_the_next_put(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path)
+        cache.put(req("a"), CompletionResponse(text="kept"))
+        cache.put(req("b"), CompletionResponse(text="torn"))
+        log = tmp_path / "responses.jsonl"
+        log.write_bytes(log.read_bytes()[:-20])
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            cache = ResponseCache(tmp_path)
+        assert caplog.text.count("a write cut short") == 1
+        assert cache.get(req("a")).text == "kept" and cache.get(req("b")) is None
+        cache.put(req("b"), CompletionResponse(text="again"))
+        assert cache.get(req("b")).text == "again"
+        # the torn line got its own newline, so the new entry is a line of its own
+        lines = _log_lines(tmp_path)
+        assert len(lines) == 3 and all(line.endswith(b"\n") for line in lines)
+        assert json.loads(lines[2])["text"] == "again"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            assert ResponseCache(tmp_path).get(req("b")).text == "again"
+        assert caplog.text == ""
+
+    def test_cache_that_never_puts_makes_no_file(self, tmp_path):
+        role = tmp_path / "role"
+        with pytest.raises(CompletionError, match="cache-only"):
+            CachingClient(CountingClient(), role, cache_only=True).complete(req("p"))
+        assert ResponseCache(role).get(req("p")) is None
+        assert not role.exists()
 
 
 class FakeClock:
