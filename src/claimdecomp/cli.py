@@ -24,7 +24,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import conllu as conllu_mod
-from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _fits, _json_object,
+from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _json_object,
                      _records, attach_parses, load_example_bank, load_generations,
                      load_knowledge)
 from .decompose import (DecomposeError, GenerationSettings, Subclaim, builtin_configs,
@@ -77,20 +77,25 @@ _CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 # The keys a mock-responses spec may set: the mock client's parameters.
 _MOCK_TYPES = typing.get_type_hints(MockCompletionClient.__init__)
+_ROLES = ("decomposer", "validator")
+
+
+def _checked(where: str, data: dict, kinds: dict[str, object]) -> dict:
+    """``data``, a JSON object read from ``where``, once each of its keys is
+    one of ``kinds`` and its value fits that key's type."""
+    if unknown := sorted(data.keys() - kinds.keys()):
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    _check_fields(where, data, {key: kinds[key] for key in data})
+    return data
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     path = getattr(args, "config", None)
     if path:
-        data = _json_object(f"config {path}", Path(path).read_bytes())
-        unknown = data.keys() - _CONFIG_TYPES.keys()
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            if not _fits(_CONFIG_TYPES[key], value):
-                raise ConfigError(f"config key {key!r} must be "
-                                  f"{RunConfig.__dataclass_fields__[key].type}, got {value!r}")
+        where = f"config {path}"
+        for key, value in _checked(where, _json_object(where, Path(path).read_bytes()),
+                                   _CONFIG_TYPES).items():
             # as the flag's type=float does, so both send and cache 1.0, not 1
             setattr(cfg, key, float(value) if _CONFIG_TYPES[key] is float else value)
     for key in _CONFIG_TYPES:
@@ -114,18 +119,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
-    """role is "decomposer" or "validator"; the mock-responses file may carry
-    a spec per role or a single shared one."""
+    """role is one of _ROLES; the mock-responses file is one spec both roles
+    share, or a map from role to spec that names ``role``."""
     client: CompletionClient
     if cfg.mock_responses:
         where = cfg.mock_responses
         spec = _json_object(where, Path(where).read_bytes())
-        if role in spec:
-            _check_fields(where, spec, {role: dict})
+        if spec.keys() & set(_ROLES):
+            if role not in _checked(where, spec, dict.fromkeys(_ROLES, dict)):
+                raise ConfigError(f"{where}: a map of roles must name {role!r}")
             spec, where = spec[role], f"{where}: {role}"
-        present = {name: kind for name, kind in _MOCK_TYPES.items() if name in spec}
-        _check_fields(where, spec, present)
-        client = MockCompletionClient(**{name: spec[name] for name in present})
+        client = MockCompletionClient(**_checked(where, spec, _MOCK_TYPES))
     else:
         model = cfg.validator_model if role == "validator" and cfg.validator_model else cfg.model
         try:
@@ -137,10 +141,6 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
     if cfg.cache_dir:
         client = CachingClient(client, Path(cfg.cache_dir) / role,
                                cache_only=cfg.cache_only)
-        log = client.cache.path
-        if not log.exists() and next(log.parent.glob("*.json"), None):
-            raise ConfigError(f"{log.parent} holds cache entries in an older per-file "
-                              f"layout; remove it or use another --cache-dir")
     return client
 
 
@@ -208,23 +208,30 @@ def _record(item: Subclaim | SupportJudgment) -> dict:
     return record
 
 
-def _judgment(record: dict) -> SupportJudgment:
+def _item(record: dict) -> Subclaim | SupportJudgment:
     claim = Subclaim(**{name: record.pop(name) for name in _CLAIM_TYPES})
-    return SupportJudgment(claim=claim, **record)
+    return SupportJudgment(claim=claim, **record) if record else claim
 
 
-def _read_jsonl(path: Path, kinds: dict[str, object]) -> list[dict]:
-    """Records of a JSONL file written by this module. A line that is not a
-    JSON object with exactly the fields of ``kinds``, each of its type, such
-    as one cut short by an interrupted write, stops the stage naming the path
-    and line."""
-    records = []
+def _load(outdir: Path, stage: str, method: str) -> list | None:
+    """The Subclaims, for ``decompose``, or SupportJudgments that ``stage``
+    wrote for ``method``, in file order; None when there is no file. A line
+    that is not a valid record, such as one cut short by an interrupted
+    write, stops the stage naming the path and line."""
+    path = jsonl_path(outdir, stage, method)
+    if not path.exists():
+        return None
+    kinds = _CLAIM_TYPES if stage == "decompose" else _JUDGMENT_TYPES
+    items = []
     for where, record in _records(path):
         if record.keys() != kinds.keys():
             raise ConfigError(f"{where}: expected a record with fields {sorted(kinds)}")
         _check_fields(where, record, kinds)
-        records.append(record)
-    return records
+        try:
+            items.append(_item(record))
+        except DecomposeError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return items
 
 
 def _dump_line(record: dict) -> str:
@@ -286,9 +293,7 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
 
     pending: dict[str, list[Passage]] = {}
     for name in methods:
-        path = jsonl_path(outdir, "decompose", name)
-        done = {(r["generator"], r["topic"])
-                for r in (_read_jsonl(path, _CLAIM_TYPES) if path.exists() else [])}
+        done = {(c.generator, c.topic) for c in _load(outdir, "decompose", name) or []}
         pending[name] = [p for p in passages if (p.generator, p.topic) not in done]
 
     # every method's pending passages go through the pool as one batch
@@ -313,17 +318,11 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
 
 
 def _load_subclaims(outdir: Path, method: str) -> list[Subclaim]:
-    path = jsonl_path(outdir, "decompose", method)
-    if not path.exists():
-        raise ConfigError(f"missing subclaims file {path}; run decompose first")
-    return [Subclaim(**r) for r in _read_jsonl(path, _CLAIM_TYPES)]
-
-
-def _load_judgments(outdir: Path, stage: str, method: str) -> list[SupportJudgment] | None:
-    path = jsonl_path(outdir, stage, method)
-    if not path.exists():
-        return None
-    return [_judgment(r) for r in _read_jsonl(path, _JUDGMENT_TYPES)]
+    claims = _load(outdir, "decompose", method)
+    if claims is None:
+        raise ConfigError(f"missing subclaims file {jsonl_path(outdir, 'decompose', method)}; "
+                          "run decompose first")
+    return claims
 
 
 def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
@@ -358,7 +357,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
         if missing := sorted({group(c) for c in claims} - sentences.keys()):
             raise ConfigError(f"no source sentence for subclaim group {missing[0]}")
         if stage == "factscore":
-            sentence_judgments[name] = _load_judgments(outdir, "decompscore", name)
+            sentence_judgments[name] = _load(outdir, "decompscore", name)
             if sentence_judgments[name] is None:
                 logger.warning("no sentence judgments for %s; filtered scores use "
                                "zero-supported counts", name)
@@ -501,12 +500,12 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
     outdir = Path(outdir)
     reports: dict[str, MethodReport] = {}
     for name in methods:
-        sentence = _load_judgments(outdir, "decompscore", name)
+        sentence = _load(outdir, "decompscore", name)
         if sentence is None:
             raise ConfigError(f"missing {jsonl_path(outdir, 'decompscore', name)}")
         results = results_from_judgments(
             _load_subclaims(outdir, name), sentence_judgments=sentence,
-            knowledge_judgments=_load_judgments(outdir, "factscore", name))
+            knowledge_judgments=_load(outdir, "factscore", name))
         reports[name] = method_report(results)
 
     for stage in REPORT_COLUMNS:

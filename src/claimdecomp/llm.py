@@ -256,7 +256,8 @@ class ResponseCache:
     a logged miss. A last line with no newline, a write cut short, is left
     out. Each put is one ``O_APPEND`` write of one line, so writers in any
     process never interleave within an entry; the first put opens the log,
-    so a cache that never puts makes no file.
+    so a cache that never puts makes no file. A directory with per-file
+    ``*.json`` entries, an older layout, and no log raises CorpusError.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -266,6 +267,9 @@ class ResponseCache:
         try:
             data = self.path.read_bytes()
         except FileNotFoundError:
+            if next(self.path.parent.glob("*.json"), None):
+                raise CorpusError(f"{self.path.parent} holds cache entries in an older per-file "
+                                  f"layout; remove it or use another --cache-dir") from None
             data = b""
         *lines, torn = data.split(b"\n")
         if torn:

@@ -17,15 +17,14 @@ Every request uses ``VALIDATOR_SETTINGS``, and every judgment's
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from .decompose import Subclaim
-from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn,
-                  _checked_endpoint, complete_all, completion_request, post_json)
+from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn, complete_all,
+                  completion_request)
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
 from .retrieval import DEFAULT_TOP_K, Index, search
@@ -99,9 +98,10 @@ def judge_support(client: CompletionClient, context: str, claim: str,
 
 def _judgments(client: CompletionClient, claims: list[Subclaim], contexts: list[str],
                context_kind: str, stats: Counter | None, map_fn: MapFn) -> list[SupportJudgment]:
-    """A judgment of each claim against its context, in order. A claim whose
-    context is empty is unsupported without a validator call; the others go
-    to the validator as one batch."""
+    """A judgment of each claim against its context cut to the validator's
+    window, in order. A claim whose cut context is empty is unsupported
+    without a validator call; the others go to the validator as one batch."""
+    contexts = [_truncate_context(context, claim.text) for claim, context in zip(claims, contexts)]
     verdicts = iter(_verdicts(
         client, [(context, claim.text) for claim, context in zip(claims, contexts) if context],
         stats, map_fn))
@@ -151,9 +151,8 @@ def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim
     contexts = []
     for claim in subclaims:
         restrict = claim.topic if index.has_title(claim.topic) else None
-        hits = search(index, claim.text, k, restrict_title=restrict) if index.chunks else []
-        contexts.append(_truncate_context(
-            "\n\n".join(chunk.text for chunk, _ in hits), claim.text))
+        hits = search(index, claim.text, k, restrict_title=restrict)
+        contexts.append("\n\n".join(chunk.text for chunk, _ in hits))
     return _judgments(client, subclaims, contexts, CONTEXT_KNOWLEDGE_SOURCE, stats, map_fn)
 
 
@@ -176,35 +175,6 @@ class NliVerdict:
     def is_entailment(self) -> bool:
         return (self.entailment >= self.neutral
                 and self.entailment >= self.contradiction)
-
-
-class HttpNliClient:
-    """POST {premise, hypothesis} to an NLI service returning the three
-    class probabilities. A URL or timeout that ``llm._checked_endpoint``
-    refuses raises ValueError when the client is built."""
-
-    def __init__(self, url: str, timeout_s: float = 60.0):
-        self.url, self.timeout_s = _checked_endpoint(url, timeout_s)
-
-    def classify(self, premise: str, hypothesis: str) -> NliVerdict:
-        import http.client
-
-        try:
-            status, _, body = post_json(
-                self.url, {"premise": premise, "hypothesis": hypothesis}, {}, self.timeout_s)
-        except (OSError, http.client.HTTPException) as exc:
-            raise ValidateError(f"NLI request failed: {exc!r}") from exc
-        if status != 200:
-            raise ValidateError(f"NLI service HTTP {status}")
-        try:
-            data = json.loads(body)
-            return NliVerdict(
-                entailment=data["entailment"],
-                neutral=data["neutral"],
-                contradiction=data["contradiction"],
-            )
-        except (ValueError, LookupError, TypeError) as exc:
-            raise ValidateError(f"malformed NLI response: {exc!r}") from exc
 
 
 class StaticNliClient:

@@ -1,5 +1,6 @@
 import base64
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -48,6 +49,39 @@ def run_pipeline(data_dir, out_dir, extra=()):
     assert cli.main(["factscore", *_common(
         data_dir, out_dir,
         extra=["--knowledge", str(data_dir / "knowledge_small.jsonl"), *extra])]) == 0
+
+
+# SHA-256 of each file that rnd, factscore, wice, chen and fs2, selected in
+# that order, write through all three stages on the fixture at --max-inflight
+# 1. A change that alters output bytes on purpose updates this table and says so.
+GOLDEN_DIGESTS = {
+    "avg_subclaims.csv": "07d6eb8d952834a07233e4d2e2050a712cf251124454ae8ac0efbd8d7acd9a1d",
+    "avg_subclaims_raw.csv": "07cd45cb4d39992e34557f6968a7ca123c26b190831bc4d9c645e923c3eebd0b",
+    "coherence.csv": "a2832ecc042a402ced2e079e2a3da56c28c34c3957f5cf88248eb9f76bf0a5da",
+    "coherence_raw.csv": "8e4cd36a1abad89636e6cf36b4a5e368e7f26d6dd3c66c02ac554b9ca869875a",
+    "decompscore.csv": "8aeb6201d2fb4a70b134ae8bf5b01b155fe3470340e2395e2fc582becaa4410b",
+    "decompscore_raw.csv": "153dafd4b4a7c2f4a7da364a985e3bab4a42a72ebd28c368de40ab1dbc708a3d",
+    "factscore.csv": "b3afc92a8b020c2a4f4cc2bfac64b90f5ab4bea620fcabe45ae64ae823e2567e",
+    "factscore_raw.csv": "57f21829c0c36604800e5bc3928d8aa046bdff69b9b67911834fd4db39a837d9",
+    "filtered_factscore.csv": "aa4d7cc9e8a7c1c5e5982e3ccba1c4c32b42c2dca1e9349ea87ac9174386f458",
+    "filtered_factscore_raw.csv": "db7712ae210f8bf32a6ffb2385fbc9d6fbe9ab706d4e8ff6ee0c8f854163cae8",
+    "knowledge-judgments-chen.jsonl": "5e03cbfa9b4ba5ae81bf5334b8eb5d7ded268a3e885886aec6ee2e210382b835",
+    "knowledge-judgments-factscore.jsonl": "9cc735a1ee1018d1be85fb5e571cae53d326e722c9b450967eadd257f445cdfe",
+    "knowledge-judgments-fs2.jsonl": "50201e12dcbd15a825cccc454936b3d8970231163b365e972437065c2a364d91",
+    "knowledge-judgments-rnd.jsonl": "6f0e628a184b3606121a90d43d6d25866df250b8f7c896a645a465837d53dab2",
+    "knowledge-judgments-wice.jsonl": "36d4a7e502a67330d287233d4dfdc996f9b45cf1426401622ee63457fb8afe56",
+    "scatter.csv": "af3cfd60231fe22a8f25f8451818aaa1f6eba832c12883a3da9b5c3e2ae3735f",
+    "sentence-judgments-chen.jsonl": "5d14e84f84fddbf769e3f63a4774898931bfddc747767f75c96e35e716e70797",
+    "sentence-judgments-factscore.jsonl": "baedc0cfa277f3069d4a77982a32b0e90e0d2b14ac7ff47ca8522bb540b50f76",
+    "sentence-judgments-fs2.jsonl": "957bd54f34a7f483ac981822fd7b7244d008af83705b3849a7f2841b59317a58",
+    "sentence-judgments-rnd.jsonl": "e6557b64f88e92fff039b88541af3ec0fc058a8fbe3221b11d2ce4c0779382f0",
+    "sentence-judgments-wice.jsonl": "053f75cba013ad1d045393c1ffab2385932e63a8d75bb7f10b796ebbf7f1a964",
+    "subclaims-chen.jsonl": "d91661f2a482b9fca168d2e5368f9c2a51f08137d018d112dfdec0af034373a3",
+    "subclaims-factscore.jsonl": "2e5bf313fdda2cdfec4bcc125263d53cfebb437f3e9f1b42cbd168de96999bc4",
+    "subclaims-fs2.jsonl": "6b1c1fdc22b100b01df97d9e7e24b705fd53a08e13a6967887d85385a40106a7",
+    "subclaims-rnd.jsonl": "ab60c3d2105260ca20ee450075920a502f2bdbca777a7519ad0c022ff4a636c2",
+    "subclaims-wice.jsonl": "94a7666205f72eac189c24803febf713dae883aebcf7deee821bd55c4a4144f0",
+}
 
 
 def _decompose(data_dir, out_dir, methods, extra=()) -> int:
@@ -115,6 +149,14 @@ class TestPipeline:
         assert cli.main(["decompose", *_common(data_dir, resumed_dir)]) == 0
         resumed = (resumed_dir / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
         assert resumed == full
+
+    def test_five_methods_match_golden_digests(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        methods = ("factscore", "wice", "chen", "fs2")  # after _common's rnd
+        run_pipeline(data_dir, out, [*(arg for name in methods for arg in ("--method", name)),
+                                     "--max-inflight", "1"])
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in _tree_bytes(out).items()} == GOLDEN_DIGESTS
 
     def test_audit_recomputes_every_cell(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -372,8 +414,12 @@ class TestExitCodes:
          "field 'supported' must be bool, got 'yes'"),
         ("factscore", "sentence-judgments-rnd.jsonl", lambda r: r.update(supported=1),
          "field 'supported' must be bool, got 1"),
+        ("decompose", "subclaims-rnd.jsonl", lambda r: r.update(text="two\nlines"),
+         "subclaim text must be a non-empty single line"),
+        ("factscore", "sentence-judgments-rnd.jsonl", lambda r: r.update(text="two\nlines"),
+         "subclaim text must be a non-empty single line"),
     ], ids=["missing", "extra", "str-sentence-index", "int-text", "str-supported",
-            "int-supported"])
+            "int-supported", "two-line-text-on-resume", "two-line-judged-text"])
     def test_record_with_wrong_fields(self, data_dir, tmp_path, capsys, stage, damaged,
                                       change, message):
         out = tmp_path / "out"
@@ -455,8 +501,27 @@ class TestExitCodes:
                  str(data_dir / "knowledge_small.jsonl")]
         assert cli.main([stage, *_common(data_dir, tmp_path / "out", extra)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {next(iter(config))!r} must be ")
+        assert err.startswith(f"error: config {config_path}: field {next(iter(config))!r} "
+                              "must be ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stage, change, key", [
+        ("decompscore", lambda spec: {"decomposer": spec["decomposer"],
+                                      "validatr": spec["validator"]}, "validatr"),
+        ("decompose", lambda spec: spec | {"decomposer": {"defualt": "x"}}, "defualt"),
+        ("decompose", lambda spec: {"defualt": "x"}, "defualt"),
+        ("decompscore", lambda spec: {"decomposer": spec["decomposer"]}, "validator"),
+    ], ids=["misspelt-role", "misspelt-parameter", "misspelt-shared-parameter",
+            "missing-role"])
+    def test_mock_responses_key_checked(self, data_dir, tmp_path, capsys, stage, change, key):
+        out, mock = tmp_path / "out", tmp_path / "mock.json"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        mock.write_text(json.dumps(change(json.loads(
+            (data_dir / "mock_responses.json").read_text(encoding="utf-8")))), encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main([stage, *_common(data_dir, out), "--mock-responses", str(mock)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mock}") and repr(key) in err, err
 
     @pytest.mark.parametrize("key, value", [("max_tokens", 0), ("temperature", -1),
                                             ("retrieval_k", 0), ("chunk_words", 0)])
@@ -1298,25 +1363,47 @@ class TestBenchmarkHooks:
     ``ResponseCache.get``; a refactor that stops calling them through those
     names detaches its per-layer metrics."""
 
-    def test_tracer_sees_the_judgment_layers(self, data_dir, tmp_path):
-        out = tmp_path / "out"
+    @staticmethod
+    def _traced_stages(data_dir, tmp_path, args) -> dict[str, set[str]]:
+        """The span names of each stage, run traced in turn with ``args``."""
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        spans = set()
-        cache = ["--cache-dir", str(tmp_path / "cache")]
-        for stage, extra in (("decompose", cache), ("decompscore", cache), ("factscore", [
-                "--knowledge", str(data_dir / "knowledge_small.jsonl"), *cache])):
+        spans = {}
+        for stage, extra in (("decompose", []), ("decompscore", []), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
             trace = tmp_path / f"{stage}.trace.json"
             proc = subprocess.run(
                 [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(trace), stage,
-                 "--", stage, *_common(data_dir, out, extra=extra)],
+                 "--", stage, *args, *extra],
                 cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            spans |= {span[2] for span in json.loads(trace.read_text())["spans"]}
+            spans[stage] = {span[2] for span in json.loads(trace.read_text())["spans"]}
+        return spans
+
+    def test_tracer_sees_the_judgment_layers(self, data_dir, tmp_path):
+        spans = set().union(*self._traced_stages(data_dir, tmp_path, _common(
+            data_dir, tmp_path / "out", ["--cache-dir", str(tmp_path / "cache")])).values())
         assert {"decompose.decompose_passage", "decompose.retrieve_examples",
                 "decompose.assemble_prompt", "decompose.prompted_claim_texts", "llm.request",
                 "validate.judge_decomposition", "validate.judge_facts",
                 "metrics.results_from_judgments", "metrics.method_report",
                 "llm.cache.get", "llm.cache.put"} <= spans
+
+    def test_traced_stages_over_http(self, data_dir, tmp_path):
+        stub = subprocess.Popen(
+            [sys.executable, str(REPO / "perfbench" / "stub.py"), "--latency-ms", "0",
+             "--retry-every", "0", "--window-chars", "0"], stdout=subprocess.PIPE, text=True)
+        try:
+            port = int(stub.stdout.readline().removeprefix("PORT "))
+            spans = self._traced_stages(data_dir, tmp_path, [
+                "--generations", str(data_dir / "generations_small.jsonl"), "--method", "rnd",
+                "--output-dir", str(tmp_path / "out"),
+                "--endpoint", f"http://127.0.0.1:{port}/v1/completions"])
+        finally:
+            stub.terminate()
+            stub.wait(timeout=10)
+            stub.stdout.close()
+        assert all("llm.complete" in names for names in spans.values())
+        assert "validate.truncate_context" in spans["decompscore"]
 
 
 class TestStdlibRuntime:

@@ -13,12 +13,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from claimdecomp.corpus import CorpusError
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError,
                              HttpCompletionClient, MockCompletionClient,
                              ResponseCache, Throttle, TransientError, cache_key,
                              complete_all)
-from claimdecomp.validate import HttpNliClient, NliVerdict, ValidateError
 
 
 def req(prompt="p", **kw):
@@ -145,6 +145,12 @@ class TestCache:
         cache.put(request, CompletionResponse(text="out", finish_reason="stop"))
         hit = cache.get(request)
         assert hit == CompletionResponse(text="out", finish_reason="stop")
+
+    def test_per_file_entries_of_an_older_layout_refused(self, tmp_path):
+        (tmp_path / f"{cache_key(req())}.json").write_text('{"text": "x"}', encoding="utf-8")
+        with pytest.raises(CorpusError, match="older per-file layout"):
+            CachingClient(CountingClient(), tmp_path)
+        assert not (tmp_path / "responses.jsonl").exists()
 
     def test_second_identical_request_single_network_call(self, tmp_path):
         inner = CountingClient()
@@ -508,11 +514,6 @@ class TestHttpClient:
         with pytest.raises(ValueError, match=setting):
             HttpCompletionClient(url="http://example.test/v1", **{setting: value})
 
-    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf])
-    def test_nli_client_out_of_range_timeout(self, timeout_s):
-        with pytest.raises(ValueError, match="timeout_s"):
-            HttpNliClient("http://example.test/nli", timeout_s=timeout_s)
-
     def test_backoff_doubles_per_attempt(self, monkeypatch):
         post = FakePost([reply(status=500)] * 4, self._clock(monkeypatch))
         with pytest.raises(CompletionError, match="retries exhausted"):
@@ -596,7 +597,6 @@ class TestHttpClient:
     def test_port_and_ipv6_host_pass(self):
         for url in ("http://localhost:8080/v1", "https://[::1]:443/v1", "http://[::1]/v1"):
             assert HttpCompletionClient(url=url).url == url
-            assert HttpNliClient(url).url == url
 
 
 class Logged(logging.Handler):
@@ -881,18 +881,6 @@ class TestLoopback:
         with pytest.raises(CompletionError, match="malformed"):
             HttpCompletionClient(url=url).complete(req())
 
-    def test_nli_client(self, loopback):
-        server, url = loopback
-        server.script = [(200, {}, '{"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}'),
-                         (503, {}, "unavailable"),
-                         (200, {}, "not json")]
-        client = HttpNliClient(url)
-        assert client.classify("p", "h") == NliVerdict(0.7, 0.2, 0.1)
-        assert server.received[0][1] == {"premise": "p", "hypothesis": "h"}
-        with pytest.raises(ValidateError, match="HTTP 503"):
-            client.classify("p", "h")
-        with pytest.raises(ValidateError, match="malformed"):
-            client.classify("p", "h")
 
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
@@ -911,8 +899,7 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        self.server.received.append((self.path, self.headers["Host"],
-                                     payload.get("prompt", payload.get("premise"))))
+        self.server.received.append((self.path, self.headers["Host"], payload["prompt"]))
         if self.server.hold_s is not None:
             self.server.release.wait(self.server.hold_s)
             self.close_connection = True
@@ -960,14 +947,6 @@ class TestConnectionReuse:
             responses = complete_all(client, [req(f"p{i}") for i in range(20)], pool.map)
         assert [r.text for r in responses] == ["ok"] * 20
         assert len(server.received) == 20 and server.connections <= 2
-
-    def test_nli_client_keeps_one_connection(self, keepalive):
-        server, url = keepalive
-        server.body = '{"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}'
-        client = HttpNliClient(url)
-        verdicts = in_a_thread(lambda: [client.classify("p", "h") for _ in range(3)])
-        assert verdicts == [NliVerdict(0.7, 0.2, 0.1)] * 3
-        assert len(server.received) == 3 and server.connections == 1
 
     def test_connection_closed_while_idle_is_sent_once_more_at_once(self, keepalive):
         server, url = keepalive

@@ -1,4 +1,3 @@
-import http.client
 from collections import Counter
 
 import pytest
@@ -7,12 +6,11 @@ from claimdecomp import (KnowledgeDoc, MockCompletionClient, build_index,
                          judge_decomposition, judge_facts, judge_support,
                          nli_entails)
 from claimdecomp.decompose import Subclaim
-from claimdecomp.llm import CHARS_PER_TOKEN, CachingClient
+from claimdecomp.llm import CHARS_PER_TOKEN, CachingClient, ContextLengthError
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
                                   CONTEXT_ORIGINAL_SENTENCE, VALIDATOR_SETTINGS,
-                                  HttpNliClient, NliVerdict, StaticNliClient,
-                                  ValidateError, build_support_prompt,
-                                  parse_verdict)
+                                  NliVerdict, StaticNliClient, ValidateError,
+                                  build_support_prompt, parse_verdict)
 
 
 def claim(text, i=0, topic="T", generator="g", method="rnd"):
@@ -100,6 +98,26 @@ class TestJudgeDecomposition:
         assert [r.prompt for r in client.calls] == [
             build_support_prompt("The sentence.", "b")]
         assert stats == Counter(empty_context=1)
+
+    def test_sentence_cut_to_validator_window(self):
+        window = (VALIDATOR_SETTINGS.context_window - VALIDATOR_SETTINGS.max_tokens) \
+            * CHARS_PER_TOKEN
+
+        class WindowedClient(MockCompletionClient):
+            """Rejects a prompt longer than the validator's window, as an endpoint does."""
+
+            def complete(self, request):
+                if len(request.prompt) > window:
+                    raise ContextLengthError(f"{len(request.prompt)} characters")
+                return super().complete(request)
+
+        sentence = "The composer lived in Zurich. " + "filler " * 1455
+        assert len(sentence) > window
+        judgments = judge_decomposition(WindowedClient(default="True"),
+                                        [(claim("composer claim"), sentence)])
+        assert judgments[0].supported
+        snapshot = judgments[0].context_snapshot
+        assert len(snapshot) < len(sentence) and sentence.startswith(snapshot)
 
 
 class TestJudgeFacts:
@@ -198,46 +216,3 @@ class TestNli:
         assert nli_entails(endpoint, "premise", "hypothesis") is True
         endpoint = StaticNliClient(verdict=NliVerdict(0.1, 0.1, 0.8))
         assert nli_entails(endpoint, "premise", "hypothesis") is False
-
-    def test_http_client_parses_response(self, monkeypatch):
-        def post_json(url, payload, headers, timeout_s):
-            assert payload == {"premise": "p", "hypothesis": "h"}
-            return 200, {}, '{"entailment": 0.7, "neutral": 0.2, "contradiction": 0.1}'
-
-        monkeypatch.setattr("claimdecomp.validate.post_json", post_json)
-        client = HttpNliClient("http://nli.test")
-        verdict = client.classify("p", "h")
-        assert verdict.entailment == 0.7
-        assert nli_entails(client, "p", "h") is True
-
-    def test_http_client_error_status(self, monkeypatch):
-        monkeypatch.setattr("claimdecomp.validate.post_json",
-                            lambda *args: (503, {}, "unavailable"))
-        with pytest.raises(ValidateError):
-            HttpNliClient("http://nli.test").classify("p", "h")
-
-    @pytest.mark.parametrize("body", [
-        "not json",
-        '{"entailment": 0.7, "neutral": 0.3}',
-        '{"entailment": "0.7", "neutral": 0.2, "contradiction": 0.1}',
-        "[]",
-    ], ids=["not-json", "missing-field", "str-field", "list"])
-    def test_http_client_malformed_body(self, monkeypatch, body):
-        monkeypatch.setattr("claimdecomp.validate.post_json", lambda *args: (200, {}, body))
-        with pytest.raises(ValidateError, match="malformed"):
-            HttpNliClient("http://nli.test").classify("p", "h")
-
-    def test_http_client_file_url_fails_when_built(self, tmp_path):
-        target = tmp_path / "f.json"
-        target.write_text('{"entailment": 1.0, "neutral": 0.0, "contradiction": 0.0}',
-                          encoding="utf-8")
-        with pytest.raises(ValueError, match="no http or https endpoint configured"):
-            HttpNliClient(target.as_uri())
-
-    def test_http_client_no_response(self, monkeypatch):
-        def post_json(*args):
-            raise http.client.IncompleteRead(b"")
-
-        monkeypatch.setattr("claimdecomp.validate.post_json", post_json)
-        with pytest.raises(ValidateError, match="NLI request failed"):
-            HttpNliClient("http://nli.test").classify("p", "h")
