@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import conllu as conllu_mod
 from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _json_object,
-                     _records, attach_parses, load_example_bank, load_generations,
-                     load_knowledge)
+                     _records, _replacing, attach_parses, load_example_bank,
+                     load_generations, load_knowledge)
 from .decompose import (DecomposeError, GenerationSettings, Subclaim, builtin_configs,
                         decompose_passage, default_bank, method_registry)
 from .llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CachingClient, CompletionClient,
@@ -147,11 +147,7 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
 def _load_passages(cfg: RunConfig) -> list[Passage]:
     if not cfg.generations:
         raise ConfigError("no generations file configured")
-    passages = load_generations(cfg.generations, drop_invalid=cfg.drop_invalid)
-    if cfg.parses:
-        parses = conllu_mod.parse_conllu_file(cfg.parses)
-        passages = attach_parses(passages, parses)
-    return passages
+    return load_generations(cfg.generations, drop_invalid=cfg.drop_invalid)
 
 
 def _resolve_methods(cfg: RunConfig) -> dict[str, object]:
@@ -248,7 +244,8 @@ def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
 WARNINGS = {
     "empty_sentences": "sentences decomposed to no subclaims",
     "unparseable": "unparseable validator answers counted as unsupported",
-    "empty_context": "claims had empty retrieval context",
+    "empty_context": "claims had an empty context (nothing retrieved, or no room left in "
+                     "the validator window) and count as unsupported",
     "unfiltered_passages": "passages have no sentence-supported subclaims; "
                            "filtered factscore counts them as 0",
 }
@@ -265,29 +262,28 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
     request pool: ``cfg.max_inflight`` threads, the only concurrency in the
     pipeline. Its ordered map returns results in submission order, so the
     outputs do not depend on the pool's width."""
-    for key, least in (("max_inflight", 1), ("max_tokens", 1), ("temperature", 0),
-                       ("retrieval_k", 1), ("chunk_words", 1)):
-        if getattr(cfg, key) < least:
-            raise ConfigError(f"{key} must be >= {least}, got {getattr(cfg, key)}")
-    if not math.isfinite(cfg.temperature):
-        raise ConfigError(f"temperature must be finite, got {cfg.temperature}")
-    if cfg.context_window <= cfg.max_tokens:
-        raise ConfigError(f"context_window must exceed max_tokens, got "
-                          f"{cfg.context_window} <= {cfg.max_tokens}")
+    for key in ("max_inflight", "retrieval_k", "chunk_words"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    try:
+        settings = GenerationSettings(temperature=cfg.temperature, max_tokens=cfg.max_tokens,
+                                      context_window=cfg.context_window)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.cache_only and not cfg.cache_dir:
         raise ConfigError("--cache-only needs --cache-dir")
     with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
         if stage == "decompose":
-            return cmd_decompose(cfg, pool.map)
+            return cmd_decompose(cfg, settings, pool.map)
         return cmd_judge(stage, cfg, pool.map)
 
 
-def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
+def cmd_decompose(cfg: RunConfig, settings: GenerationSettings, map_fn: MapFn) -> int:
     passages = _load_passages(cfg)
+    if cfg.parses:
+        passages = attach_parses(passages, conllu_mod.parse_conllu_file(cfg.parses))
     methods = _resolve_methods(cfg)
     client = _build_client(cfg, "decomposer")
-    settings = GenerationSettings(temperature=cfg.temperature, max_tokens=cfg.max_tokens,
-                                  context_window=cfg.context_window)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -378,8 +374,8 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     rest = iter(judged)
     for name, claims in loaded.items():
         judgments = list(itertools.islice(rest, len(claims)))
-        with open(jsonl_path(outdir, stage, name), "w", encoding="utf-8") as fh:
-            fh.write("".join(_dump_line(_record(j)) for j in judgments))
+        with _replacing(jsonl_path(outdir, stage, name)) as tmp:
+            tmp.write_text("".join(_dump_line(_record(j)) for j in judgments), encoding="utf-8")
 
         if stage == "decompscore":
             results = results_from_judgments(claims, sentence_judgments=judgments)
@@ -391,7 +387,8 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
 
     _warn(stats)
     for filename, rows in _report_files(stage, reports).items():
-        with open(outdir / filename, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(outdir / filename) as tmp, \
+                open(tmp, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
     print(f"{stage}: {outdir / REPORT_COLUMNS[stage][0][0]}")
     return EXIT_OK
@@ -414,7 +411,7 @@ def cmd_correlate(file_a: str, file_b: str, columns: list[str],
         lines.append((column, f"{rho:.4f}"))
         print(f"{column}: rho={rho:.4f}")
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
+        with _replacing(Path(out)) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(lines)
     return EXIT_OK
 
@@ -468,6 +465,8 @@ def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
             return rows
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            raise ConfigError(f"{path}: malformed CSV: {exc}") from exc
 
 
 def _report_files(stage: str, reports: dict[str, MethodReport]) -> dict[str, list[list[str]]]:
@@ -513,7 +512,10 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
             if not (outdir / filename).exists():
                 continue
             with open(outdir / filename, newline="", encoding="utf-8") as fh:
-                found = list(csv.reader(fh)) or [[]]
+                try:
+                    found = list(csv.reader(fh)) or [[]]
+                except csv.Error as exc:
+                    raise ConfigError(f"{outdir / filename}: malformed CSV: {exc}") from exc
             listed = ([m for row in found[1:] for m in row[:1]] if filename == "scatter.csv"
                       else found[0][1:])
             if unknown := [m for m in listed if m not in reports]:

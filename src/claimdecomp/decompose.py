@@ -335,26 +335,23 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
     return [" ".join(sentence_text.split())]
 
 
-def _predarg_claim_texts(parse, client: CompletionClient,
-                         settings: GenerationSettings) -> list[str]:
-    if parse is None:
-        raise DecomposeError("predicate-argument decomposition requires a parse")
-    return [fluency_rewrite(client, render_predication(parse, p), settings)
-            for p in extract_predications(parse)]
-
-
 def decompose_sentence(method: Method, sentence: Sentence | str,
                        client: CompletionClient,
                        settings: GenerationSettings = GenerationSettings(),
                        topic: str = "", generator: str = "") -> list[Subclaim]:
-    """Decompose one sentence into subclaims via the given method."""
+    """Decompose one sentence into subclaims via the given method. A method
+    that reads parses raises DecomposeError for a sentence without one."""
     if isinstance(sentence, Sentence):
         text, index, parse = sentence.text, sentence.index, sentence.parse
     else:
         text, index, parse = sentence, 0, None
+    if method.include_parse and parse is None:
+        raise DecomposeError(f"method {method.name!r} requires a parse but sentence "
+                             f"{index} of {generator}/{topic} has none")
 
     if isinstance(method, PredArgMethod):
-        claims = _predarg_claim_texts(parse, client, settings)
+        claims = [fluency_rewrite(client, render_predication(parse, p), settings)
+                  for p in extract_predications(parse)]
     else:
         claims = _prompted_claim_texts(method, text, parse, client, settings)
 
@@ -371,13 +368,6 @@ def decompose_passage(method: Method, passage: Passage,
                       settings: GenerationSettings = GenerationSettings()) -> list[Subclaim]:
     """Decompose every sentence of a passage, one after another; output
     ordered by sentence."""
-    if method.include_parse:
-        for sentence in passage.sentences:
-            if sentence.parse is None:
-                raise DecomposeError(
-                    f"method {method.name!r} requires a parse but sentence "
-                    f"{sentence.index} of {passage.generator}/{passage.topic} has none")
-
     return [claim for sentence in passage.sentences
             for claim in decompose_sentence(method, sentence, client, settings,
                                             topic=passage.topic, generator=passage.generator)]

@@ -62,12 +62,6 @@ class CompletionRequest:
     max_tokens: int = 512
     temperature: float = 0.7
 
-    def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if not math.isfinite(self.temperature) or self.temperature < 0:
-            raise ValueError("temperature must be finite and >= 0")
-
 
 @dataclass(frozen=True)
 class CompletionResponse:
@@ -85,11 +79,22 @@ Outcome = CompletionResponse | ContextLengthError  # what came back for one requ
 @dataclass(frozen=True)
 class GenerationSettings:
     """Sampling parameters plus the model window that prompt budgeting
-    fills."""
+    fills, checked when built: every request is built from one."""
 
     temperature: float = 0.7
     max_tokens: int = 512
     context_window: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+        if self.temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"temperature must be finite, got {self.temperature}")
+        if self.context_window <= self.max_tokens:
+            raise ValueError(f"context_window must exceed max_tokens, got "
+                             f"{self.context_window} <= {self.max_tokens}")
 
 
 class CompletionClient(Protocol):

@@ -71,54 +71,52 @@ def parse_verdict(completion: str) -> bool | None:
 
 
 def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
-              stats: Counter | None, map_fn: MapFn) -> list[bool]:
-    """Support verdicts for (context, claim) pairs, in order. Only the
-    requests go through ``map_fn``; verdict parsing and counting stay in
-    this thread."""
-    requests = [completion_request(client, build_support_prompt(*pair), VALIDATOR_SETTINGS)
-                for pair in pairs]
+              stats: Counter | None, map_fn: MapFn) -> list[tuple[str, bool]]:
+    """For each (context, claim) pair, in order, the context cut to the
+    validator's window and whether it supports the claim. A claim whose cut
+    context is empty is unsupported without a validator call; the others go
+    to the validator as one batch. Only the requests go through ``map_fn``;
+    verdict parsing and counting stay in this thread."""
+    pairs = [(_truncate_context(context, claim), claim) for context, claim in pairs]
+    responses = iter(complete_all(client, [
+        completion_request(client, build_support_prompt(*pair), VALIDATOR_SETTINGS)
+        for pair in pairs if pair[0]], map_fn))
     verdicts = []
-    for (_, claim), response in zip(pairs, complete_all(client, requests, map_fn)):
-        verdict = parse_verdict(response.text)
+    for context, claim in pairs:
+        if not context:
+            logger.debug("empty context for claim %.60s", claim)
+            if stats is not None:
+                stats["empty_context"] += 1
+            verdicts.append((context, False))
+            continue
+        text = next(responses).text
+        verdict = parse_verdict(text)
         if verdict is None:
-            logger.debug("unparseable validator answer %r for claim %.60s",
-                         response.text[:40], claim)
+            logger.debug("unparseable validator answer %r for claim %.60s", text[:40], claim)
             if stats is not None:
                 stats["unparseable"] += 1
-        verdicts.append(verdict is True)
+        verdicts.append((context, verdict is True))
     return verdicts
 
 
 def judge_support(client: CompletionClient, context: str, claim: str,
                   stats: Counter | None = None) -> bool:
+    """Whether ``context`` supports ``claim``, judged as the stages judge a
+    subclaim: against the context cut to the validator's window, and
+    unsupported without a call when nothing of it is left."""
     if not claim:
         raise ValidateError("claim must be non-empty")
-    return _verdicts(client, [(context, claim)], stats, map)[0]
+    return _verdicts(client, [(context, claim)], stats, map)[0][1]
 
 
 def _judgments(client: CompletionClient, claims: list[Subclaim], contexts: list[str],
                context_kind: str, stats: Counter | None, map_fn: MapFn) -> list[SupportJudgment]:
-    """A judgment of each claim against its context cut to the validator's
-    window, in order. A claim whose cut context is empty is unsupported
-    without a validator call; the others go to the validator as one batch."""
-    contexts = [_truncate_context(context, claim.text) for claim, context in zip(claims, contexts)]
-    verdicts = iter(_verdicts(
-        client, [(context, claim.text) for claim, context in zip(claims, contexts) if context],
-        stats, map_fn))
-    judgments = []
-    for claim, context in zip(claims, contexts):
-        if not context:
-            logger.debug("empty context for claim %.60s", claim.text)
-            if stats is not None:
-                stats["empty_context"] += 1
-        judgments.append(SupportJudgment(
-            claim=claim,
-            context_kind=context_kind,
-            supported=bool(context) and next(verdicts),
-            validator_id=client.model,
-            context_snapshot=context,
-        ))
-    return judgments
+    """A judgment of each claim against its context (see ``_verdicts``), in order."""
+    verdicts = _verdicts(client, [(context, claim.text)
+                                  for claim, context in zip(claims, contexts)], stats, map_fn)
+    return [SupportJudgment(claim=claim, context_kind=context_kind, supported=supported,
+                            validator_id=client.model, context_snapshot=context)
+            for claim, (context, supported) in zip(claims, verdicts)]
 
 
 def judge_decomposition(client: CompletionClient, claims: list[tuple[Subclaim, str]],

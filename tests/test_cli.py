@@ -230,6 +230,60 @@ class TestPipeline:
         assert rows[-1][0] == "macro-average"
         assert {r[0] for r in rows[1:-1]} == {"alpha", "beta"}
 
+    @pytest.mark.parametrize("fail", ["judgments", "report"])
+    def test_failed_write_leaves_the_earlier_file_whole(self, data_dir, tmp_path, monkeypatch,
+                                                        capsys, fail):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        before = _tree_bytes(out)
+        if fail == "judgments":
+            dump_line, lines = cli._dump_line, iter(range(3))
+
+            def failing_dump_line(record):
+                if next(lines, None) is None:
+                    raise OSError(28, "No space left on device")
+                return dump_line(record)
+
+            monkeypatch.setattr(cli, "_dump_line", failing_dump_line)
+        else:
+            class FailingWriter:
+                """Writes the first row, then fails as a full disk does."""
+
+                def __init__(self, fh):
+                    self.fh = fh
+
+                def writerows(self, rows):
+                    self.fh.write(",".join(rows[0]) + "\r\n")
+                    raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(csv, "writer", FailingWriter)
+        assert cli.main(["decompscore", *_common(data_dir, out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert _tree_bytes(out) == before  # no temp file left either
+
+    def test_judgment_stages_ignore_parses(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        before = _tree_bytes(out)
+        # parses of other sentences, which decompose would refuse
+        parses = ["--parses", str(data_dir / "predarg_parses.conllu")]
+        assert cli.main(["decompscore", *_common(data_dir, out, parses)]) == 0
+        assert cli.main(["factscore", *_common(data_dir, out, [
+            "--knowledge", str(data_dir / "knowledge_small.jsonl"), *parses])]) == 0
+        assert _tree_bytes(out) == before
+
+    def test_stages_run_clean_in_dev_mode(self, data_dir, tmp_path):
+        # -X dev reports unclosed files and descriptors; -W error makes them fatal
+        args = _common(data_dir, tmp_path / "out",
+                       ["--method", "wice", "--cache-dir", str(tmp_path / "cache")])
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        for stage, extra in (("decompose", []), ("decompscore", []), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "claimdecomp.cli", stage,
+                 *args, *extra], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), stage
+
 
 _PACKED_FIELDS = ("title_chunks", "lengths", "counts", "positions", "tfs")
 
@@ -707,6 +761,25 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: not UTF-8: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["correlate", "audit"])
+    def test_malformed_csv(self, data_dir, tmp_path, capsys, kind):
+        # a cell longer than the csv module's field size limit
+        rows = f"generator,rnd\n{'x' * 200_000},1.0\n"
+        if kind == "correlate":
+            bad = tmp_path / "big.csv"
+            bad.write_text(rows, encoding="utf-8")
+            assert cli.main(["correlate", str(bad), str(bad), "--columns", "rnd"]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+        else:
+            run_pipeline(data_dir, tmp_path / "out")
+            bad = tmp_path / "out" / "decompscore.csv"
+            bad.write_text(rows, encoding="utf-8")
+            with pytest.raises(cli.ConfigError) as caught:  # exit 2 in a command
+                cli.audit_outputs(tmp_path / "out", ["rnd"])
+            err = f"error: {caught.value}"
+        assert err.startswith(f"error: {bad}: malformed CSV: ")
+
 
 class FailingOnCall:
     """Delegates to ``inner`` but raises CompletionError on call number ``n``
@@ -1107,7 +1180,8 @@ class TestDegenerateInputs:
         assert cli.main(["factscore", *args, "--knowledge", str(knowledge)]) == 0
         assert [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning:")] == [
             "warning: 5 unparseable validator answers counted as unsupported",
-            "warning: 10 claims had empty retrieval context",
+            "warning: 10 claims had an empty context (nothing retrieved, or no room left in "
+            "the validator window) and count as unsupported",
             "warning: 4 passages have no sentence-supported subclaims; "
             "filtered factscore counts them as 0"]
 

@@ -470,6 +470,17 @@ class TestDecomposePassage:
         with pytest.raises(DecomposeError, match="'predpatt' requires a parse but sentence 0"):
             decompose_passage(PredArgMethod(), passage, MockCompletionClient())
 
+    @pytest.mark.parametrize("name", ["conllu", "predpatt"])
+    def test_sentence_without_parse_refused_before_any_call(self, data_dir, name):
+        method = PredArgMethod() if name == "predpatt" else _bound(
+            name, load_example_bank(data_dir / "conllu_bank.jsonl"))
+        client = MockCompletionClient()
+        with pytest.raises(DecomposeError, match=f"method '{name}' requires a parse but "
+                                                 "sentence 2 of g/T has none"):
+            decompose_sentence(method, Sentence("No parse here.", 2), client,
+                               topic="T", generator="g")
+        assert client.calls == []
+
     def test_predpatt_method(self, oracle_parses):
         class Echo:
             """Answers each fluency rewrite with the rendering it was given."""

@@ -15,7 +15,7 @@ import pytest
 
 from claimdecomp.corpus import CorpusError
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
-                             CompletionResponse, ContextLengthError,
+                             CompletionResponse, ContextLengthError, GenerationSettings,
                              HttpCompletionClient, MockCompletionClient,
                              ResponseCache, Throttle, TransientError, cache_key,
                              complete_all)
@@ -94,16 +94,24 @@ def _put_one_key(cache_dir: str, writer: int, threads: int, rounds: int) -> None
 
 
 class TestRequest:
+    """Requests take their sampling values from a GenerationSettings, which
+    checks them when it is built."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(model="m", prompt="p", max_tokens=0)
-        with pytest.raises(ValueError):
-            CompletionRequest(model="m", prompt="p", temperature=-0.1)
+        with pytest.raises(ValueError, match="max_tokens must be >= 1, got 0"):
+            GenerationSettings(max_tokens=0)
+        with pytest.raises(ValueError, match="temperature must be >= 0, got -0.1"):
+            GenerationSettings(temperature=-0.1)
 
     @pytest.mark.parametrize("temperature", [math.nan, math.inf])
     def test_non_finite_temperature(self, temperature):
         with pytest.raises(ValueError, match="finite"):
-            CompletionRequest(model="m", prompt="p", temperature=temperature)
+            GenerationSettings(temperature=temperature)
+
+    @pytest.mark.parametrize("context_window", [100, 512])
+    def test_window_must_exceed_max_tokens(self, context_window):
+        with pytest.raises(ValueError, match=f"got {context_window} <= 512"):
+            GenerationSettings(context_window=context_window, max_tokens=512)
 
 
 class TestMockClient:

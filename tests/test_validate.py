@@ -10,12 +10,25 @@ from claimdecomp.llm import CHARS_PER_TOKEN, CachingClient, ContextLengthError
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
                                   CONTEXT_ORIGINAL_SENTENCE, VALIDATOR_SETTINGS,
                                   NliVerdict, StaticNliClient, ValidateError,
-                                  build_support_prompt, parse_verdict)
+                                  _truncate_context, build_support_prompt, parse_verdict)
 
 
 def claim(text, i=0, topic="T", generator="g", method="rnd"):
     return Subclaim(text=text, topic=topic, generator=generator,
                     sentence_index=0, method=method, ordinal=i)
+
+
+WINDOW_CHARS = (VALIDATOR_SETTINGS.context_window - VALIDATOR_SETTINGS.max_tokens) \
+    * CHARS_PER_TOKEN
+
+
+class WindowedClient(MockCompletionClient):
+    """Rejects a prompt longer than the validator's window, as an endpoint does."""
+
+    def complete(self, request):
+        if len(request.prompt) > WINDOW_CHARS:
+            raise ContextLengthError(f"{len(request.prompt)} characters")
+        return super().complete(request)
 
 
 class TestPrompt:
@@ -64,6 +77,20 @@ class TestJudgeSupport:
         assert request.temperature == 0.0
         assert request.max_tokens == 128
 
+    def test_context_cut_to_validator_window(self):
+        sentence = "The composer lived in Zurich. " + "filler " * 1455
+        client = WindowedClient(default="True")
+        assert judge_support(client, sentence, "composer claim") is True
+        assert client.calls[0].prompt == build_support_prompt(
+            _truncate_context(sentence, "composer claim"), "composer claim")
+
+    def test_empty_context_unsupported_without_a_call(self):
+        client = MockCompletionClient(default="True")
+        stats = Counter()
+        assert judge_support(client, "", "claim", stats=stats) is False
+        assert client.calls == []
+        assert stats == Counter(empty_context=1)
+
 
 class TestJudgeDecomposition:
     def test_empty_list(self):
@@ -100,19 +127,8 @@ class TestJudgeDecomposition:
         assert stats == Counter(empty_context=1)
 
     def test_sentence_cut_to_validator_window(self):
-        window = (VALIDATOR_SETTINGS.context_window - VALIDATOR_SETTINGS.max_tokens) \
-            * CHARS_PER_TOKEN
-
-        class WindowedClient(MockCompletionClient):
-            """Rejects a prompt longer than the validator's window, as an endpoint does."""
-
-            def complete(self, request):
-                if len(request.prompt) > window:
-                    raise ContextLengthError(f"{len(request.prompt)} characters")
-                return super().complete(request)
-
         sentence = "The composer lived in Zurich. " + "filler " * 1455
-        assert len(sentence) > window
+        assert len(sentence) > WINDOW_CHARS
         judgments = judge_decomposition(WindowedClient(default="True"),
                                         [(claim("composer claim"), sentence)])
         assert judgments[0].supported
