@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import itertools
 import json
 import logging
@@ -23,17 +24,15 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from . import conllu as conllu_mod
 from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _json_object,
                      _records, _replacing, attach_parses, load_example_bank,
                      load_generations, load_knowledge)
-from .decompose import (DecomposeError, GenerationSettings, Subclaim, builtin_configs,
-                        decompose_passage, default_bank, method_registry)
+from .decompose import (DecomposeError, GenerationSettings, MethodConfig, Subclaim,
+                        builtin_configs, decompose_passage, default_bank, method_registry)
 from .llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CachingClient, CompletionClient,
                   CompletionError, HttpCompletionClient, MapFn, MockCompletionClient)
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
-from .predarg import PredArgMethod
 from .retrieval import (DEFAULT_CHUNK_WORDS, DEFAULT_TOP_K, RetrievalError, build_index,
                         load_index, save_index, search)
 from .validate import SupportJudgment, ValidateError, judge_decomposition, judge_facts
@@ -151,15 +150,17 @@ def _load_passages(cfg: RunConfig) -> list[Passage]:
 
 
 def _resolve_methods(cfg: RunConfig) -> dict[str, object]:
-    registry = method_registry()
+    prompted = builtin_configs()
     resolved = {}
     for name in cfg.methods:
+        # the whole registry loads predarg, so a prompted method is looked up without it
+        registry = prompted if name in prompted else method_registry()
         if name not in registry:
             raise ConfigError(f"unknown method {name!r}; choose from {sorted(registry)}")
         method = registry[name]
         if method.include_parse and not cfg.parses:
             raise ConfigError(f"method {name!r} needs sentence parses (--parses PATH)")
-        if isinstance(method, PredArgMethod):
+        if not isinstance(method, MethodConfig):
             resolved[name] = method
             continue
         if name in cfg.example_banks:
@@ -281,7 +282,9 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
 def cmd_decompose(cfg: RunConfig, settings: GenerationSettings, map_fn: MapFn) -> int:
     passages = _load_passages(cfg)
     if cfg.parses:
-        passages = attach_parses(passages, conllu_mod.parse_conllu_file(cfg.parses))
+        from .conllu import parse_conllu_file
+
+        passages = attach_parses(passages, parse_conllu_file(cfg.parses))
     methods = _resolve_methods(cfg)
     client = _build_client(cfg, "decomposer")
     outdir = Path(cfg.output_dir)
@@ -338,7 +341,6 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
             raise ConfigError("factscore needs --index or --knowledge")
     client = _build_client(cfg, "validator")
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
     # A subclaim's group is its source sentence's key. Judgments are written
     # in sorted group order; the stable sort keeps the file order in a group.
@@ -449,24 +451,33 @@ def _numbers(path: str, rows: dict[str, dict[str, str]], keys: list[str],
     return values
 
 
-def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
+def _read_csv(path: Path) -> list[list[str]]:
+    """The rows of the CSV file at ``path``; one that is not UTF-8 CSV is a
+    ConfigError naming it."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            reader = csv.DictReader(fh)
-            if not reader.fieldnames:
-                raise ConfigError(f"empty CSV {path}")
-            key_field = reader.fieldnames[0]
-            rows: dict[str, dict[str, str]] = {}
-            for row in reader:
-                key = row[key_field]
-                if key in rows:
-                    raise ConfigError(f"{path}: repeated key {key!r} in column {key_field!r}")
-                rows[key] = row
-            return rows
+            return list(csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8: {exc}") from exc
         except csv.Error as exc:
             raise ConfigError(f"{path}: malformed CSV: {exc}") from exc
+
+
+def _read_keyed_csv(path: Path) -> dict[str, dict[str, str]]:
+    """Each row by its first cell, as a map from header to cell; as in a
+    ``csv.DictReader``, blank rows are skipped and a short row's missing
+    cells are None."""
+    header, *body = _read_csv(path) or [[]]
+    if not header:
+        raise ConfigError(f"empty CSV {path}")
+    rows: dict[str, dict[str, str]] = {}
+    for row in filter(None, body):
+        cells = dict(zip(header, row)) | dict.fromkeys(header[len(row):])
+        key = cells[header[0]]
+        if key in rows:
+            raise ConfigError(f"{path}: repeated key {key!r} in column {header[0]!r}")
+        rows[key] = cells
+    return rows
 
 
 def _report_files(stage: str, reports: dict[str, MethodReport]) -> dict[str, list[list[str]]]:
@@ -511,11 +522,7 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
         for filename in _report_files(stage, {}):
             if not (outdir / filename).exists():
                 continue
-            with open(outdir / filename, newline="", encoding="utf-8") as fh:
-                try:
-                    found = list(csv.reader(fh)) or [[]]
-                except csv.Error as exc:
-                    raise ConfigError(f"{outdir / filename}: malformed CSV: {exc}") from exc
+            found = _read_csv(outdir / filename) or [[]]
             listed = ([m for row in found[1:] for m in row[:1]] if filename == "scatter.csv"
                       else found[0][1:])
             if unknown := [m for m in listed if m not in reports]:
@@ -608,7 +615,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_index_search(args.index, args.query, args.k, title=args.title)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, CorpusError, DecomposeError, RetrievalError, MetricsError,
-            conllu_mod.ConlluError, OSError) as exc:
+            OSError) as exc:  # a ConlluError is a CorpusError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CompletionError, ValidateError) as exc:
@@ -617,6 +624,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    # What import made lives until exit: keep it out of the run's full
+    # collections and the last one at exit.
+    gc.freeze()
     sys.exit(main())
 
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import CorpusError
+
 FIELD_COUNT = 10
 
 
-class ConlluError(ValueError):
+class ConlluError(CorpusError):
     """Malformed or invariant-violating CoNLL-U input."""
 
 

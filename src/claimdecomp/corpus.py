@@ -20,7 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .conllu import SentenceParse
+if typing.TYPE_CHECKING:  # annotations only: a run without parses never loads conllu
+    from .conllu import SentenceParse
 
 
 class CorpusError(ValueError):
@@ -275,7 +276,9 @@ def _json_object(where: str, data: bytes | str) -> dict:
 def _replacing(path: Path) -> Iterator[Path]:
     """A temp file beside ``path`` for the block to write. It is renamed over
     ``path`` when the block ends and removed when the block raises, so a
-    reader of ``path`` never sees a partial file."""
+    reader of ``path`` never sees a partial file. A missing parent directory
+    is made first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         yield tmp

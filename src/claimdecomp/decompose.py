@@ -17,16 +17,20 @@ import heapq
 import logging
 import math
 import re
+import typing
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
-from . import conllu as conllu_mod
 from .corpus import ExampleBank, ExampleEntry, Passage, Sentence, load_example_bank
 from .llm import (CHARS_PER_TOKEN, CompletionClient, ContextLengthError,
                   GenerationSettings, complete_text)
-from .predarg import PredArgMethod, extract_predications, fluency_rewrite, render_predication
+
+# conllu and predarg load where a parse is read, so a prompted method
+# without parses never imports them
+if typing.TYPE_CHECKING:
+    from .predarg import PredArgMethod
 
 logger = logging.getLogger(__name__)
 
@@ -93,10 +97,13 @@ def builtin_configs() -> dict[str, MethodConfig]:
     return {c.name: c for c in configs}
 
 
-Method = MethodConfig | PredArgMethod
+Method = typing.Union[MethodConfig, "PredArgMethod"]
 
 
 def method_registry() -> dict[str, Method]:
+    """The prompted methods and ``predpatt``, which loads predarg."""
+    from .predarg import PredArgMethod
+
     registry: dict[str, Method] = dict(builtin_configs())
     registry["predpatt"] = PredArgMethod()
     return registry
@@ -225,7 +232,9 @@ def _parse_text(parse) -> str | None:
         return None
     if isinstance(parse, str):
         return parse.rstrip("\n")
-    return conllu_mod.serialize([parse]).rstrip("\n")
+    from .conllu import serialize
+
+    return serialize([parse]).rstrip("\n")
 
 
 def _block(instruction: str, sentence: str, subclaims=None, parse_text=None) -> str:
@@ -349,11 +358,13 @@ def decompose_sentence(method: Method, sentence: Sentence | str,
         raise DecomposeError(f"method {method.name!r} requires a parse but sentence "
                              f"{index} of {generator}/{topic} has none")
 
-    if isinstance(method, PredArgMethod):
+    if isinstance(method, MethodConfig):
+        claims = _prompted_claim_texts(method, text, parse, client, settings)
+    else:
+        from .predarg import extract_predications, fluency_rewrite, render_predication
+
         claims = [fluency_rewrite(client, render_predication(parse, p), settings)
                   for p in extract_predications(parse)]
-    else:
-        claims = _prompted_claim_texts(method, text, parse, client, settings)
 
     claims = [c for c in claims if c.strip()]
     return [

@@ -7,7 +7,6 @@ POST ``{model, prompt, max_tokens, temperature}`` returning
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -244,6 +243,8 @@ class Throttle:
 
 
 def cache_key(request: CompletionRequest) -> str:
+    import hashlib  # here, as http.client is, so a run without a cache never loads it
+
     payload = json.dumps(vars(request), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

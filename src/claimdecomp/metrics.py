@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
-from statistics import fmean
 
 from .decompose import Subclaim
 from .validate import SupportJudgment
@@ -49,6 +49,12 @@ class PassageResult:
                 f"filtered knowledge count exceeds sentence-supported count: {self}")
 
 
+def _mean(values: Iterable[float]) -> float:
+    """The mean of a non-empty run of numbers, as ``statistics.fmean`` gives it."""
+    values = list(values)
+    return math.fsum(values) / len(values)
+
+
 def _require_results(results: list[PassageResult]) -> None:
     if not results:
         raise MetricsError("no passage results")
@@ -60,12 +66,12 @@ def _require_results(results: list[PassageResult]) -> None:
 def decomp_score(results: list[PassageResult]) -> float:
     """Mean sentence-supported subclaim count per passage."""
     _require_results(results)
-    return fmean(r.n_supported_by_sentence for r in results)
+    return _mean(r.n_supported_by_sentence for r in results)
 
 
 def avg_subclaims(results: list[PassageResult]) -> float:
     _require_results(results)
-    return fmean(r.n_subclaims for r in results)
+    return _mean(r.n_subclaims for r in results)
 
 
 def fact_score(results: list[PassageResult], use_filter: bool = False) -> float:
@@ -88,7 +94,7 @@ def fact_score(results: list[PassageResult], use_filter: bool = False) -> float:
             scores.append(0.0)
         else:
             scores.append(numerator / denominator)
-    return fmean(scores)
+    return _mean(scores)
 
 
 def coherence_pct(results: list[PassageResult]) -> float:
@@ -105,7 +111,7 @@ def macro_average(per_lm: dict[str, float]) -> float:
     """Arithmetic mean across generators."""
     if not per_lm:
         raise MetricsError("empty per-generator map")
-    return fmean(per_lm.values())
+    return _mean(per_lm.values())
 
 
 def pearson(xs: list[float], ys: list[float]) -> float:
@@ -114,7 +120,7 @@ def pearson(xs: list[float], ys: list[float]) -> float:
         raise MetricsError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise MetricsError("need at least 2 pairs")
-    mx, my = fmean(xs), fmean(ys)
+    mx, my = _mean(xs), _mean(ys)
     dx = [x - mx for x in xs]
     dy = [y - my for y in ys]
     # Scale each centred column to unit max before squaring, so tiny or huge
@@ -137,15 +143,29 @@ def results_from_judgments(
         knowledge_judgments: list[SupportJudgment] | None = None) -> list[PassageResult]:
     """Fold raw judgment records into per-passage counts.
 
-    Judgments are matched to subclaims by (generator, topic, sentence index,
-    ordinal); each judgment list, when given, must cover every subclaim.
+    Judgments are matched to subclaims by (generator, topic, method, sentence
+    index, ordinal); each judgment list, when given, must cover every
+    subclaim, and each judgment must be of that subclaim's text.
     """
     def key(c: Subclaim) -> tuple:
         return (c.generator, c.topic, c.method, c.sentence_index, c.ordinal)
 
-    sentence_map = {key(j.claim): j.supported for j in sentence_judgments or []}
-    knowledge_map = {key(j.claim): j.supported for j in knowledge_judgments or []}
+    def by_key(judgments: list[SupportJudgment] | None) -> dict[tuple, SupportJudgment] | None:
+        return None if judgments is None else {key(j.claim): j for j in judgments}
 
+    def supported(claim: Subclaim, judgments: dict[tuple, SupportJudgment] | None,
+                  kind: str, stage: str) -> bool:
+        if judgments is None:
+            return False
+        judgment = judgments.get(key(claim))
+        if judgment is None:
+            raise MetricsError(f"missing {kind} judgment for {key(claim)}")
+        if judgment.claim != claim:
+            raise MetricsError(f"{kind} judgment for {key(claim)} is of {judgment.claim.text!r}, "
+                               f"but the subclaim reads {claim.text!r}; rerun {stage}")
+        return judgment.supported
+
+    sentence_map, knowledge_map = by_key(sentence_judgments), by_key(knowledge_judgments)
     grouped: dict[tuple[str, str, str], list[Subclaim]] = {}
     for claim in subclaims:
         grouped.setdefault((claim.generator, claim.topic, claim.method), []).append(claim)
@@ -154,13 +174,8 @@ def results_from_judgments(
     for (generator, topic, method), claims in grouped.items():
         n_sentence = n_knowledge = n_filtered = 0
         for claim in claims:
-            k = key(claim)
-            if sentence_judgments is not None and k not in sentence_map:
-                raise MetricsError(f"missing sentence judgment for {k}")
-            if knowledge_judgments is not None and k not in knowledge_map:
-                raise MetricsError(f"missing knowledge judgment for {k}")
-            sentence_ok = sentence_map.get(k, False)
-            knowledge_ok = knowledge_map.get(k, False)
+            sentence_ok = supported(claim, sentence_map, "sentence", "decompscore")
+            knowledge_ok = supported(claim, knowledge_map, "knowledge", "factscore")
             n_sentence += sentence_ok
             n_knowledge += knowledge_ok
             n_filtered += sentence_ok and knowledge_ok

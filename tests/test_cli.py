@@ -213,6 +213,14 @@ class TestPipeline:
             data_dir, out, ["--knowledge", str(data_dir / "knowledge_small.jsonl")])]) == 0
         cli.audit_outputs(out, ["rnd", "wice"])
 
+    def test_audit_names_a_report_file_that_is_not_utf8(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        (out / "decompscore.csv").write_bytes(b"generator,rnd\nCaf\xe9,5.0\n")
+        with pytest.raises(cli.ConfigError) as caught:
+            cli.audit_outputs(out, ["rnd"])
+        assert str(caught.value).startswith(f"{out / 'decompscore.csv'}: not UTF-8: ")
+
     def test_scatter_columns(self, data_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(data_dir, out)
@@ -273,16 +281,24 @@ class TestPipeline:
         assert _tree_bytes(out) == before
 
     def test_stages_run_clean_in_dev_mode(self, data_dir, tmp_path):
-        # -X dev reports unclosed files and descriptors; -W error makes them fatal
+        # -X dev reports unclosed files and descriptors; -W error makes them fatal.
+        # Each command runs through cli.entrypoint, which calls gc.freeze() first.
+        knowledge = str(data_dir / "knowledge_small.jsonl")
         args = _common(data_dir, tmp_path / "out",
                        ["--method", "wice", "--cache-dir", str(tmp_path / "cache")])
+        tables = [str(REPO / "src" / "claimdecomp" / "data" / f"benchmark_agreement_{side}.csv")
+                  for side in "ab"]
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-        for stage, extra in (("decompose", []), ("decompscore", []), ("factscore", [
-                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+        for command in (["index", "build", "--knowledge", knowledge,
+                         "--out", str(tmp_path / "index.json")],
+                        ["decompose", *args], ["decompscore", *args],
+                        ["factscore", *args, "--knowledge", knowledge],
+                        ["correlate", *tables, "--columns", "factscore",
+                         "--out", str(tmp_path / "rho.csv")]):
             proc = subprocess.run(
-                [sys.executable, "-X", "dev", "-W", "error", "-m", "claimdecomp.cli", stage,
-                 *args, *extra], cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
-            assert (proc.returncode, proc.stderr) == (0, ""), stage
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "claimdecomp.cli", *command],
+                cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), command[0]
 
 
 _PACKED_FIELDS = ("title_chunks", "lengths", "counts", "positions", "tfs")
@@ -539,6 +555,28 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: missing sentence judgment for ")
         assert not [p for p in cache.rglob("*") if p.is_file()]
         assert not (out / "knowledge-judgments-rnd.jsonl").exists()
+
+    def test_judgment_of_a_rewritten_subclaim_is_refused(self, data_dir, tmp_path, capsys):
+        # a subclaims file rewritten under the same keys after decompscore
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        assert cli.main(["decompscore", *_common(data_dir, out)]) == 0
+        path = out / "subclaims-rnd.jsonl"
+        first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        old = json.loads(first)
+        path.write_text("".join([json.dumps(old | {"text": "Ada was born in Lima."}) + "\n",
+                                 *rest]), encoding="utf-8")
+        key = (old["generator"], old["topic"], "rnd", old["sentence_index"], old["ordinal"])
+        message = (f"sentence judgment for {key} is of {old['text']!r}, but the subclaim "
+                   "reads 'Ada was born in Lima.'; rerun decompscore")
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"), "--cache-dir", str(cache)]
+        capsys.readouterr()
+        assert cli.main(["factscore", *_common(data_dir, out, extra)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not [p for p in cache.rglob("*") if p.is_file()]
+        with pytest.raises(MetricsError) as caught:
+            cli.audit_outputs(out, ["rnd"])
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("stage, config", [
         ("decompose", {"max_inflight": "8"}),
@@ -1074,6 +1112,13 @@ class TestCorrelate:
             f"error: {tmp_path / 'a.csv'}: repeated key 'x' in column 'generator'")
         assert "rho" not in captured.out
 
+    def test_out_into_a_missing_directory(self, benchmark_files, tmp_path):
+        a, _ = benchmark_files
+        out = tmp_path / "nodir" / "rho.csv"
+        assert cli.main(["correlate", a, a, "--columns", "factscore", "--out", str(out)]) == 0
+        assert out.read_text().splitlines() == ["column,pearson_rho", "factscore,1.0000"]
+        assert list(out.parent.iterdir()) == [out]
+
 
 class TestIndexCommands:
     def test_build_and_search(self, data_dir, tmp_path, capsys):
@@ -1088,6 +1133,13 @@ class TestIndexCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Zurich" in out or "Ada" in out
+
+    def test_build_into_a_missing_directory(self, data_dir, tmp_path):
+        index_path = tmp_path / "nodir" / "index.json"
+        assert cli.main(["index", "build", "--knowledge", str(data_dir / "knowledge_small.jsonl"),
+                         "--out", str(index_path)]) == 0
+        assert list(index_path.parent.iterdir()) == [index_path]
+        assert len(cli.load_index(index_path).chunks) > 0
 
 
 class TestDegenerateInputs:
@@ -1480,6 +1532,29 @@ class TestBenchmarkHooks:
         assert "validate.truncate_context" in spans["decompscore"]
 
 
+# What ``claimdecomp`` exports, by the module that defines each name.
+PACKAGE_EXPORTS = {
+    "conllu": ("SentenceParse", "Token", "parse_conllu", "serialize", "validate_parse"),
+    "corpus": ("ExampleBank", "ExampleEntry", "KnowledgeDoc", "Passage", "Sentence",
+               "attach_parses", "load_example_bank", "load_generations", "load_knowledge",
+               "split_sentences"),
+    "decompose": ("MethodConfig", "Subclaim", "assemble_prompt", "builtin_configs",
+                  "decompose_passage", "decompose_sentence", "default_bank",
+                  "method_registry", "parse_subclaims", "retrieve_examples"),
+    "llm": ("CachingClient", "CompletionRequest", "CompletionResponse", "ContextLengthError",
+            "GenerationSettings", "HttpCompletionClient", "MockCompletionClient",
+            "ResponseCache"),
+    "metrics": ("LmMetrics", "MethodReport", "PassageResult", "coherence_pct", "decomp_score",
+                "fact_score", "macro_average", "method_report", "pearson",
+                "results_from_judgments"),
+    "predarg": ("PredArgMethod", "Predication", "extract_predications", "fluency_rewrite",
+                "render_predication"),
+    "retrieval": ("Chunk", "Index", "build_index", "load_index", "save_index", "search"),
+    "validate": ("NliVerdict", "SupportJudgment", "judge_decomposition", "judge_facts",
+                 "judge_support", "nli_entails"),
+}
+
+
 class TestStdlibRuntime:
     def _loaded_by_import(self, modules):
         """Which of ``modules`` a fresh interpreter holds after ``import claimdecomp.cli``."""
@@ -1496,3 +1571,35 @@ class TestStdlibRuntime:
     def test_cli_imports_no_http_client(self):
         # mock, --cache-only and index build runs send no request, so never load them
         assert self._loaded_by_import({"http.client", "urllib.request", "email"}) == "[]"
+
+    def test_cli_imports_no_parse_reader_or_unused_stdlib(self):
+        # parses load with --parses or a parse-reading method, hashlib with a cache
+        assert self._loaded_by_import({"claimdecomp.conllu", "claimdecomp.predarg",
+                                       "statistics", "hashlib"}) == "[]"
+
+    def test_prompted_decompose_loads_no_parse_reader(self, data_dir, tmp_path):
+        args = ["decompose", *_common(data_dir, tmp_path / "out")]
+        code = ("import sys; from claimdecomp import cli; rc = cli.main(%r); "
+                "print(rc, sorted({'claimdecomp.conllu', 'claimdecomp.predarg'} & "
+                "set(sys.modules)))" % args)
+        proc = subprocess.run([sys.executable, "-c", code], cwd=REPO,
+                              env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_package_exports_resolve_on_first_use(self):
+        import importlib
+
+        import claimdecomp
+
+        for module, names in PACKAGE_EXPORTS.items():
+            for name in names:
+                assert name in dir(claimdecomp)
+                assert getattr(claimdecomp, name) is getattr(
+                    importlib.import_module(f"claimdecomp.{module}"), name)
+        exec("from claimdecomp import " + ", ".join(
+            name for names in PACKAGE_EXPORTS.values() for name in names), {})
+        assert claimdecomp.__version__ == "0.1.0"
+        with pytest.raises(AttributeError):
+            claimdecomp.no_such_name

@@ -133,6 +133,14 @@ class TestPearson:
         with pytest.raises(MetricsError):
             pearson([1, 1, 1], [2, 4, 6])
 
+    def test_zero_variance_in_ys(self):
+        with pytest.raises(MetricsError, match="zero variance"):
+            pearson([2, 4, 6], [1, 1, 1])
+
+    def test_two_pairs_suffice(self):
+        assert pearson([1, 2], [3, 5]) == pytest.approx(1.0)
+        assert pearson([1, 2], [5, 3]) == pytest.approx(-1.0)
+
     @settings(max_examples=100)
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=12),
            st.floats(min_value=0.1, max_value=10), st.floats(min_value=-5, max_value=5))
@@ -188,6 +196,22 @@ class TestResultsFromJudgments:
         claims, sentence_j, _ = _synthetic_claims_and_judgments(5)
         with pytest.raises(MetricsError, match="missing"):
             results_from_judgments(claims, sentence_j[:-1])
+
+    @pytest.mark.parametrize("kind, stage", [("sentence", "decompscore"),
+                                             ("knowledge", "factscore")])
+    def test_judgment_of_other_text_rejected(self, kind, stage):
+        # the same key, but the subclaim was rewritten after it was judged
+        claims, sentence_j, knowledge_j = _synthetic_claims_and_judgments(5)
+        claims[0] = Subclaim(text="a rewritten claim", topic=claims[0].topic,
+                             generator=claims[0].generator, sentence_index=0,
+                             method="m", ordinal=0)
+        key = (claims[0].generator, claims[0].topic, "m", 0, 0)
+        judgments = {"sentence": sentence_j, "knowledge": knowledge_j}
+        with pytest.raises(MetricsError) as caught:
+            results_from_judgments(claims, **{f"{kind}_judgments": judgments[kind]})
+        assert str(caught.value) == (
+            f"{kind} judgment for {key} is of 'claim 0.0', but the subclaim reads "
+            f"'a rewritten claim'; rerun {stage}")
 
 
 class TestProperties:

@@ -41,6 +41,15 @@ class TestPrompt:
         assert prompt.count("Unique claim text") == 1
 
 
+class TestTruncateContext:
+    def test_keeps_what_fits_and_cuts_the_rest(self):
+        text = "Ada was born in Zurich."
+        allowed = int(WINDOW_CHARS) - len(build_support_prompt("", text))
+        fits = "x" * allowed
+        assert _truncate_context(fits, text) == fits
+        assert _truncate_context(fits + "y", text) == fits
+
+
 class TestParseVerdict:
     @pytest.mark.parametrize("completion,expected", [
         ("True", True), ("true", True), (" TRUE!", True), ("True.", True),
