@@ -213,8 +213,7 @@ def _item(record: dict) -> Subclaim | SupportJudgment:
 def _load(outdir: Path, stage: str, method: str) -> list | None:
     """The Subclaims, for ``decompose``, or SupportJudgments that ``stage``
     wrote for ``method``, in file order; None when there is no file. A line
-    that is not a valid record, such as one cut short by an interrupted
-    write, stops the stage naming the path and line."""
+    that is not a valid record stops the stage naming the path and line."""
     path = jsonl_path(outdir, stage, method)
     if not path.exists():
         return None
@@ -233,6 +232,12 @@ def _load(outdir: Path, stage: str, method: str) -> list | None:
 
 def _dump_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _write_jsonl(path: Path, items: list[Subclaim] | list[SupportJudgment]) -> None:
+    """Replace ``path`` whole with one record line per item."""
+    with _replacing(path) as tmp:
+        tmp.write_text("".join(_dump_line(_record(item)) for item in items), encoding="utf-8")
 
 
 def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
@@ -288,30 +293,21 @@ def cmd_decompose(cfg: RunConfig, settings: GenerationSettings, map_fn: MapFn) -
     methods = _resolve_methods(cfg)
     client = _build_client(cfg, "decomposer")
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
 
-    pending: dict[str, list[Passage]] = {}
-    for name in methods:
-        done = {(c.generator, c.topic) for c in _load(outdir, "decompose", name) or []}
-        pending[name] = [p for p in passages if (p.generator, p.topic) not in done]
-
-    # every method's pending passages go through the pool as one batch
-    decomposed = map_fn(lambda job: decompose_passage(*job, client, settings),
-                        [(methods[name], p) for name, todo in pending.items() for p in todo])
+    # Every method's passages go through the pool as one batch, and only a
+    # batch that succeeds whole replaces any file. With --cache-dir a rerun
+    # sends only the requests the response log has not answered yet.
+    rest = iter(list(map_fn(lambda job: decompose_passage(*job, client, settings),
+                            [(method, p) for method in methods.values() for p in passages])))
     counts: Counter[str] = Counter()
-    for name, todo in pending.items():
-        results = zip(todo, decomposed)  # todo first: no extra result taken
-        # the file opens once its first result is in hand, so a failure leaves none
-        first = list(itertools.islice(results, 1))
-        with open(jsonl_path(outdir, "decompose", name), "a", encoding="utf-8") as fh:
-            for passage, claims in itertools.chain(first, results):
-                # one buffered write per passage so an interrupt never leaves
-                # a partially decomposed passage behind
-                fh.write("".join(_dump_line(_record(c)) for c in claims))
-                fh.flush()
-                counts["empty_sentences"] += len({s.index for s in passage.sentences}
-                                                 - {c.sentence_index for c in claims})
-        print(f"decompose[{name}]: {fh.name}")
+    for name in methods:
+        decomposed = list(itertools.islice(rest, len(passages)))
+        counts["empty_sentences"] += sum(
+            len({s.index for s in p.sentences} - {c.sentence_index for c in claims})
+            for p, claims in zip(passages, decomposed))
+        path = jsonl_path(outdir, "decompose", name)
+        _write_jsonl(path, [claim for claims in decomposed for claim in claims])
+        print(f"decompose[{name}]: {path}")
     _warn(counts)
     return EXIT_OK
 
@@ -376,8 +372,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
     rest = iter(judged)
     for name, claims in loaded.items():
         judgments = list(itertools.islice(rest, len(claims)))
-        with _replacing(jsonl_path(outdir, stage, name)) as tmp:
-            tmp.write_text("".join(_dump_line(_record(j)) for j in judgments), encoding="utf-8")
+        _write_jsonl(jsonl_path(outdir, stage, name), judgments)
 
         if stage == "decompscore":
             results = results_from_judgments(claims, sentence_judgments=judgments)

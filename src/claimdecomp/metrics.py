@@ -36,8 +36,8 @@ class PassageResult:
     method: str
     n_subclaims: int
     n_supported_by_sentence: int
-    n_supported_by_knowledge: int = 0
-    n_supported_by_knowledge_filtered: int = 0
+    n_supported_by_knowledge: int
+    n_supported_by_knowledge_filtered: int
 
     def __post_init__(self) -> None:
         counts = (self.n_supported_by_sentence, self.n_supported_by_knowledge,

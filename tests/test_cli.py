@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -17,7 +18,7 @@ import pytest
 
 from claimdecomp import cli, validate
 from claimdecomp.llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CompletionError,
-                             CompletionResponse, HttpCompletionClient)
+                             CompletionResponse, HttpCompletionClient, MockCompletionClient)
 from claimdecomp.metrics import MetricsError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -92,8 +93,8 @@ def _decompose(data_dir, out_dir, methods, extra=()) -> int:
 
 
 def _first_passage_only(full: Path, resumed: Path, method: str = "rnd") -> None:
-    """Write to ``resumed`` the subclaims file of ``method`` an interrupt
-    after the first passage of ``full`` leaves behind."""
+    """Write to ``resumed`` a subclaims file of ``method`` that holds only
+    the first passage of ``full``'s, as a partial file would."""
     name = f"subclaims-{method}.jsonl"
     lines = (full / name).read_text(encoding="utf-8").splitlines(keepends=True)
     resumed.mkdir(parents=True, exist_ok=True)
@@ -144,7 +145,7 @@ class TestPipeline:
         assert cli.main(["decompose", *_common(data_dir, full_dir)]) == 0
         full = (full_dir / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
 
-        # simulate an interrupt: only the first passage was written
+        # a partial file is replaced whole, not extended
         _first_passage_only(full_dir, resumed_dir)
         assert cli.main(["decompose", *_common(data_dir, resumed_dir)]) == 0
         resumed = (resumed_dir / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
@@ -456,7 +457,6 @@ class TestExitCodes:
         assert cli.main(["factscore", *_common(data_dir, out)]) == 2
 
     @pytest.mark.parametrize("stage, damaged", [
-        ("decompose", "subclaims-rnd.jsonl"),
         ("decompscore", "subclaims-rnd.jsonl"),
         ("factscore", "sentence-judgments-rnd.jsonl"),
     ])
@@ -484,12 +484,10 @@ class TestExitCodes:
          "field 'supported' must be bool, got 'yes'"),
         ("factscore", "sentence-judgments-rnd.jsonl", lambda r: r.update(supported=1),
          "field 'supported' must be bool, got 1"),
-        ("decompose", "subclaims-rnd.jsonl", lambda r: r.update(text="two\nlines"),
-         "subclaim text must be a non-empty single line"),
         ("factscore", "sentence-judgments-rnd.jsonl", lambda r: r.update(text="two\nlines"),
          "subclaim text must be a non-empty single line"),
     ], ids=["missing", "extra", "str-sentence-index", "int-text", "str-supported",
-            "int-supported", "two-line-text-on-resume", "two-line-judged-text"])
+            "int-supported", "two-line-judged-text"])
     def test_record_with_wrong_fields(self, data_dir, tmp_path, capsys, stage, damaged,
                                       change, message):
         out = tmp_path / "out"
@@ -837,6 +835,20 @@ class FailingOnCall:
         return self.inner.complete(request)
 
 
+def _mock_clients(monkeypatch, n=math.inf) -> list[FailingOnCall]:
+    """Make each mock client a stage builds from here on fail from its call
+    ``n`` on, as FailingOnCall does, under the stage's cache if it has one;
+    the returned list collects those clients in the order they are built."""
+    clients = []
+
+    def build(**spec):
+        clients.append(FailingOnCall(MockCompletionClient(**spec), n))
+        return clients[-1]
+
+    monkeypatch.setattr(cli, "MockCompletionClient", build)
+    return clients
+
+
 class TestStagePool:
     @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
     def test_outputs_independent_of_max_inflight(self, data_dir, tmp_path, cache):
@@ -890,18 +902,28 @@ class TestStagePool:
             assert (out / f"subclaims-{name}.jsonl").read_bytes() == alone[name], name
 
     @pytest.mark.parametrize("width", ["1", "8"])
-    def test_resume_across_methods(self, data_dir, tmp_path, pool_maps, width):
-        full, resumed = tmp_path / "full", tmp_path / "resumed"
+    def test_resume_across_methods(self, data_dir, tmp_path, monkeypatch, pool_maps, width):
+        full, resumed, log = tmp_path / "full", tmp_path / "resumed", tmp_path / "log"
+        generations = (data_dir / "generations_small.jsonl").read_text(encoding="utf-8")
+        first = tmp_path / "first.jsonl"
+        first.write_text(generations.splitlines(keepends=True)[0], encoding="utf-8")
         assert _decompose(data_dir, full, ["rnd", "wice"]) == 0
-        resumed.mkdir()
-        (resumed / "subclaims-rnd.jsonl").write_bytes((full / "subclaims-rnd.jsonl").read_bytes())
-        _first_passage_only(full, resumed, "wice")
+        sent = _mock_clients(monkeypatch)
+        assert _decompose(data_dir, tmp_path / "wice", ["wice"]) == 0
+        # the log answers all of rnd and wice's first passage, as after an interrupt
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert _decompose(data_dir, log, ["rnd"], cache) == 0
+        assert _decompose(data_dir, log, ["wice"], [*cache, "--generations", str(first)]) == 0
         pool_maps.clear()
-        assert _decompose(data_dir, resumed, ["rnd", "wice"], ["--max-inflight", width]) == 0
+        assert _decompose(data_dir, resumed, ["rnd", "wice"],
+                          [*cache, "--max-inflight", width]) == 0
+        # the rerun builds every job, and only the unanswered requests reach the endpoint
+        passages = [(r["generator"], r["topic"]) for r in map(json.loads, generations.splitlines())]
         assert [[(method.name, passage.generator, passage.topic) for method, passage in items]
-                for items in pool_maps] == [[("wice", "alpha", "Ben Sample"),
-                                             ("wice", "beta", "Ada Example"),
-                                             ("wice", "beta", "Ben Sample")]]
+                for items in pool_maps] == [[(name, *key) for name in ("rnd", "wice")
+                                             for key in passages]]
+        wice, _, wice_first, rerun = ([r.prompt for r in client.inner.calls] for client in sent)
+        assert wice_first and sorted(rerun) == sorted(set(wice) - set(wice_first))
         assert _tree_bytes(resumed) == _tree_bytes(full)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
@@ -995,18 +1017,100 @@ class TestStagePool:
         extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"),
                  "--cache-dir", str(cache), "--max-inflight", "1"]
         assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
-        mock = cli.MockCompletionClient
-        monkeypatch.setattr(cli, "MockCompletionClient",
-                            lambda **spec: FailingOnCall(mock(**spec), n))
+        _mock_clients(monkeypatch, n)
         assert cli.main([stage, *_common(data_dir, out, extra)]) == 3
         assert sum(role == "validator" for role, _ in _cache_content(cache)) == n - 1
 
-        monkeypatch.setattr(cli, "MockCompletionClient", mock)
+        _mock_clients(monkeypatch)
         clean = tmp_path / "clean"
         run_pipeline(data_dir, clean)
         assert cli.main([stage, *_common(data_dir, out, extra)]) == 0
         path = cli.jsonl_path(Path(), stage, "rnd").name
         assert (out / path).read_bytes() == (clean / path).read_bytes()
+
+
+class TestResumeByReplay:
+    """A stage's outputs are a function of its inputs and its responses: a
+    rerun rebuilds every request, and with --cache-dir the response log
+    answers each one it already holds."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:3],  # 3 of the first passage's 6 lines
+        lambda lines: [lines[0], lines[1][:len(lines[1]) // 2]],
+        lambda lines: [*lines[:-1], lines[-1][:len(lines[-1]) // 2]],
+        lambda lines: [json.dumps(json.loads(lines[0]) | {"text": "two\nlines"}) + "\n",
+                       *lines[1:]],
+    ], ids=["first-three-lines", "cut-in-second-line", "cut-in-last-line", "two-line-text"])
+    def test_rerun_replaces_a_damaged_subclaims_file(self, data_dir, tmp_path, monkeypatch,
+                                                      damage):
+        out, extra = tmp_path / "out", ["--cache-dir", str(tmp_path / "cache")]
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
+        path = out / "subclaims-rnd.jsonl"
+        clean = path.read_bytes()
+        path.write_text("".join(damage(clean.decode().splitlines(keepends=True))),
+                        encoding="utf-8")
+        sent = _mock_clients(monkeypatch)
+        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
+        assert path.read_bytes() == clean and [client.calls for client in sent] == [0]
+
+    def test_rerun_on_a_changed_input_matches_a_clean_run(self, data_dir, tmp_path):
+        # the mock cuts the changed first sentence into one subclaim, not two
+        mock = json.loads((data_dir / "mock_responses.json").read_text(encoding="utf-8"))
+        mock["decomposer"]["rules"].insert(0, ["born in Lima", "- Ada Example was born in Lima."])
+        (tmp_path / "mock.json").write_text(json.dumps(mock), encoding="utf-8")
+        given = data_dir / "generations_small.jsonl"
+        changed = tmp_path / "changed.jsonl"
+        changed.write_text(given.read_text(encoding="utf-8").replace(
+            "born in Zurich", "born in Lima", 1), encoding="utf-8")
+
+        def run(out, generations, extra=()):
+            for stage in ("decompose", "decompscore"):
+                assert cli.main([stage, *_common(data_dir, out, [
+                    "--mock-responses", str(tmp_path / "mock.json"),
+                    "--generations", str(generations), *extra])]) == 0
+
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        run(tmp_path / "out", given, cache)
+        run(tmp_path / "out", changed, cache)
+        run(tmp_path / "clean", changed)
+        assert _tree_bytes(tmp_path / "out") == _tree_bytes(tmp_path / "clean")
+
+    @pytest.mark.parametrize("width", ["1", "4"])
+    @pytest.mark.parametrize("stage, calls", [("decompose", 18), ("decompscore", 15),
+                                              ("factscore", 15)])
+    def test_rerun_after_a_failed_call_replays_the_log(self, data_dir, tmp_path, monkeypatch,
+                                                        stage, calls, width):
+        """For each call N of the stage: a run that fails from call N on
+        exits 3 and replaces no file, and a rerun with its cache sends just
+        the requests left unanswered."""
+        extra = ["--method", "wice", "--knowledge", str(data_dir / "knowledge_small.jsonl"),
+                 "--max-inflight", width]
+        before = list(cli.JSONL_FILES)[:list(cli.JSONL_FILES).index(stage)]
+
+        def run(stages, out, cache, n=math.inf):
+            sent = _mock_clients(monkeypatch, n)
+            codes = [cli.main([s, *_common(data_dir, out, [*extra, "--cache-dir", str(cache)])])
+                     for s in stages]
+            return codes, sum(client.calls for client in sent)
+
+        base = tmp_path / "base"  # the earlier stages' outputs and cache
+        (base / "out").mkdir(parents=True)
+        assert run(before, base / "out", base / "cache")[0] == [0] * len(before)
+
+        def copy(name):
+            shutil.copytree(base, tmp_path / name)
+            return tmp_path / name / "out", tmp_path / name / "cache"
+
+        out, cache = copy("clean")
+        assert run([stage], out, cache) == ([0], calls)
+        clean = _tree_bytes(out)
+        for n in range(1, calls + 1):
+            out, cache = copy(f"fail-{n}")
+            assert run([stage], out, cache, n)[0] == [3], n
+            assert _tree_bytes(out) == _tree_bytes(base / "out"), n
+            codes, sent = run([stage], out, cache)
+            assert codes == [0] and sent == calls - (n - 1), n
+            assert _tree_bytes(out) == clean, n
 
 
 class TestCorrelate:
@@ -1250,6 +1354,21 @@ class TestDegenerateInputs:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "warning: 9 sentences decomposed to no subclaims" in proc.stdout.splitlines()
 
+    def test_factscore_without_sentence_judgments_filters_every_claim(
+            self, data_dir, tmp_path, capsys, caplog):
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        capsys.readouterr()
+        extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl")]
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.cli"):
+            assert cli.main(["factscore", *_common(data_dir, out, extra)]) == 0
+        assert "no sentence judgments for rnd" in caplog.text
+        assert "warning: 4 passages have no sentence-supported subclaims" in capsys.readouterr().out
+        for name, zero in (("factscore_raw.csv", False), ("filtered_factscore_raw.csv", True)):
+            rows = cli._read_csv(out / name)
+            assert [row[0] for row in rows] == ["generator", "alpha", "beta", "macro-average"]
+            assert all((float(row[1]) == 0) is zero for row in rows[1:]), name
+
 
 class TestValidatorId:
     @pytest.mark.parametrize("flags, model", [
@@ -1382,13 +1501,7 @@ class TestCacheModes:
         lines = log.read_bytes().splitlines(keepends=True)
         log.write_bytes(b"".join(lines)[:-10])  # cut inside the last line
 
-        clients, mock = [], cli.MockCompletionClient
-
-        def counting(**spec):
-            clients.append(FailingOnCall(mock(**spec), math.inf))
-            return clients[-1]
-
-        monkeypatch.setattr(cli, "MockCompletionClient", counting)
+        clients = _mock_clients(monkeypatch)
         with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
             assert cli.main(["decompscore", *_common(data_dir, out, extra)]) == 0
         assert caplog.text.count("a write cut short") == 1

@@ -242,6 +242,13 @@ class TestProperties:
 
 
 class TestMethodReport:
+    def test_single_passage(self):
+        report = method_report([result(sentence=2, knowledge=3, filtered=1, total=4,
+                                       generator="g", method="rnd")])
+        one = LmMetrics(decomp_score=2.0, avg_subclaims=4.0, coherence_pct=50.0,
+                        fact_score=0.75, filtered_fact_score=0.5)
+        assert (report.method, report.per_lm, report.macro) == ("rnd", {"g": one}, one)
+
     def test_macro_is_mean_of_per_lm(self):
         claims, sentence_j, knowledge_j = _synthetic_claims_and_judgments(7)
         results = results_from_judgments(claims, sentence_j, knowledge_j)
