@@ -30,12 +30,13 @@ from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _json_objec
 from .decompose import (DecomposeError, GenerationSettings, MethodConfig, Subclaim,
                         builtin_configs, decompose_passage, default_bank, method_registry)
 from .llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CachingClient, CompletionClient,
-                  CompletionError, HttpCompletionClient, MapFn, MockCompletionClient)
+                  CompletionError, HttpCompletionClient, MapFn, MockCompletionClient,
+                  ProxySettingError)
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
 from .retrieval import (DEFAULT_CHUNK_WORDS, DEFAULT_TOP_K, RetrievalError, build_index,
                         load_index, save_index, search)
-from .validate import SupportJudgment, ValidateError, judge_decomposition, judge_facts
+from .validate import SupportJudgment, judge_decomposition, judge_facts
 
 logger = logging.getLogger(__name__)
 
@@ -604,16 +605,14 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_correlate(args.file_a, args.file_b,
                                  [c.strip() for c in args.columns.split(",") if c.strip()],
                                  out=args.out)
-        if args.command == "index":
-            if args.index_command == "build":
-                return cmd_index_build(args.knowledge, args.out, args.chunk_words)
-            return cmd_index_search(args.index, args.query, args.k, title=args.title)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.index_command == "build":  # the one command left is index
+            return cmd_index_build(args.knowledge, args.out, args.chunk_words)
+        return cmd_index_search(args.index, args.query, args.k, title=args.title)
     except (ConfigError, CorpusError, DecomposeError, RetrievalError, MetricsError,
-            OSError) as exc:  # a ConlluError is a CorpusError
+            ProxySettingError, OSError) as exc:  # a ConlluError is a CorpusError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CompletionError, ValidateError) as exc:
+    except CompletionError as exc:
         print(f"endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
 

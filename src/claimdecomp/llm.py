@@ -45,6 +45,10 @@ class ContextLengthError(CompletionError):
     """The prompt (plus requested output) does not fit the model window."""
 
 
+class ProxySettingError(Exception):
+    """A malformed ``*_proxy`` variable: no attempt can succeed, so none is retried."""
+
+
 class TransientError(CompletionError):
     """One attempt got no response, a 429 or a 5xx, so the request may be
     sent again; ``retry_after_s`` is the delay a 429 or 503 named, if any."""
@@ -476,13 +480,19 @@ def _connect(parts: urllib.parse.SplitResult,
     proxy = urllib.request.getproxies().get(parts.scheme)
     if not proxy or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
         return connection_class(parts.hostname, port, timeout=timeout_s), None
-    proxy = urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+    setting, proxy = proxy, urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+    try:
+        proxy_port = proxy.port  # reading it raises ValueError for one that does not parse
+        if not proxy.hostname:
+            raise ValueError("no host")
+    except ValueError as exc:
+        raise ProxySettingError(f"{parts.scheme}_proxy {setting!r}: {exc}") from None
     proxy_headers = {}
     if proxy.username and proxy.password:
         credentials = ":".join(map(urllib.parse.unquote, (proxy.username, proxy.password)))
         proxy_headers["Proxy-Authorization"] = \
             f"Basic {base64.b64encode(credentials.encode()).decode()}"
-    connection = connection_class(proxy.hostname, proxy.port or connection_class.default_port,
+    connection = connection_class(proxy.hostname, proxy_port or connection_class.default_port,
                                   timeout=timeout_s)
     if parts.scheme == "http":
         return connection, proxy_headers
@@ -500,7 +510,8 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     connection. A kept-alive connection that fails before any status line
     was closed by the server while idle, so the request goes once more over
     a new one, at once: that is not an attempt of the caller's retries. Any
-    other failure, a timeout or one on a new connection, is raised."""
+    other failure, a timeout or one on a new connection, is raised, and a
+    malformed ``*_proxy`` variable raises ProxySettingError."""
     parts = urllib.parse.urlsplit(url)
     connections = getattr(_local, "connections", None)
     if connections is None:
@@ -529,7 +540,7 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
                 if not (reused and not answered
                         and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
                     raise
-    except ValueError as exc:  # a header http.client refuses, or a malformed proxy port
+    except ValueError as exc:  # a header http.client refuses
         from urllib.error import URLError
 
         raise URLError(exc) from exc

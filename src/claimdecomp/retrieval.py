@@ -2,10 +2,10 @@
 
 Documents are split into consecutive chunks of at most ``chunk_words``
 whitespace words. Scoring follows BM25 with the +1-inside-log idf variant
-(scores stay non-negative):
+(scores stay non-negative), at the fixed K1 and B below:
 
     score(q, c) = sum over query terms t of
-        idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len / avglen))
+        idf(t) * tf * (K1 + 1) / (tf + K1 * (1 - B + B * len / avglen))
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
 
 The index holds, built once: per term its postings (ascending chunk
@@ -21,7 +21,6 @@ import json
 import math
 import re
 import sys
-import typing
 from array import array
 from bisect import bisect_left
 from collections import Counter
@@ -33,12 +32,13 @@ from pathlib import Path
 
 from .corpus import CorpusError, KnowledgeDoc, _check_fields, _json_object, _replacing
 
-DEFAULT_K1 = 0.9
-DEFAULT_B = 0.4
+# BM25's k1 and b: Pyserini's defaults, which FActScore's retrieval uses
+K1 = 0.9
+B = 0.4
 DEFAULT_CHUNK_WORDS = 256
 DEFAULT_TOP_K = 5
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 
 _NON_TERM = re.compile(r"[^a-z0-9\s]+")
 # Standard base64 digits with at most two trailing pads; with a length that is
@@ -68,13 +68,11 @@ class Chunk:
 class Index:
     chunks: tuple[Chunk, ...]
     chunk_words: int
-    k1: float
-    b: float
     # term -> (chunk positions, term frequencies), positions ascending; the
     # arrays have the typecodes of _typecodes
     postings: dict[str, tuple[array, array]]
     idf: dict[str, float]
-    # per chunk: k1 * (1 - b + b * len / avglen)
+    # per chunk: K1 * (1 - B + B * len / avglen)
     norms: array
     # doc_title -> [first, end) chunk positions
     title_ranges: dict[str, tuple[int, int]]
@@ -83,9 +81,8 @@ class Index:
         return title in self.title_ranges
 
 
-def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS,
-                k1: float = DEFAULT_K1, b: float = DEFAULT_B) -> Index:
-    _check_settings(chunk_words, k1, b)
+def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS) -> Index:
+    _check_chunk_words(chunk_words)
     titles = [d.title for d in docs]
     if len(titles) != len(set(titles)):
         raise RetrievalError("duplicate document titles")
@@ -112,17 +109,12 @@ def build_index(docs: list[KnowledgeDoc], chunk_words: int = DEFAULT_CHUNK_WORDS
                 pair = postings[term] = (array(position_code), array(tf_code))
             pair[0].append(position)
             pair[1].append(tf)
-    return _with_statistics(chunks, postings, title_ranges, chunk_words, k1, b)
+    return _with_statistics(chunks, postings, title_ranges, chunk_words)
 
 
-def _check_settings(chunk_words: int, k1: float, b: float) -> None:
-    """Reject settings that would chunk nothing, score NaN or divide by zero."""
+def _check_chunk_words(chunk_words: int) -> None:
     if chunk_words < 1:
         raise RetrievalError(f"chunk_words must be >= 1, got {chunk_words}")
-    if not (math.isfinite(k1) and k1 >= 0.0):
-        raise RetrievalError(f"k1 must be finite and >= 0, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise RetrievalError(f"b must be within [0, 1], got {b}")
 
 
 def _typecodes(chunks: int, chunk_words: int) -> tuple[str, str]:
@@ -135,16 +127,15 @@ def _typecodes(chunks: int, chunk_words: int) -> tuple[str, str]:
 
 
 def _with_statistics(chunks: list[Chunk], postings: dict[str, tuple[array, array]],
-                     title_ranges: dict[str, tuple[int, int]], chunk_words: int,
-                     k1: float, b: float) -> Index:
+                     title_ranges: dict[str, tuple[int, int]], chunk_words: int) -> Index:
     """The index over these chunks and postings, with idf and norms computed."""
     n = len(chunks)
     idf = {term: math.log(1.0 + (n - len(positions) + 0.5) / (len(positions) + 0.5))
            for term, (positions, _) in postings.items()}
     avg = sum(c.length for c in chunks) / n if chunks else 0.0
-    norms = array("d", (k1 * (1.0 - b + b * c.length / avg) if avg > 0 else k1
+    norms = array("d", (K1 * (1.0 - B + B * c.length / avg) if avg > 0 else K1
                         for c in chunks))
-    return Index(chunks=tuple(chunks), chunk_words=chunk_words, k1=k1, b=b,
+    return Index(chunks=tuple(chunks), chunk_words=chunk_words,
                  postings=postings, idf=idf, norms=norms, title_ranges=title_ranges)
 
 
@@ -158,7 +149,7 @@ def search(index: Index, query: str, k: int,
         if restrict_title not in index.title_ranges:
             return []
         first, end = index.title_ranges[restrict_title]
-    norms, k1_plus_1 = index.norms, index.k1 + 1.0
+    norms, k1_plus_1 = index.norms, K1 + 1.0
     scores: dict[int, float] = {}
     # Each chunk's score is summed in query-term order (repeats included)
     # from 0.0, the order of the formula above, so scores do not depend on
@@ -182,8 +173,8 @@ def search(index: Index, query: str, k: int,
     return [(chunks[position], s) for position, s in best]
 
 
-# A saved index (format version 2) is one JSON object: "version", build_index's
-# settings, the titles in chunk order with each title's chunk count, each
+# A saved index (format version 3) is one JSON object: "version",
+# "chunk_words", the titles in chunk order with each title's chunk count, each
 # chunk's text and length, and the terms with their postings: each term's
 # posting count, then every term's positions, then every term's tfs, in term
 # order. idf and norms are rebuilt on load. Integer sequences are packed:
@@ -191,11 +182,9 @@ def search(index: Index, query: str, k: int,
 # the chunk count for title chunk counts, posting counts and positions, and
 # that of chunk_words for lengths and tfs.
 _PACKED = ("title_chunks", "lengths", "counts", "positions", "tfs")
-_FIELD_TYPES = ({"version": int}
-                | {name: kind for name, kind in typing.get_type_hints(build_index).items()
-                   if name in ("chunk_words", "k1", "b")}
-                | {name: list[str] for name in ("titles", "texts", "terms")}
-                | {name: str for name in _PACKED})
+_FIELD_TYPES = ({"version": int, "chunk_words": int}
+                | dict.fromkeys(("titles", "texts", "terms"), list[str])
+                | dict.fromkeys(_PACKED, str))
 
 
 def _pack(items: array) -> bytes:
@@ -232,8 +221,7 @@ def _saved_fields(index: Index) -> Iterator[tuple[str, bytes]]:
     by_chunks, by_words = _typecodes(len(index.chunks), index.chunk_words)
     postings = index.postings.values()
     yield "version", encoded(INDEX_FORMAT_VERSION)
-    for name in ("chunk_words", "k1", "b"):
-        yield name, encoded(getattr(index, name))
+    yield "chunk_words", encoded(index.chunk_words)
     yield "titles", encoded(list(index.title_ranges))
     yield "title_chunks", _pack(array(by_chunks, (end - first for first, end
                                                   in index.title_ranges.values())))
@@ -249,7 +237,7 @@ def _saved_fields(index: Index) -> Iterator[tuple[str, bytes]]:
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    """Write ``index`` to ``path`` in format version 2. The file is written
+    """Write ``index`` to ``path`` in format version 3. The file is written
     to a temp file beside it and renamed into place, so an interrupted save
     leaves any earlier file at ``path`` whole."""
     with _replacing(Path(path)) as tmp, open(tmp, "wb") as fh:
@@ -292,7 +280,7 @@ def load_index(path: str | Path) -> Index:
 def _decode(payload: dict) -> Index:
     """The index a type-checked payload holds, after checking that its parts
     agree; the packed fields are removed from ``payload``."""
-    _check_settings(payload["chunk_words"], payload["k1"], payload["b"])
+    _check_chunk_words(payload["chunk_words"])
     titles, texts, terms = payload["titles"], payload["texts"], payload["terms"]
     n = len(texts)
     by_chunks, by_words = _typecodes(n, payload["chunk_words"])
@@ -337,5 +325,4 @@ def _decode(payload: dict) -> Index:
     for title, (first, end) in title_ranges.items():
         chunks += map(Chunk, repeat(title), range(end - first), texts[first:end],
                       lengths[first:end])
-    return _with_statistics(chunks, postings, title_ranges, payload["chunk_words"],
-                            payload["k1"], payload["b"])
+    return _with_statistics(chunks, postings, title_ranges, payload["chunk_words"])

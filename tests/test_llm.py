@@ -17,8 +17,8 @@ from claimdecomp.corpus import CorpusError
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError, GenerationSettings,
                              HttpCompletionClient, MockCompletionClient,
-                             ResponseCache, Throttle, TransientError, cache_key,
-                             complete_all)
+                             ProxySettingError, ResponseCache, Throttle, TransientError,
+                             cache_key, complete_all)
 
 
 def req(prompt="p", **kw):
@@ -732,6 +732,26 @@ class TestThrottle:
         # fewer resends that spent nothing than there are workers
         assert width * (max_retries + 1) <= len(posts) < width * (max_retries + 2)
 
+    @pytest.mark.parametrize("failure, raised, message", [
+        (reply(status=400, text="maximum context length exceeded"), ContextLengthError,
+         "maximum context"),
+        (reply(status=400, text="bad request"), CompletionError, "HTTP 400: bad request"),
+    ], ids=["window-rejection", "http-400"])
+    def test_failure_that_is_not_transient_leaves_the_throttle_as_it_was(
+            self, monkeypatch, failure, raised, message):
+        clock = FakeClock()
+        monkeypatch.setattr("claimdecomp.llm.time", clock)
+        post = FakePost([failure, OK], clock)
+        client = http_client(monkeypatch, post, backoff_s=5.0)
+        client.throttle.window = 2.0  # as after a halving, so that an answer would grow it
+        with pytest.raises(raised, match=message):
+            send(client, req("a"))
+        assert client.throttle.in_flight == 0 and client.throttle.window == 2.0
+        # no hold: the next request is admitted with no sleep
+        assert send(client, req("b")).text == "ok"
+        assert clock.sleeps == [] and post.calls == 2
+        assert client.throttle.window == 2.5
+
     def test_in_flight_count_survives_a_contended_pool(self):
         # Every request fails its first try at once, with more workers than
         # cores and a short switch interval; a lost update of the in-flight
@@ -997,6 +1017,23 @@ class TestProxy:
         assert in_a_thread(lambda: client.complete(req("a"))).text == "ok"
         assert server.received == [
             ("http://localhost:9/v1/completions?x=1", "localhost:9", "a")]
+
+    @pytest.mark.parametrize("setting, message", [
+        ("http://proxy:notaport", "Port could not be cast to integer value as 'notaport'"),
+        ("http://:3128", "no host"),
+    ], ids=["port", "host"])
+    def test_malformed_setting_is_raised_at_once(self, monkeypatch, caplog, setting, message):
+        monkeypatch.setenv("http_proxy", setting)
+        client = HttpCompletionClient(url="http://127.0.0.1:9/v1", backoff_s=5.0)
+        started = time.monotonic()
+        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
+            with pytest.raises(ProxySettingError) as raised:
+                in_a_thread(lambda: send(client, req("a")))
+        assert str(raised.value).startswith(f"http_proxy {setting!r}")
+        assert message in str(raised.value)
+        # not retried: no attempt warning, no hold
+        assert caplog.records == [] and time.monotonic() - started < 1.0
+        assert client.throttle.in_flight == 0
 
     def test_no_proxy_host_goes_direct(self, keepalive, monkeypatch):
         server, url = keepalive

@@ -192,6 +192,13 @@ class TestResultsFromJudgments:
                 s_map[(c.topic, c.ordinal)] and k_map[(c.topic, c.ordinal)]
                 for c in mine)
 
+    def test_no_knowledge_judgments_count_nothing_supported_by_knowledge(self):
+        claims, sentence_j, _ = _synthetic_claims_and_judgments(7)
+        results = results_from_judgments(claims, sentence_judgments=sentence_j)
+        assert any(r.n_supported_by_sentence for r in results)
+        for r in results:
+            assert r.n_supported_by_knowledge == r.n_supported_by_knowledge_filtered == 0
+
     def test_missing_judgment_rejected(self):
         claims, sentence_j, _ = _synthetic_claims_and_judgments(5)
         with pytest.raises(MetricsError, match="missing"):

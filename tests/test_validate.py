@@ -135,6 +135,20 @@ class TestJudgeDecomposition:
             build_support_prompt("The sentence.", "b")]
         assert stats == Counter(empty_context=1)
 
+    def test_claim_that_fills_the_window_alone_unsupported_without_a_call(self):
+        # the prompt overflows with no context at all, so no prefix of the
+        # sentence fits, though it is longer than the overflow
+        long_claim = claim("Ada " * 1925)
+        overflow = len(build_support_prompt("", long_claim.text)) - WINDOW_CHARS
+        sentence = "Ada was born in Zurich. " * 10
+        assert 0 < overflow < len(sentence)
+        client = MockCompletionClient(default="True")
+        stats = Counter()
+        judgments = judge_decomposition(client, [(long_claim, sentence)], stats=stats)
+        assert [(j.supported, j.context_snapshot) for j in judgments] == [(False, "")]
+        assert client.calls == []
+        assert stats == Counter(empty_context=1)
+
     def test_sentence_cut_to_validator_window(self):
         sentence = "The composer lived in Zurich. " + "filler " * 1455
         assert len(sentence) > WINDOW_CHARS
