@@ -241,6 +241,12 @@ def _write_jsonl(path: Path, items: list[Subclaim] | list[SupportJudgment]) -> N
         tmp.write_text("".join(_dump_line(_record(item)) for item in items), encoding="utf-8")
 
 
+def _write_csv(path: Path, rows: list[list[str]]) -> None:
+    """Replace ``path`` whole with ``rows`` as CSV."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
     return outdir / f"{JSONL_FILES[stage]}-{method}.jsonl"
 
@@ -385,9 +391,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
 
     _warn(stats)
     for filename, rows in _report_files(stage, reports).items():
-        with _replacing(outdir / filename) as tmp, \
-                open(tmp, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
+        _write_csv(outdir / filename, rows)
     print(f"{stage}: {outdir / REPORT_COLUMNS[stage][0][0]}")
     return EXIT_OK
 
@@ -402,15 +406,14 @@ def cmd_correlate(file_a: str, file_b: str, columns: list[str],
         raise ConfigError(
             f"misaligned keys: {sorted(set(rows_a) ^ set(rows_b))}")
     keys = sorted(rows_a)
-    lines = [("column", "pearson_rho")]
+    lines = [["column", "pearson_rho"]]
     for column in columns:
         rho = pearson(_numbers(file_a, rows_a, keys, column),
                       _numbers(file_b, rows_b, keys, column))
-        lines.append((column, f"{rho:.4f}"))
+        lines.append([column, f"{rho:.4f}"])
         print(f"{column}: rho={rho:.4f}")
     if out:
-        with _replacing(Path(out)) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(lines)
+        _write_csv(Path(out), lines)
     return EXIT_OK
 
 

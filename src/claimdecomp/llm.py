@@ -36,6 +36,12 @@ FINISH_STOP = "stop"
 # Characters per token, the one estimate behind every prompt budget.
 CHARS_PER_TOKEN = 4.0
 
+# The HTTP client's policy, read where it applies: one request's retries, the
+# first hold, doubled for each retry spent, and each attempt's socket timeout.
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
+TIMEOUT_S = 60.0
+
 
 class CompletionError(RuntimeError):
     """Endpoint failure."""
@@ -167,22 +173,16 @@ class Throttle:
     ``Retry-After`` while other requests are in flight halves it to
     max(1, in-flight / 2), counting the failed one, and the request is sent
     again as soon as the window admits it: no wait, no retry spent. The same
-    failure with nothing else in flight holds every worker for ``backoff_s *
+    failure with nothing else in flight holds every worker for ``BACKOFF_S *
     2 ** tries``, and a ``Retry-After`` holds every worker until the time it
-    names; each spends one of the request's ``max_retries``. A resend that
+    names; each spends one of the request's ``MAX_RETRIES``. A resend that
     spends nothing needs another request in flight, and only answers grow
     the window, so against an endpoint that answers nothing the window
     falls to 1 within log2(width) halvings and every later failure spends a
     retry. Waits go through ``time.sleep``, one warning per decision.
     """
 
-    def __init__(self, max_retries: int, backoff_s: float):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if not math.isfinite(backoff_s) or backoff_s < 0:
-            raise ValueError(f"backoff_s must be finite and >= 0, got {backoff_s}")
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
+    def __init__(self) -> None:
         self.window = math.inf
         self.in_flight = 0
         self.held_until = -math.inf
@@ -236,9 +236,9 @@ class Throttle:
                 logger.warning("completion attempt failed (%s) with %d in flight; "
                                "window halved to %.3g", error, in_flight, self.window)
                 return 0
-            if tries >= self.max_retries:
+            if tries >= MAX_RETRIES:
                 raise CompletionError(f"retries exhausted: {error}") from error
-            hold_s = (self.backoff_s * 2 ** tries if error.retry_after_s is None
+            hold_s = (BACKOFF_S * 2 ** tries if error.retry_after_s is None
                       else error.retry_after_s)
             self.held_until = max(self.held_until, time.monotonic() + hold_s)
             logger.warning("completion attempt %d failed (%s); all workers held %.2f s",
@@ -435,24 +435,27 @@ def _retry_after_s(headers: http.client.HTTPMessage) -> float | None:
     return max(0.0, (date - datetime.now(timezone.utc)).total_seconds())
 
 
-def _checked_endpoint(url: str | None, timeout_s: float) -> tuple[str, float]:
-    """The URL and timeout an HTTP client posts with, if the URL is http or
-    https with a host and a port from 1 to 65535, if it names one, and the
-    timeout is finite and positive."""
-    if not math.isfinite(timeout_s) or timeout_s <= 0:
-        raise ValueError(f"timeout_s must be finite and > 0, got {timeout_s}")
+def _checked_endpoint(url: str | None) -> str:
+    """``url``, an IDN host put in IDNA form, if it is http or https with a
+    host and a port from 1 to 65535, if it names one, and is then printable
+    ASCII with no space, as a request line and a CONNECT must be."""
     try:
         parts = urllib.parse.urlsplit(url or "")
-        # reading ``port`` raises ValueError for one that does not parse
+        # reading ``port`` raises ValueError for one that does not parse, and the IDNA
+        # codec, as the resolver applies it, UnicodeError for a host name none takes
         if parts.scheme in ("http", "https") and parts.hostname and parts.port != 0:
-            return url, timeout_s
+            parts.hostname.encode("idna")
+            host = parts.netloc.rpartition("@")[2]
+            sent = url if host.isascii() else url.replace(host, host.encode("idna").decode(), 1)
+            if sent.isascii() and sent.isprintable() and " " not in sent:
+                return sent
     except ValueError:
         pass
     raise ValueError(f"no http or https endpoint configured (got {url!r})")
 
 
 class _Connections(dict):
-    """One thread's open connections by (scheme, host, port, timeout): each
+    """One thread's open connections by (scheme, host, port): each
     is the connection and, when it goes through an http proxy, the headers
     that proxy gets, or else None. They close when the thread ends."""
 
@@ -464,8 +467,8 @@ class _Connections(dict):
 _local = threading.local()
 
 
-def _connect(parts: urllib.parse.SplitResult,
-             timeout_s: float) -> tuple[http.client.HTTPConnection, dict[str, str] | None]:
+def _connect(parts: urllib.parse.SplitResult) -> tuple[http.client.HTTPConnection,
+                                                       dict[str, str] | None]:
     """A ``_Connections`` entry for the origin of ``parts``, routed as
     ``urlopen`` routes it by the ``*_proxy`` environment: an http proxy
     gets absolute-form targets, and an https one a CONNECT tunnel."""
@@ -477,31 +480,32 @@ def _connect(parts: urllib.parse.SplitResult,
                         else http.client.HTTPConnection)
     # a port of None would have http.client read an IPv6 host's last group as one
     port = parts.port or connection_class.default_port
-    proxy = urllib.request.getproxies().get(parts.scheme)
-    if not proxy or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
-        return connection_class(parts.hostname, port, timeout=timeout_s), None
-    setting, proxy = proxy, urllib.parse.urlsplit(proxy if "://" in proxy else f"//{proxy}")
+    setting = urllib.request.getproxies().get(parts.scheme)
+    if not setting or urllib.request.proxy_bypass(parts.netloc.rpartition("@")[2]):
+        return connection_class(parts.hostname, port, timeout=TIMEOUT_S), None
     try:
-        proxy_port = proxy.port  # reading it raises ValueError for one that does not parse
+        proxy = urllib.parse.urlsplit(setting if "://" in setting else f"//{setting}")
         if not proxy.hostname:
             raise ValueError("no host")
-    except ValueError as exc:
+        proxy.hostname.encode("idna")  # as the resolver will
+        # ValueError for a port that does not parse, InvalidURL for a host with a space
+        connection = connection_class(proxy.hostname, proxy.port or connection_class.default_port,
+                                      timeout=TIMEOUT_S)
+    except (ValueError, http.client.InvalidURL) as exc:
         raise ProxySettingError(f"{parts.scheme}_proxy {setting!r}: {exc}") from None
     proxy_headers = {}
     if proxy.username and proxy.password:
         credentials = ":".join(map(urllib.parse.unquote, (proxy.username, proxy.password)))
         proxy_headers["Proxy-Authorization"] = \
             f"Basic {base64.b64encode(credentials.encode()).decode()}"
-    connection = connection_class(proxy.hostname, proxy_port or connection_class.default_port,
-                                  timeout=timeout_s)
     if parts.scheme == "http":
         return connection, proxy_headers
     connection.set_tunnel(parts.hostname, port, proxy_headers)
     return connection, None
 
 
-def post_json(url: str, payload: dict, headers: dict[str, str],
-              timeout_s: float) -> tuple[int, http.client.HTTPMessage, str]:
+def post_json(url: str, payload: dict,
+              headers: dict[str, str]) -> tuple[int, http.client.HTTPMessage, str]:
     """POST ``payload`` as JSON to a ``url`` its client checked when built;
     the status, headers and body text, error statuses included. No response
     raises OSError or HTTPException.
@@ -516,40 +520,35 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     connections = getattr(_local, "connections", None)
     if connections is None:
         connections = _local.connections = _Connections()
-    try:
-        key = (parts.scheme, parts.hostname, parts.port, timeout_s)
-        body = json.dumps(payload).encode()
-        while True:
-            if key not in connections:
-                connections[key] = _connect(parts, timeout_s)
-            connection, proxy_headers = connections[key]
-            target = urllib.parse.urlunsplit(
-                ("", "", parts.path or "/", parts.query, "") if proxy_headers is None
-                else parts._replace(fragment=""))
-            reused, answered = connection.sock is not None, False
-            try:
-                connection.request("POST", target, body, {
-                    "Content-Type": "application/json", **(proxy_headers or {}), **headers})
-                with connection.getresponse() as response:
-                    answered = True
-                    # read to the end, whatever the status, so the connection can go on
-                    return (response.status, response.headers,
-                            response.read().decode("utf-8", "replace"))
-            except BaseException as exc:
-                connections.pop(key)[0].close()
-                if not (reused and not answered
-                        and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
-                    raise
-    except ValueError as exc:  # a header http.client refuses
-        from urllib.error import URLError
-
-        raise URLError(exc) from exc
+    key = (parts.scheme, parts.hostname, parts.port)
+    body = json.dumps(payload).encode()
+    while True:
+        if key not in connections:
+            connections[key] = _connect(parts)
+        connection, proxy_headers = connections[key]
+        target = urllib.parse.urlunsplit(
+            ("", "", parts.path or "/", parts.query, "") if proxy_headers is None
+            else parts._replace(fragment=""))
+        reused, answered = connection.sock is not None, False
+        try:
+            connection.request("POST", target, body, {
+                "Content-Type": "application/json", **(proxy_headers or {}), **headers})
+            with connection.getresponse() as response:
+                answered = True
+                # read to the end, whatever the status, so the connection can go on
+                return (response.status, response.headers,
+                        response.read().decode("utf-8", "replace"))
+        except BaseException as exc:
+            connections.pop(key)[0].close()
+            if not (reused and not answered
+                    and isinstance(exc, (ConnectionResetError, BrokenPipeError))):
+                raise
 
 
 class HttpCompletionClient:
-    """Completions-endpoint client. Building it raises ValueError for a URL or
-    timeout that ``_checked_endpoint`` refuses, or an API key that is not
-    printable ASCII.
+    """Completions-endpoint client. Building it raises ValueError for a URL
+    that ``_checked_endpoint`` refuses, or an API key that is not printable
+    ASCII; ``MAX_RETRIES``, ``BACKOFF_S`` and ``TIMEOUT_S`` are its policy.
 
     ``complete`` makes one attempt. A transient failure (no response, 429,
     5xx) raises TransientError, with the delay a 429 or 503 names in its
@@ -561,23 +560,20 @@ class HttpCompletionClient:
     """
 
     def __init__(self, url: str | None = None, model: str = "default",
-                 api_key: str | None = None, max_retries: int = 3,
-                 backoff_s: float = 0.5, timeout_s: float = 60.0):
-        self.url, self.timeout_s = _checked_endpoint(
-            url or os.environ.get(ENDPOINT_URL_ENV), timeout_s)
+                 api_key: str | None = None):
+        self.url = _checked_endpoint(url or os.environ.get(ENDPOINT_URL_ENV))
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         if self.api_key and not (self.api_key.isascii() and self.api_key.isprintable()):
             raise ValueError(f"the API key ({API_KEY_ENV} or api_key) is not printable ASCII")
-        self.throttle = Throttle(max_retries, backoff_s)
+        self.throttle = Throttle()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         import http.client
 
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         try:
-            status, resp_headers, body = post_json(self.url, vars(request), headers,
-                                                   self.timeout_s)
+            status, resp_headers, body = post_json(self.url, vars(request), headers)
         except (OSError, http.client.HTTPException) as exc:
             raise TransientError(f"request failed: {exc!r}") from exc
         if _looks_like_context_overflow(status, body):

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from operator import setitem
@@ -214,6 +215,14 @@ class TestPipeline:
             data_dir, out, ["--knowledge", str(data_dir / "knowledge_small.jsonl")])]) == 0
         cli.audit_outputs(out, ["rnd", "wice"])
 
+    def test_audit_requires_the_sentence_judgments(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        run_pipeline(data_dir, out)
+        (out / "sentence-judgments-rnd.jsonl").unlink()
+        with pytest.raises(cli.ConfigError) as caught:
+            cli.audit_outputs(out, ["rnd"])
+        assert str(caught.value) == f"missing {out / 'sentence-judgments-rnd.jsonl'}"
+
     def test_audit_names_a_report_file_that_is_not_utf8(self, data_dir, tmp_path):
         out = tmp_path / "out"
         run_pipeline(data_dir, out)
@@ -370,6 +379,13 @@ class TestExitCodes:
                        "--bank", f"wice={tmp_path / 'bank.jsonl'}"])
         assert rc == 0
 
+    def test_no_generations_configured(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["decompose", "--mock-responses", str(data_dir / "mock_responses.json"),
+                       "--output-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: no generations file configured\n"
+
     def test_no_endpoint_configured(self, data_dir, tmp_path, monkeypatch):
         monkeypatch.delenv("CLAIMDECOMP_ENDPOINT_URL", raising=False)
         rc = cli.main(["decompose",
@@ -378,7 +394,8 @@ class TestExitCodes:
         assert rc == 2
 
     @pytest.mark.parametrize("url", ["localhost:9", "file:///nowhere", "http://",
-                                     "http:///v1/completions", "http://localhost:notaport/v1"])
+                                     "http:///v1/completions", "http://localhost:notaport/v1",
+                                     "http://127.0.0.1:9/vé"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_endpoint_url_not_http(self, data_dir, tmp_path, capsys, monkeypatch, url, source):
         monkeypatch.delenv(ENDPOINT_URL_ENV, raising=False)
@@ -409,22 +426,26 @@ class TestExitCodes:
             f"error: the API key ({API_KEY_ENV} or api_key) is not printable ASCII\n")
         assert not cache.exists() and not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("http://proxy:notaport", "Port could not be cast to integer value as 'notaport'"),
+        ("http://[::1", "Invalid IPv6 URL"),
+    ], ids=["port", "ipv6"])
     def test_malformed_proxy_setting_is_not_retried(self, data_dir, tmp_path, capsys, caplog,
-                                                    monkeypatch):
+                                                    monkeypatch, setting, message):
         for name in ("no_proxy", "NO_PROXY"):
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("http_proxy", "http://proxy:notaport")
-        out = tmp_path / "out"
+        monkeypatch.setenv("http_proxy", setting)
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        started = time.monotonic()
         with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
             rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
                            "--method", "rnd", "--endpoint", "http://127.0.0.1:9/v1",
-                           "--max-inflight", "2", "--output-dir", str(out)])
+                           "--max-inflight", "2", "--output-dir", str(out),
+                           "--cache-dir", str(cache)])
         # exit 2 at the first connection: no attempt warning and no hold
-        assert rc == 2 and caplog.records == []
-        assert capsys.readouterr().err == (
-            "error: http_proxy 'http://proxy:notaport': Port could not be cast to integer "
-            "value as 'notaport'\n")
-        assert not (out / "subclaims-rnd.jsonl").exists()
+        assert rc == 2 and caplog.records == [] and time.monotonic() - started < 1.0
+        assert capsys.readouterr().err == f"error: http_proxy {setting!r}: {message}\n"
+        assert not out.exists() and not cache.exists()
 
     @pytest.mark.parametrize("method", ["predpatt", "conllu"])
     def test_method_needing_parses_run_without_them(self, data_dir, tmp_path, capsys, method):
@@ -755,13 +776,17 @@ class TestExitCodes:
         ("bank", "[1, 2]"),
         ("bank", '{"sentence": "S.", "subclaims": "x"}'),
         ("bank", '{"sentence": "S.", "subclaims": [["x"]]}'),
+        ("bank", '{"sentence": "", "subclaims": ["x"]}'),
         ("generations", '"topic generator output"'),
         ("generations", '{"topic": "Ada Example", "generator": "alpha", "output": 7}'),
         ("generations", '{"topic": "Ada Example", "generator": "alpha", "output": "A."}\n'
                         '{"topic": "Ada Example", "generator": "alpha", "output": "B."}'),
+        ("generations", '{"topic": "", "generator": "alpha", "output": "A."}'),
         ("knowledge", '"x"'),
         ("knowledge", '{"title": "Ada Example", "text": 5}'),
         ("knowledge", '{"title": "Café", "text": "x"}'),
+        ("knowledge", '{"title": "Ada Example", "text": "x"}\n'
+                      '{"title": "Ada Example", "text": "y"}'),
         ("mock", "[]"),
         ("mock", '{"default": 5}'),
         ("mock", '{"rules": [["k"]]}'),
@@ -769,9 +794,10 @@ class TestExitCodes:
         ("mock", '{"decomposer": "x"}'),
         ("mock", '{"decomposer": {"length_error_substrings": "k"}}'),
         ("mock", '{"default": "é"}'),
-    ], ids=["bank-list", "bank-str-subclaims", "bank-nested-subclaims", "generations-string",
-            "generations-int-output", "generations-repeated-pair", "knowledge-string",
-            "knowledge-int-text", "knowledge-latin-1", "mock-list", "mock-int-default",
+    ], ids=["bank-list", "bank-str-subclaims", "bank-nested-subclaims", "bank-empty-sentence",
+            "generations-string", "generations-int-output", "generations-repeated-pair",
+            "generations-empty-topic", "knowledge-string", "knowledge-int-text",
+            "knowledge-latin-1", "knowledge-repeated-title", "mock-list", "mock-int-default",
             "mock-short-rule", "mock-list-table", "mock-role-str", "mock-role-str-substrings",
             "mock-latin-1"])
     def test_malformed_corpus_record(self, data_dir, tmp_path, capsys, kind, line):
@@ -811,18 +837,23 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("kind", ["correlate", "parses"])
+    @pytest.mark.parametrize("kind", ["correlate", "parses", "index"])
     def test_file_not_utf8(self, data_dir, tmp_path, capsys, kind):
         bad = tmp_path / f"{kind}.txt"
+        where = bad
         if kind == "correlate":
             bad.write_bytes(b"generator,metric\nCaf\xe9,1.0\n")
             argv = ["correlate", str(bad), str(bad), "--columns", "metric"]
-        else:
+        elif kind == "parses":
             bad.write_bytes(b"# text = Caf\xe9\n")
             argv = ["decompose", *_common(data_dir, tmp_path / "out"), "--parses", str(bad)]
+        else:
+            bad.write_bytes(b'{"version": "Caf\xe9"}')
+            argv = ["index", "search", "--index", str(bad), "--query", "films"]
+            where = f"malformed index file {bad}"
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: not UTF-8: ")
+        assert err.startswith(f"error: {where}: not UTF-8: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["correlate", "audit"])
@@ -1229,6 +1260,18 @@ class TestCorrelate:
         assert captured.err == "error: --columns names no column\n"
         assert captured.out == ""
 
+    def test_missing_column(self, benchmark_files, capsys):
+        a, b = benchmark_files
+        assert cli.main(["correlate", a, b, "--columns", "factscore,nope"]) == 2
+        assert capsys.readouterr().err == f"error: missing column 'nope' in {a}\n"
+
+    def test_empty_file(self, benchmark_files, tmp_path, capsys):
+        a, _ = benchmark_files
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        assert cli.main(["correlate", a, str(empty), "--columns", "factscore"]) == 2
+        assert capsys.readouterr().err == f"error: empty CSV {empty}\n"
+
     def test_repeated_key(self, tmp_path, capsys):
         for name, rows in (("a.csv", [("x", "1"), ("y", "2"), ("x", "5"), ("z", "3")]),
                            ("b.csv", [("x", "1"), ("y", "2"), ("z", "3")])):
@@ -1591,7 +1634,7 @@ class TestConfigFile:
 
 class TestPredpattPipeline:
     @staticmethod
-    def _decompose(data_dir, tmp_path, mock) -> int:
+    def _decompose(data_dir, tmp_path, mock, method="predpatt") -> int:
         # passages whose sentences align with hand-written parses
         generations = tmp_path / "gen.jsonl"
         generations.write_text(json.dumps({
@@ -1608,7 +1651,7 @@ class TestPredpattPipeline:
                          "--generations", str(generations),
                          "--parses", str(parse_file),
                          "--mock-responses", str(mock),
-                         "--method", "predpatt",
+                         "--method", method,
                          "--output-dir", str(tmp_path / "out")])
 
     def test_decompose_with_parses(self, data_dir, tmp_path):
@@ -1617,6 +1660,12 @@ class TestPredpattPipeline:
         records = [json.loads(l) for l in
                    (out / "subclaims-predpatt.jsonl").read_text().splitlines()]
         assert len(records) == 1
+
+    def test_conllu_without_its_bank(self, data_dir, tmp_path, capsys):
+        assert self._decompose(data_dir, tmp_path, data_dir / "mock_responses.json", "conllu") == 2
+        assert capsys.readouterr().err == ("error: method 'conllu' needs a parse-bearing "
+                                           "example bank (--bank conllu=PATH)\n")
+        assert not (tmp_path / "out").exists()
 
     def test_rewrite_failure_is_endpoint_error(self, data_dir, tmp_path):
         mock = tmp_path / "mock.json"

@@ -1,29 +1,46 @@
+import base64
 import http.client
 import json
 import logging
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import time
 import urllib.error
 from concurrent.futures import ThreadPoolExecutor
 from email.utils import formatdate
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from claimdecomp import llm
 from claimdecomp.corpus import CorpusError
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
                              CompletionResponse, ContextLengthError, GenerationSettings,
                              HttpCompletionClient, MockCompletionClient,
                              ProxySettingError, ResponseCache, Throttle, TransientError,
-                             cache_key, complete_all)
+                             cache_key, complete_all, post_json)
 
 
 def req(prompt="p", **kw):
     kw.setdefault("model", "m")
     return CompletionRequest(prompt=prompt, **kw)
+
+
+def set_policy(monkeypatch, **values):
+    """Sets the HTTP client's policy constants in ``llm`` for one test, each
+    named in lower case: ``max_retries``, ``backoff_s`` or ``timeout_s``."""
+    for name, value in values.items():
+        monkeypatch.setattr(llm, name.upper(), value)
+
+
+@pytest.fixture
+def policy(monkeypatch):
+    """``policy(backoff_s=0.0, ...)``: ``set_policy`` for this test."""
+    return partial(set_policy, monkeypatch)
 
 
 class CountingClient:
@@ -39,14 +56,14 @@ class CountingClient:
 
 
 class FlakyClient(CountingClient):
-    """Fails the first attempt at each of ``flaky`` prompts transiently;
-    its throttle retries once, with no backoff."""
+    """Fails the first attempt at each of ``flaky`` prompts transiently, and
+    sends through a throttle of its own, which retries it."""
 
     def __init__(self, *flaky):
         super().__init__()
         self.flaky = set(flaky)
         self.prompts = []
-        self.throttle = Throttle(max_retries=1, backoff_s=0.0)
+        self.throttle = Throttle()
 
     def complete(self, request):
         self.prompts.append(request.prompt)
@@ -412,7 +429,7 @@ class FakePost:
         self.clock = clock
         self.times = []
 
-    def __call__(self, url, payload, headers, timeout_s):
+    def __call__(self, url, payload, headers):
         self.calls += 1
         if self.clock is not None:
             self.times.append(self.clock.now)
@@ -427,9 +444,11 @@ class FakePost:
         return [later - earlier for earlier, later in zip(self.times, self.times[1:])]
 
 
-def http_client(monkeypatch, post, **kw):
+def http_client(monkeypatch, post, **policy):
+    """A client whose requests go to ``post``, under the ``policy`` constants given."""
+    set_policy(monkeypatch, **policy)
     monkeypatch.setattr("claimdecomp.llm.post_json", post)
-    return HttpCompletionClient(url="http://example.test/v1/completions", model="m", **kw)
+    return HttpCompletionClient(url="http://example.test/v1/completions", model="m")
 
 
 OK = reply(payload={"choices": [{"text": "ok"}]})
@@ -508,20 +527,6 @@ class TestHttpClient:
         (wait,) = post.waits()
         assert 28.0 < wait <= 30.0
 
-    @pytest.mark.parametrize("setting, value", [
-        ("max_retries", -1),
-        ("backoff_s", -1.0),
-        ("backoff_s", math.nan),
-        ("backoff_s", math.inf),
-        ("timeout_s", 0.0),
-        ("timeout_s", -1.0),
-        ("timeout_s", math.nan),
-        ("timeout_s", math.inf),
-    ])
-    def test_out_of_range_setting(self, setting, value):
-        with pytest.raises(ValueError, match=setting):
-            HttpCompletionClient(url="http://example.test/v1", **{setting: value})
-
     def test_backoff_doubles_per_attempt(self, monkeypatch):
         post = FakePost([reply(status=500)] * 4, self._clock(monkeypatch))
         with pytest.raises(CompletionError, match="retries exhausted"):
@@ -579,6 +584,10 @@ class TestHttpClient:
         "example.test/v1/completions", "http://", "http:///v1/completions",
         "http://localhost:notaport/v1", "http://localhost:99999/v1", "http://localhost:0/v1",
         "http://[::1/v1", "ftp://example.test/v1",
+        # what http.client or the resolver would refuse at every attempt
+        "http://127.0.0.1:9/vé", "http://localhost:9/v1?q=é", "http://localhost:9/v 1",
+        "http://local host:9/v1", "http://localhost:9/v1\x7f", "http://a..test/v1",
+        "http://.test/v1",
     ])
     def test_malformed_url_fails_when_built(self, monkeypatch, url):
         with pytest.raises(ValueError, match=r"^no http or https endpoint configured \(got "):
@@ -603,7 +612,8 @@ class TestHttpClient:
             HttpCompletionClient(url="http://example.test/v1")
 
     def test_port_and_ipv6_host_pass(self):
-        for url in ("http://localhost:8080/v1", "https://[::1]:443/v1", "http://[::1]/v1"):
+        for url in ("http://localhost:8080/v1", "https://[::1]:443/v1", "http://[::1]/v1",
+                    "http://example.test./v1"):
             assert HttpCompletionClient(url=url).url == url
 
 
@@ -645,7 +655,7 @@ class TestThrottle:
         others_sent, halved = threading.Barrier(width), logged("window halved")
         events = []
 
-        def post(url, payload, headers, timeout_s):
+        def post(url, payload, headers):
             prompt = payload["prompt"]
             events.append(f"sent {prompt}")
             if prompt == "a" and events.count("sent a") == 1:
@@ -683,7 +693,7 @@ class TestThrottle:
         b_sent, held = threading.Event(), logged("all workers held")
         sent = []
 
-        def post(url, payload, headers, timeout_s):
+        def post(url, payload, headers):
             prompt = payload["prompt"]
             sent.append((prompt, time.monotonic()))
             if prompt == "a" and len(sent) <= 2:
@@ -714,7 +724,7 @@ class TestThrottle:
         width, max_retries, backoff_s = 8, 2, 0.05
         lock, posts = threading.Lock(), []
 
-        def post(url, payload, headers, timeout_s):
+        def post(url, payload, headers):
             with lock:
                 posts.append(payload["prompt"])
             time.sleep(0.005)  # long enough for the first attempts to overlap
@@ -752,10 +762,11 @@ class TestThrottle:
         assert clock.sleeps == [] and post.calls == 2
         assert client.throttle.window == 2.5
 
-    def test_in_flight_count_survives_a_contended_pool(self):
+    def test_in_flight_count_survives_a_contended_pool(self, policy):
         # Every request fails its first try at once, with more workers than
         # cores and a short switch interval; a lost update of the in-flight
         # count would leave it above 0, or stall the pool on a full window.
+        policy(backoff_s=0.0)
         prompts = [f"p{i}" for i in range(64)]
         inner = FlakyClient(*prompts)
         interval = sys.getswitchinterval()
@@ -831,11 +842,12 @@ class TestLoopback:
     """The real ``post_json`` against a local server: urllib's HTTPError
     path must reach the clients as statuses."""
 
-    def test_retry_after_then_success(self, loopback):
+    def test_retry_after_then_success(self, loopback, policy):
         server, url = loopback
         server.script = [(429, {"Retry-After": "0"}, "slow down"),
                          (200, {}, '{"choices": [{"text": "hi", "finish_reason": "length"}]}')]
-        client = HttpCompletionClient(url=url, model="m", api_key="k", backoff_s=5.0)
+        policy(backoff_s=5.0)
+        client = HttpCompletionClient(url=url, model="m", api_key="k")
         assert send(client, req("p", max_tokens=8)) == \
             CompletionResponse(text="hi", finish_reason="length")
         assert len(server.received) == 2
@@ -850,14 +862,15 @@ class TestLoopback:
         with pytest.raises(ContextLengthError):
             HttpCompletionClient(url=url).complete(req())
 
-    def test_server_errors_exhaust_retries(self, loopback):
+    def test_server_errors_exhaust_retries(self, loopback, policy):
         server, url = loopback
         server.script = [(500, {}, "boom")] * 3
+        policy(max_retries=2, backoff_s=0.0)
         with pytest.raises(CompletionError, match="retries exhausted: HTTP 500"):
-            send(HttpCompletionClient(url=url, max_retries=2, backoff_s=0.0), req())
+            send(HttpCompletionClient(url=url), req())
         assert len(server.received) == 3
 
-    def test_rate_limited_endpoint_answers_a_wide_pool(self):
+    def test_rate_limited_endpoint_answers_a_wide_pool(self, policy):
         # 100 requests through a pool of 8 against an endpoint that answers
         # 8 per 100 ms: the window shrinks to what the endpoint answers
         # instead of spending every request's retries on 429s.
@@ -866,9 +879,9 @@ class TestLoopback:
         server.limit, server.window_s = 8, 0.1
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        policy(backoff_s=0.1)
         try:
-            client = HttpCompletionClient(
-                url=f"http://127.0.0.1:{server.server_address[1]}/v1", backoff_s=0.1)
+            client = HttpCompletionClient(url=f"http://127.0.0.1:{server.server_address[1]}/v1")
             started = time.monotonic()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 responses = complete_all(client, [req(f"p{i}") for i in range(100)],
@@ -881,7 +894,7 @@ class TestLoopback:
         assert [r.text for r in responses] == ["ok"] * 100
         assert took_s < 5.0
 
-    def test_sustained_throttling_slows_the_batch_down(self):
+    def test_sustained_throttling_slows_the_batch_down(self, policy):
         # 4 answers per 50 ms, and a pool of 4 that could send far more. Each
         # worker that waits through its backoff slows the batch down; sending
         # every unanswered request again each round would spend their three
@@ -891,9 +904,9 @@ class TestLoopback:
         server.limit, server.window_s = 4, 0.05
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
+        policy(backoff_s=0.1)
         try:
-            client = HttpCompletionClient(
-                url=f"http://127.0.0.1:{server.server_address[1]}/v1", backoff_s=0.1)
+            client = HttpCompletionClient(url=f"http://127.0.0.1:{server.server_address[1]}/v1")
             with ThreadPoolExecutor(max_workers=4) as pool:
                 responses = complete_all(client, [req(f"p{i}") for i in range(24)],
                                          pool.map)
@@ -912,11 +925,13 @@ class TestLoopback:
 
 
 class KeepAliveHandler(BaseHTTPRequestHandler):
-    """An HTTP/1.1 server that counts the connections it accepts and records
-    each POST's target and prompt. It answers ``server.body``; or, with
-    ``server.hold_s`` set, reads the request and waits that long without
-    answering. With ``server.close_after`` set it closes each connection
-    after its first response, without saying so."""
+    """An HTTP/1.1 server that counts the connections it accepts, records
+    each request's line and headers in ``server.heads``, and each POST's
+    target and prompt. It answers ``server.body``; or, with ``server.hold_s``
+    set, reads the request and waits that long without answering. With
+    ``server.close_after`` set it closes each connection after its first
+    response, without saying so. A CONNECT gets no answer: the connection
+    closes, so the tunnel fails."""
 
     protocol_version = "HTTP/1.1"
 
@@ -925,7 +940,12 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
         with self.server.lock:
             self.server.connections += 1
 
+    def do_CONNECT(self):
+        self.server.heads.append((self.requestline, dict(self.headers)))
+        self.close_connection = True
+
     def do_POST(self):
+        self.server.heads.append((self.requestline, dict(self.headers)))
         payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.received.append((self.path, self.headers["Host"], payload["prompt"]))
         if self.server.hold_s is not None:
@@ -948,6 +968,7 @@ def keepalive():
     """A ``KeepAliveHandler`` server on 127.0.0.1; yields (server, url)."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), KeepAliveHandler)
     server.lock, server.connections, server.received = threading.Lock(), 0, []
+    server.heads = []
     server.body, server.hold_s = '{"choices": [{"text": "ok"}]}', None
     server.close_after, server.release = False, threading.Event()
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -976,10 +997,11 @@ class TestConnectionReuse:
         assert [r.text for r in responses] == ["ok"] * 20
         assert len(server.received) == 20 and server.connections <= 2
 
-    def test_connection_closed_while_idle_is_sent_once_more_at_once(self, keepalive):
+    def test_connection_closed_while_idle_is_sent_once_more_at_once(self, keepalive, policy):
         server, url = keepalive
         server.close_after = True
-        client = HttpCompletionClient(url=url, backoff_s=5.0)
+        policy(backoff_s=5.0)
+        client = HttpCompletionClient(url=url)
 
         def two_requests():
             send(client, req("a"))
@@ -993,10 +1015,11 @@ class TestConnectionReuse:
         assert server.connections == 2
 
     @pytest.mark.parametrize("hold_s", [5.0, 0.0], ids=["timeout", "hang-up"])
-    def test_no_answer_on_a_new_connection_is_not_sent_again(self, keepalive, hold_s):
+    def test_no_answer_on_a_new_connection_is_not_sent_again(self, keepalive, policy, hold_s):
         server, url = keepalive
         server.hold_s = hold_s
-        client = HttpCompletionClient(url=url, timeout_s=0.2)
+        policy(timeout_s=0.2)
+        client = HttpCompletionClient(url=url)
         with pytest.raises(TransientError, match="request failed"):
             in_a_thread(lambda: client.complete(req("a")))
         assert [prompt for _, _, prompt in server.received] == ["a"]
@@ -1018,13 +1041,48 @@ class TestProxy:
         assert server.received == [
             ("http://localhost:9/v1/completions?x=1", "localhost:9", "a")]
 
+    def test_idn_host_goes_out_in_idna_form(self, keepalive, monkeypatch):
+        # an http proxy gets the host on the request line, which http.client
+        # writes as ASCII, so the client keeps the host in IDNA form
+        server, url = keepalive
+        monkeypatch.setenv("http_proxy", url.removesuffix("/v1"))
+        client = HttpCompletionClient(url="http://Bücher.test:9/v1")
+        assert client.url == "http://xn--bcher-kva.test:9/v1"
+        assert in_a_thread(lambda: client.complete(req("a"))).text == "ok"
+        assert server.received == [
+            ("http://xn--bcher-kva.test:9/v1", "xn--bcher-kva.test:9", "a")]
+
+    def test_http_proxy_gets_the_credentials_of_its_url(self, keepalive, monkeypatch):
+        server, url = keepalive
+        monkeypatch.setenv("http_proxy", url.removesuffix("/v1").replace("//", "//user:p%40ss@"))
+        response = in_a_thread(lambda: post_json("http://localhost:9/v1", {"prompt": "a"}, {}))
+        assert response[0] == 200
+        [(line, headers)] = server.heads
+        assert line == "POST http://localhost:9/v1 HTTP/1.1"
+        assert headers["Proxy-Authorization"] == f"Basic {base64.b64encode(b'user:p@ss').decode()}"
+
+    def test_https_proxy_gets_a_connect_with_the_credentials(self, keepalive, monkeypatch):
+        server, url = keepalive
+        monkeypatch.setenv("https_proxy", url.removesuffix("/v1").replace("//", "//user:p%40ss@"))
+        with pytest.raises(OSError):  # the proxy closes the tunnel unanswered
+            in_a_thread(lambda: post_json("https://localhost:9/v1", {"prompt": "a"}, {}))
+        [(line, headers)] = server.heads
+        assert re.fullmatch(r"CONNECT localhost:9 HTTP/1\.[01]", line)
+        assert headers["Proxy-Authorization"] == f"Basic {base64.b64encode(b'user:p@ss').decode()}"
+        assert server.received == []
+
     @pytest.mark.parametrize("setting, message", [
         ("http://proxy:notaport", "Port could not be cast to integer value as 'notaport'"),
         ("http://:3128", "no host"),
-    ], ids=["port", "host"])
-    def test_malformed_setting_is_raised_at_once(self, monkeypatch, caplog, setting, message):
+        ("http://[::1", "Invalid IPv6 URL"),
+        ("http://proxy..test:3128", "label empty or too long"),
+        ("http://pro xy:3128", "URL can't contain control characters"),
+    ], ids=["port", "host", "ipv6", "idna", "space"])
+    def test_malformed_setting_is_raised_at_once(self, monkeypatch, caplog, policy, setting,
+                                                 message):
         monkeypatch.setenv("http_proxy", setting)
-        client = HttpCompletionClient(url="http://127.0.0.1:9/v1", backoff_s=5.0)
+        policy(backoff_s=5.0)
+        client = HttpCompletionClient(url="http://127.0.0.1:9/v1")
         started = time.monotonic()
         with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
             with pytest.raises(ProxySettingError) as raised:
