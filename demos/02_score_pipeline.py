@@ -53,8 +53,7 @@ for passage in passages:
     sentence_judgments.extend(judge_decomposition(
         validator, [(c, text_of[c.sentence_index]) for c in passage_claims]))
     # ... and against knowledge retrieved from its topic's document
-    knowledge_judgments.extend(
-        judge_facts(validator, index, passage_claims, k=3))
+    knowledge_judgments.extend(judge_facts(validator, index, passage_claims))
 
 # ---------------------------------------------------------------------------
 results = results_from_judgments(claims, sentence_judgments, knowledge_judgments)

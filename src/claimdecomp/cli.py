@@ -16,6 +16,7 @@ import itertools
 import json
 import logging
 import math
+import os
 import sys
 import typing
 from collections import Counter
@@ -27,11 +28,10 @@ from pathlib import Path
 from .corpus import (MACRO_ROW, CorpusError, Passage, _check_fields, _json_object,
                      _records, _replacing, attach_parses, load_example_bank,
                      load_generations, load_knowledge)
-from .decompose import (DecomposeError, GenerationSettings, MethodConfig, Subclaim,
-                        builtin_configs, decompose_passage, default_bank, method_registry)
-from .llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CachingClient, CompletionClient,
-                  CompletionError, HttpCompletionClient, MapFn, MockCompletionClient,
-                  ProxySettingError)
+from .decompose import (DecomposeError, MethodConfig, Subclaim, builtin_configs,
+                        decompose_passage, default_bank, method_registry)
+from .llm import (ENDPOINT_URL_ENV, CachingClient, CompletionClient, CompletionError,
+                  HttpCompletionClient, MapFn, MockCompletionClient, ProxySettingError)
 from .metrics import (MethodReport, MetricsError, method_report, pearson,
                       results_from_judgments)
 from .retrieval import (DEFAULT_CHUNK_WORDS, DEFAULT_TOP_K, RetrievalError, build_index,
@@ -66,10 +66,6 @@ class RunConfig:
     validator_model: str | None = None
     max_inflight: int = 8
     chunk_words: int = DEFAULT_CHUNK_WORDS
-    retrieval_k: int = DEFAULT_TOP_K
-    context_window: int = GenerationSettings.context_window
-    max_tokens: int = GenerationSettings.max_tokens
-    temperature: float = GenerationSettings.temperature
     drop_invalid: bool = False
 
 
@@ -94,10 +90,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     path = getattr(args, "config", None)
     if path:
         where = f"config {path}"
-        for key, value in _checked(where, _json_object(where, Path(path).read_bytes()),
-                                   _CONFIG_TYPES).items():
-            # as the flag's type=float does, so both send and cache 1.0, not 1
-            setattr(cfg, key, float(value) if _CONFIG_TYPES[key] is float else value)
+        cfg = RunConfig(**_checked(where, _json_object(where, Path(path).read_bytes()),
+                                   _CONFIG_TYPES))
     for key in _CONFIG_TYPES:
         value = getattr(args, key, None)
         if value not in (None, [], {}):
@@ -135,7 +129,7 @@ def _build_client(cfg: RunConfig, role: str) -> CompletionClient:
         try:
             client = HttpCompletionClient(url=cfg.endpoint_url, model=model)
         except ValueError as exc:  # the endpoint URL, or else the API key
-            hint = "" if API_KEY_ENV in str(exc) else (
+            hint = "" if cfg.endpoint_url or os.environ.get(ENDPOINT_URL_ENV) else (
                 f": pass --endpoint, set {ENDPOINT_URL_ENV}, or use --mock-responses")
             raise ConfigError(f"{exc}{hint}") from None
     if cfg.cache_dir:
@@ -275,23 +269,18 @@ def run_stage(stage: str, cfg: RunConfig) -> int:
     request pool: ``cfg.max_inflight`` threads, the only concurrency in the
     pipeline. Its ordered map returns results in submission order, so the
     outputs do not depend on the pool's width."""
-    for key in ("max_inflight", "retrieval_k", "chunk_words"):
+    for key in ("max_inflight", "chunk_words"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-    try:
-        settings = GenerationSettings(temperature=cfg.temperature, max_tokens=cfg.max_tokens,
-                                      context_window=cfg.context_window)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     if cfg.cache_only and not cfg.cache_dir:
         raise ConfigError("--cache-only needs --cache-dir")
     with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
         if stage == "decompose":
-            return cmd_decompose(cfg, settings, pool.map)
+            return cmd_decompose(cfg, pool.map)
         return cmd_judge(stage, cfg, pool.map)
 
 
-def cmd_decompose(cfg: RunConfig, settings: GenerationSettings, map_fn: MapFn) -> int:
+def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
     passages = _load_passages(cfg)
     if cfg.parses:
         from .conllu import parse_conllu_file
@@ -304,7 +293,7 @@ def cmd_decompose(cfg: RunConfig, settings: GenerationSettings, map_fn: MapFn) -
     # Every method's passages go through the pool as one batch, and only a
     # batch that succeeds whole replaces any file. With --cache-dir a rerun
     # sends only the requests the response log has not answered yet.
-    rest = iter(list(map_fn(lambda job: decompose_passage(*job, client, settings),
+    rest = iter(list(map_fn(lambda job: decompose_passage(*job, client),
                             [(method, p) for method in methods.values() for p in passages])))
     counts: Counter[str] = Counter()
     for name in methods:
@@ -372,8 +361,7 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
         judged = judge_decomposition(
             client, [(c, sentences[group(c)]) for c in batch], stats=stats, map_fn=map_fn)
     else:
-        judged = judge_facts(client, index, batch, k=cfg.retrieval_k, stats=stats,
-                             map_fn=map_fn)
+        judged = judge_facts(client, index, batch, stats=stats, map_fn=map_fn)
 
     reports: dict[str, MethodReport] = {}
     rest = iter(judged)
@@ -556,13 +544,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="decomposer model name")
     parser.add_argument("--validator-model", dest="validator_model")
     parser.add_argument("--max-inflight", dest="max_inflight", type=int)
-    parser.add_argument("--context-window", dest="context_window", type=int)
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int)
-    parser.add_argument("--temperature", type=float)
     parser.add_argument("--knowledge", help="knowledge corpus JSONL")
     parser.add_argument("--index", dest="index_path", help="prebuilt index file")
     parser.add_argument("--chunk-words", dest="chunk_words", type=int)
-    parser.add_argument("--retrieval-k", dest="retrieval_k", type=int)
     parser.add_argument("--drop-invalid", dest="drop_invalid", action="store_true",
                         default=None, help="skip invalid LM responses")
 

@@ -290,11 +290,9 @@ def _replacing(path: Path) -> Iterator[Path]:
 
 def _fits(kind, value) -> bool:
     """Whether a value read from JSON has the type hint ``kind``: a bool is
-    not an int, an int is a float, and a list stands for a tuple."""
+    not an int, and a list stands for a tuple. No checked field is a float."""
     if type(kind) is type:
         # most fields are a plain class; skip the typing introspection
-        if kind is float:
-            kind = (int, float)
         return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is types.UnionType:

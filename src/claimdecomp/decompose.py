@@ -34,6 +34,10 @@ if typing.TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
+# The decomposer's one sampling and window setting, fixed like the
+# validator's: every prompted method and predpatt's rewrites read it.
+DECOMPOSER_SETTINGS = GenerationSettings()
+
 
 class DecomposeError(ValueError):
     """Bad method configuration or unusable inputs."""
@@ -315,13 +319,12 @@ def parse_subclaims(completion: str) -> list[str]:
 # --- decomposition --------------------------------------------------------------
 
 def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
-                          client: CompletionClient,
-                          settings: GenerationSettings) -> list[str]:
+                          client: CompletionClient) -> list[str]:
     if config.example_bank is None and config.static_count + config.retrieved_count > 0:
         raise DecomposeError(f"method {config.name!r} has no example bank attached")
     pool = config.retrieval_pool
     retrieved = retrieve_examples(pool, sentence_text, min(config.retrieved_count, len(pool)))
-    budget = settings.context_window - settings.max_tokens
+    budget = DECOMPOSER_SETTINGS.context_window - DECOMPOSER_SETTINGS.max_tokens
 
     cap: int | None = None
     while cap is None or cap >= 0:
@@ -330,7 +333,7 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
         if assembled.over_budget:
             break
         try:
-            response = complete_text(client, assembled.text, settings)
+            response = complete_text(client, assembled.text, DECOMPOSER_SETTINGS)
         except ContextLengthError:
             # The endpoint's window is smaller than estimated: one example fewer.
             cap = assembled.static_used + assembled.retrieved_used - 1
@@ -346,7 +349,6 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
 
 def decompose_sentence(method: Method, sentence: Sentence | str,
                        client: CompletionClient,
-                       settings: GenerationSettings = GenerationSettings(),
                        topic: str = "", generator: str = "") -> list[Subclaim]:
     """Decompose one sentence into subclaims via the given method. A method
     that reads parses raises DecomposeError for a sentence without one."""
@@ -359,11 +361,11 @@ def decompose_sentence(method: Method, sentence: Sentence | str,
                              f"{index} of {generator}/{topic} has none")
 
     if isinstance(method, MethodConfig):
-        claims = _prompted_claim_texts(method, text, parse, client, settings)
+        claims = _prompted_claim_texts(method, text, parse, client)
     else:
         from .predarg import extract_predications, fluency_rewrite, render_predication
 
-        claims = [fluency_rewrite(client, render_predication(parse, p), settings)
+        claims = [fluency_rewrite(client, render_predication(parse, p))
                   for p in extract_predications(parse)]
 
     claims = [c for c in claims if c.strip()]
@@ -375,10 +377,9 @@ def decompose_sentence(method: Method, sentence: Sentence | str,
 
 
 def decompose_passage(method: Method, passage: Passage,
-                      client: CompletionClient,
-                      settings: GenerationSettings = GenerationSettings()) -> list[Subclaim]:
+                      client: CompletionClient) -> list[Subclaim]:
     """Decompose every sentence of a passage, one after another; output
     ordered by sentence."""
     return [claim for sentence in passage.sentences
-            for claim in decompose_sentence(method, sentence, client, settings,
+            for claim in decompose_sentence(method, sentence, client,
                                             topic=passage.topic, generator=passage.generator)]

@@ -88,22 +88,12 @@ Outcome = CompletionResponse | ContextLengthError  # what came back for one requ
 @dataclass(frozen=True)
 class GenerationSettings:
     """Sampling parameters plus the model window that prompt budgeting
-    fills, checked when built: every request is built from one."""
+    fills. Every request is built from one of the program's constants,
+    ``decompose.DECOMPOSER_SETTINGS`` or ``validate.VALIDATOR_SETTINGS``."""
 
     temperature: float = 0.7
     max_tokens: int = 512
     context_window: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_tokens < 1:
-            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if not math.isfinite(self.temperature):
-            raise ValueError(f"temperature must be finite, got {self.temperature}")
-        if self.context_window <= self.max_tokens:
-            raise ValueError(f"context_window must exceed max_tokens, got "
-                             f"{self.context_window} <= {self.max_tokens}")
 
 
 class CompletionClient(Protocol):
@@ -438,20 +428,34 @@ def _retry_after_s(headers: http.client.HTTPMessage) -> float | None:
 def _checked_endpoint(url: str | None) -> str:
     """``url``, an IDN host put in IDNA form, if it is http or https with a
     host and a port from 1 to 65535, if it names one, and is then printable
-    ASCII with no space, as a request line and a CONNECT must be."""
+    ASCII with no space, as a request line and a CONNECT must be; else a
+    ValueError naming the first of these that it is not."""
+    if not url:
+        raise ValueError("no endpoint configured")
     try:
-        parts = urllib.parse.urlsplit(url or "")
-        # reading ``port`` raises ValueError for one that does not parse, and the IDNA
-        # codec, as the resolver applies it, UnicodeError for a host name none takes
-        if parts.scheme in ("http", "https") and parts.hostname and parts.port != 0:
-            parts.hostname.encode("idna")
-            host = parts.netloc.rpartition("@")[2]
-            sent = url if host.isascii() else url.replace(host, host.encode("idna").decode(), 1)
-            if sent.isascii() and sent.isprintable() and " " not in sent:
-                return sent
+        parts = urllib.parse.urlsplit(url)
+    except ValueError as exc:  # a bracketed host left open
+        raise ValueError(f"endpoint {url!r} has a malformed host ({exc})") from None
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"endpoint {url!r} is not an http or https URL")
+    if not parts.hostname:
+        raise ValueError(f"endpoint {url!r} names no host")
+    try:
+        port_ok = parts.port != 0  # raises ValueError for one that does not parse or is too big
     except ValueError:
-        pass
-    raise ValueError(f"no http or https endpoint configured (got {url!r})")
+        port_ok = False
+    if not port_ok:
+        raise ValueError(f"endpoint {url!r} has a port that is not a number from 1 to 65535")
+    try:
+        parts.hostname.encode("idna")  # the codec as the resolver applies it
+    except UnicodeError:
+        raise ValueError(f"endpoint {url!r} has a host, {parts.hostname!r}, that the IDNA "
+                         "codec refuses") from None
+    host = parts.netloc.rpartition("@")[2]
+    sent = url if host.isascii() else url.replace(host, host.encode("idna").decode(), 1)
+    if not (sent.isascii() and sent.isprintable() and " " not in sent):
+        raise ValueError(f"endpoint {url!r} is not printable ASCII without spaces")
+    return sent
 
 
 class _Connections(dict):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .conllu import SentenceParse, Token, validate_parse
-from .llm import (CompletionClient, CompletionError, GenerationSettings,
-                  complete_text)
+from .decompose import DECOMPOSER_SETTINGS
+from .llm import CompletionClient, CompletionError, complete_text
 
 KIND_VERBAL = "verbal"
 KIND_COPULAR = "copular"
@@ -313,14 +313,14 @@ def fluency_prompt(utterance: str) -> str:
     return FLUENCY_PROMPT_TEMPLATE.format(utterance=utterance)
 
 
-def fluency_rewrite(client: CompletionClient, utterance: str,
-                    settings: GenerationSettings = GenerationSettings()) -> str:
+def fluency_rewrite(client: CompletionClient, utterance: str) -> str:
     """Rewrite one raw predication rendering into fluent English via the
-    completion client; returns the completion trimmed to its first line."""
+    completion client, with the decomposer's settings; returns the completion
+    trimmed to its first line."""
     if not utterance:
         raise ValueError("utterance must be non-empty")
     try:
-        response = complete_text(client, fluency_prompt(utterance), settings)
+        response = complete_text(client, fluency_prompt(utterance), DECOMPOSER_SETTINGS)
     except CompletionError as exc:
         raise FluencyRewriteError(utterance, str(exc)) from exc
     return response.text.strip().split("\n")[0].strip()

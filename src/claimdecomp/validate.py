@@ -139,9 +139,9 @@ def _truncate_context(context: str, claim: str) -> str:
 
 
 def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim],
-                k: int = DEFAULT_TOP_K, stats: Counter | None = None,
-                map_fn: MapFn = map) -> list[SupportJudgment]:
-    """Judge each subclaim against retrieved knowledge-source chunks.
+                stats: Counter | None = None, map_fn: MapFn = map) -> list[SupportJudgment]:
+    """Judge each subclaim against the ``DEFAULT_TOP_K`` knowledge-source
+    chunks retrieved for it.
 
     Retrieval is restricted to the document titled with the subclaim's
     topic when the index has one, falling back to the whole corpus.
@@ -149,7 +149,7 @@ def judge_facts(client: CompletionClient, index: Index, subclaims: list[Subclaim
     contexts = []
     for claim in subclaims:
         restrict = claim.topic if index.has_title(claim.topic) else None
-        hits = search(index, claim.text, k, restrict_title=restrict)
+        hits = search(index, claim.text, DEFAULT_TOP_K, restrict_title=restrict)
         contexts.append("\n\n".join(chunk.text for chunk, _ in hits))
     return _judgments(client, subclaims, contexts, CONTEXT_KNOWLEDGE_SOURCE, stats, map_fn)
 

@@ -16,6 +16,7 @@ from claimdecomp import (CachingClient, MockCompletionClient, assemble_prompt,
                          build_index, builtin_configs, decompose_sentence,
                          parse_conllu, retrieve_examples, search, serialize,
                          validate_parse)
+from claimdecomp import decompose
 from claimdecomp.corpus import ExampleBank
 from claimdecomp.conllu import ConlluError, SentenceParse
 from claimdecomp.decompose import GenerationSettings, Subclaim, estimate_tokens
@@ -124,7 +125,7 @@ def test_criterion_3_conllu_round_trip(ud_sample_text):
 
 # --- criterion 4: prompt conformance -----------------------------------------------
 
-def test_criterion_4_prompt_conformance(rnd_bank, data_dir):
+def test_criterion_4_prompt_conformance(rnd_bank, data_dir, monkeypatch):
     from claimdecomp import load_example_bank
     configs = builtin_configs()
     conllu_bank = load_example_bank(data_dir / "conllu_bank.jsonl")
@@ -170,10 +171,11 @@ def test_criterion_4_prompt_conformance(rnd_bank, data_dir):
         problems.append(f"drop order {seen} != {expected_chain}")
 
     # zero-example overflow backs off to the sentence itself
-    tiny = GenerationSettings(context_window=16, max_tokens=8)
+    monkeypatch.setattr(decompose, "DECOMPOSER_SETTINGS",
+                        GenerationSettings(context_window=16, max_tokens=8))
     client = MockCompletionClient(default="- never used")
     long_sentence = "This sentence is much too long for a sixteen token window."
-    claims = decompose_sentence(config, long_sentence, client, settings=tiny)
+    claims = decompose_sentence(config, long_sentence, client)
     if [c.text for c in claims] != [long_sentence]:
         problems.append(f"overflow backoff produced {[c.text for c in claims]}")
 

@@ -1,5 +1,7 @@
+import argparse
 import base64
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
@@ -10,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from operator import setitem
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from claimdecomp import cli, validate
+from claimdecomp import cli, predarg, validate
 from claimdecomp.llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CompletionError,
                              CompletionResponse, HttpCompletionClient, MockCompletionClient)
 from claimdecomp.metrics import MetricsError
@@ -386,16 +389,38 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == "error: no generations file configured\n"
 
-    def test_no_endpoint_configured(self, data_dir, tmp_path, monkeypatch):
+    def test_no_endpoint_configured(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CLAIMDECOMP_ENDPOINT_URL", raising=False)
         rc = cli.main(["decompose",
                        "--generations", str(data_dir / "generations_small.jsonl"),
                        "--output-dir", str(tmp_path / "out")])
         assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: no endpoint configured: pass --endpoint, set {ENDPOINT_URL_ENV}, "
+            "or use --mock-responses\n")
 
-    @pytest.mark.parametrize("url", ["localhost:9", "file:///nowhere", "http://",
-                                     "http:///v1/completions", "http://localhost:notaport/v1",
-                                     "http://127.0.0.1:9/vé"])
+    def test_empty_endpoint_variable_is_no_endpoint(self, data_dir, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv(ENDPOINT_URL_ENV, "")
+        out = tmp_path / "out"
+        rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
+                       "--output-dir", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: no endpoint configured: pass --endpoint")
+
+    # each refused URL's reason, which the message names after the URL
+    REFUSED_URLS = {
+        "localhost:9": "is not an http or https URL",
+        "file:///nowhere": "is not an http or https URL",
+        "http://": "names no host",
+        "http:///v1/completions": "names no host",
+        "http://localhost:notaport/v1": "has a port that is not a number from 1 to 65535",
+        "http://host:70000/v1": "has a port that is not a number from 1 to 65535",
+        "http://a..b/v1": "has a host, 'a..b', that the IDNA codec refuses",
+        "http://127.0.0.1:9/vé": "is not printable ASCII without spaces",
+    }
+
+    @pytest.mark.parametrize("url", REFUSED_URLS)
     @pytest.mark.parametrize("source", ["flag", "env"])
     def test_endpoint_url_not_http(self, data_dir, tmp_path, capsys, monkeypatch, url, source):
         monkeypatch.delenv(ENDPOINT_URL_ENV, raising=False)
@@ -408,9 +433,7 @@ class TestExitCodes:
         rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
                        "--output-dir", str(tmp_path / "out"), "--cache-dir", str(cache), *extra])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: no http or https endpoint configured (got {url!r}): pass --endpoint, "
-            f"set {ENDPOINT_URL_ENV}, or use --mock-responses\n")
+        assert capsys.readouterr().err == f"error: endpoint {url!r} {self.REFUSED_URLS[url]}\n"
         assert not cache.exists() and not (tmp_path / "out").exists()
 
     def test_api_key_not_a_header_value(self, data_dir, tmp_path, capsys, monkeypatch):
@@ -634,12 +657,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("stage, config", [
         ("decompose", {"max_inflight": "8"}),
-        ("factscore", {"retrieval_k": "5"}),
+        ("factscore", {"chunk_words": "5"}),
         ("decompose", {"max_inflight": True}),
         ("decompose", {"methods": "rnd"}),
-        ("decompose", {"temperature": "0.5"}),
-    ], ids=["str-for-int", "str-for-int-factscore", "bool-for-int", "str-for-list",
-            "str-for-float"])
+    ], ids=["str-for-int", "str-for-int-factscore", "bool-for-int", "str-for-list"])
     def test_config_value_of_wrong_type(self, data_dir, tmp_path, capsys, stage, config):
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(config))
@@ -669,8 +690,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {mock}") and repr(key) in err, err
 
-    @pytest.mark.parametrize("key, value", [("max_tokens", 0), ("temperature", -1),
-                                            ("retrieval_k", 0), ("chunk_words", 0)])
+    @pytest.mark.parametrize("key, value", [("chunk_words", 0)])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_sampling_value_out_of_range(self, data_dir, tmp_path, capsys, key, value, source):
         if source == "flag":
@@ -683,37 +703,6 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be >= ")
         assert "Traceback" not in err
-
-    @pytest.mark.parametrize("flag, token", [("nan", "NaN"), ("inf", "Infinity")])
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_non_finite_temperature(self, data_dir, tmp_path, capsys, flag, token, source):
-        cache = tmp_path / "cache"
-        if source == "flag":
-            extra = ["--temperature", flag]
-        else:
-            # json.loads reads the bare NaN and Infinity tokens as floats
-            config_path = tmp_path / "run.json"
-            config_path.write_text(f'{{"temperature": {token}}}')
-            extra = ["--config", str(config_path)]
-        extra += ["--cache-dir", str(cache)]
-        argv = ["decompose", *_common(data_dir, tmp_path / "out", extra)]
-        assert cli.main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: temperature must be finite")
-        assert "Traceback" not in err
-        assert not cache.exists()
-
-    @pytest.mark.parametrize("window, max_tokens", [("0", None), ("512", "512"), ("100", "200")])
-    def test_prompt_budget_must_be_positive(self, data_dir, tmp_path, capsys, window, max_tokens):
-        extra = ["--context-window", window]
-        if max_tokens is not None:
-            extra += ["--max-tokens", max_tokens]
-        out = tmp_path / "out"
-        assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: context_window must exceed max_tokens")
-        assert "Traceback" not in err
-        assert not (out / "subclaims-rnd.jsonl").exists()
 
     @pytest.mark.parametrize("change, message", [
         (lambda p: p.update(chunk_words=1.5), "field 'chunk_words' must be int"),
@@ -1611,25 +1600,71 @@ class TestConfigFile:
         config_path.write_text('{"no_such_key": 1}')
         assert cli.main(["decompose", "--config", str(config_path)]) == 2
 
-    def test_int_for_float_sends_and_caches_a_float(self, data_dir, tmp_path):
-        # {"temperature": 1} must make the same requests as --temperature 1,
-        # so a cache warmed one way serves the other
+    @pytest.mark.parametrize("key", ["temperature", "max_tokens", "context_window",
+                                     "retrieval_k"])
+    def test_removed_setting_key_is_refused(self, data_dir, tmp_path, capsys, key):
+        # the decomposer's settings and the retrieval depth are constants
         config_path = tmp_path / "run.json"
-        config_path.write_text('{"temperature": 1}')
-        names = {}
-        for how, extra in (("config", ["--config", str(config_path)]),
-                           ("flag", ["--temperature", "1"])):
-            cache = tmp_path / f"cache-{how}"
-            assert cli.main(["decompose", *_common(data_dir, tmp_path / how, extra),
-                             "--cache-dir", str(cache)]) == 0
-            names[how] = sorted(_cache_content(cache))
-        assert names["config"] and names["config"] == names["flag"]
+        config_path.write_text(json.dumps({key: 1}))
+        out = tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, out),
+                         "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: config {config_path}: unknown keys [{key!r}]\n"
+        assert not out.exists()
 
-    def test_int_accepted_for_float_and_null_for_optional(self, data_dir, tmp_path):
+    @pytest.mark.parametrize("flag", ["--temperature", "--max-tokens", "--context-window",
+                                      "--retrieval-k"])
+    def test_removed_setting_flag_is_a_usage_error(self, data_dir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as caught:
+            cli.main(["factscore", *_common(data_dir, out), flag, "1"])
+        assert caught.value.code == 2
+        assert f"error: unrecognized arguments: {flag} 1\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_for_optional(self, data_dir, tmp_path):
         config_path = tmp_path / "run.json"
-        config_path.write_text('{"temperature": 0, "endpoint_url": null}')
+        config_path.write_text('{"endpoint_url": null}')
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "out"),
                          "--config", str(config_path)]) == 0
+
+    @pytest.mark.parametrize("stage", sorted(cli.JSONL_FILES))
+    def test_each_run_config_field_has_one_stage_flag(self, stage):
+        # --config names the file the fields come from; --bank fills example_banks
+        commands = next(action for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        dests = [{"bank": "example_banks"}.get(action.dest, action.dest)
+                 for action in commands.choices[stage]._actions
+                 if action.option_strings and action.dest not in ("help", "config")]
+        assert Counter(dests) == Counter(f.name for f in dataclasses.fields(cli.RunConfig))
+
+
+class TestRequestSettings:
+    def test_each_role_sends_its_one_settings(self, data_dir, tmp_path):
+        # every method on a sentence with a parse, so predpatt's fluency
+        # rewrites go through the decomposer's log too
+        generations, parses = tmp_path / "gen.jsonl", tmp_path / "one.conllu"
+        generations.write_text(json.dumps({"topic": "Nash", "generator": "alpha",
+                                           "output": "Nash earned degrees ."}) + "\n",
+                               encoding="utf-8")
+        block = (data_dir / "predarg_parses.conllu").read_text(encoding="utf-8").split("\n\n")[3]
+        parses.write_text(block + "\n\n", encoding="utf-8")
+        cache = tmp_path / "cache"
+        argv = ["--generations", str(generations), "--parses", str(parses),
+                "--mock-responses", str(data_dir / "mock_responses.json"),
+                "--bank", f"conllu={data_dir / 'conllu_bank.jsonl'}",
+                "--knowledge", str(data_dir / "knowledge_small.jsonl"),
+                "--output-dir", str(tmp_path / "out"), "--cache-dir", str(cache)]
+        for name in cli.method_registry():
+            argv += ["--method", name]
+        for stage in ("decompose", "decompscore", "factscore"):
+            assert cli.main([stage, *argv]) == 0
+        entries = _cache_content(cache)
+        rewrite = predarg.FLUENCY_PROMPT_TEMPLATE.partition("{utterance}")[0]
+        assert {e["prompt"].startswith(rewrite)
+                for (role, _), e in entries.items() if role == "decomposer"} == {True, False}
+        assert {(role, e["max_tokens"], e["temperature"]) for (role, _), e in entries.items()} \
+            == {("decomposer", 512, 0.7), ("validator", 128, 0.0)}
 
 
 class TestPredpattPipeline:

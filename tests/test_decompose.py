@@ -384,14 +384,21 @@ class TestDecomposeSentence:
         assert [c.ordinal for c in claims] == [0, 1]
         assert claims[0].method == "rnd"
 
-    def test_zero_example_overflow_returns_sentence(self, rnd_bank):
+    def test_zero_example_overflow_returns_sentence(self, rnd_bank, monkeypatch):
         config = _bound("rnd", rnd_bank)
         client = MockCompletionClient(default="- should never be used")
-        tiny = GenerationSettings(context_window=20, max_tokens=10)
+        monkeypatch.setattr(decompose, "DECOMPOSER_SETTINGS",
+                            GenerationSettings(context_window=20, max_tokens=10))
         sentence = "This sentence is far too long for the tiny window we chose."
-        claims = decompose_sentence(config, sentence, client, settings=tiny)
+        claims = decompose_sentence(config, sentence, client)
         assert [c.text for c in claims] == [sentence]
         assert client.calls == []
+
+    def test_request_sends_the_decomposer_settings(self, rnd_bank):
+        client = MockCompletionClient(default="- A.")
+        decompose_sentence(_bound("rnd", rnd_bank), "The target sentence.", client)
+        assert [(r.max_tokens, r.temperature) for r in client.calls] == [(512, 0.7)]
+        assert decompose.DECOMPOSER_SETTINGS.context_window == 4096
 
     def test_empty_completion_gives_no_claims(self, rnd_bank):
         config = _bound("rnd", rnd_bank)

@@ -2,7 +2,6 @@ import base64
 import http.client
 import json
 import logging
-import math
 import multiprocessing
 import re
 import sys
@@ -19,10 +18,9 @@ import pytest
 from claimdecomp import llm
 from claimdecomp.corpus import CorpusError
 from claimdecomp.llm import (CachingClient, CompletionError, CompletionRequest,
-                             CompletionResponse, ContextLengthError, GenerationSettings,
-                             HttpCompletionClient, MockCompletionClient,
-                             ProxySettingError, ResponseCache, Throttle, TransientError,
-                             cache_key, complete_all, post_json)
+                             CompletionResponse, ContextLengthError, HttpCompletionClient,
+                             MockCompletionClient, ProxySettingError, ResponseCache, Throttle,
+                             TransientError, cache_key, complete_all, post_json)
 
 
 def req(prompt="p", **kw):
@@ -108,27 +106,6 @@ def _put_one_key(cache_dir: str, writer: int, threads: int, rounds: int) -> None
         sys.setswitchinterval(interval)
     if errors:
         raise SystemExit(f"{len(errors)} puts raised, first: {errors[0]!r}")
-
-
-class TestRequest:
-    """Requests take their sampling values from a GenerationSettings, which
-    checks them when it is built."""
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="max_tokens must be >= 1, got 0"):
-            GenerationSettings(max_tokens=0)
-        with pytest.raises(ValueError, match="temperature must be >= 0, got -0.1"):
-            GenerationSettings(temperature=-0.1)
-
-    @pytest.mark.parametrize("temperature", [math.nan, math.inf])
-    def test_non_finite_temperature(self, temperature):
-        with pytest.raises(ValueError, match="finite"):
-            GenerationSettings(temperature=temperature)
-
-    @pytest.mark.parametrize("context_window", [100, 512])
-    def test_window_must_exceed_max_tokens(self, context_window):
-        with pytest.raises(ValueError, match=f"got {context_window} <= 512"):
-            GenerationSettings(context_window=context_window, max_tokens=512)
 
 
 class TestMockClient:
@@ -572,7 +549,7 @@ class TestHttpClient:
 
     def test_missing_url_fails_when_built(self, monkeypatch):
         monkeypatch.delenv("CLAIMDECOMP_ENDPOINT_URL", raising=False)
-        with pytest.raises(ValueError, match=r"^no http or https endpoint configured \(got None"):
+        with pytest.raises(ValueError, match=r"^no endpoint configured$"):
             HttpCompletionClient(url=None)
 
     def test_url_from_env(self, monkeypatch):
@@ -580,26 +557,41 @@ class TestHttpClient:
         client = HttpCompletionClient()
         assert client.url == "http://env.test"
 
-    @pytest.mark.parametrize("url", [
-        "example.test/v1/completions", "http://", "http:///v1/completions",
-        "http://localhost:notaport/v1", "http://localhost:99999/v1", "http://localhost:0/v1",
-        "http://[::1/v1", "ftp://example.test/v1",
+    # each malformed URL's reason, which the message names after the URL
+    MALFORMED_URLS = {
+        "example.test/v1/completions": "is not an http or https URL",
+        "http://": "names no host",
+        "http:///v1/completions": "names no host",
+        "http://localhost:notaport/v1": "has a port that is not a number from 1 to 65535",
+        "http://localhost:99999/v1": "has a port that is not a number from 1 to 65535",
+        "http://localhost:0/v1": "has a port that is not a number from 1 to 65535",
+        "http://[::1/v1": "has a malformed host (Invalid IPv6 URL)",
+        "ftp://example.test/v1": "is not an http or https URL",
         # what http.client or the resolver would refuse at every attempt
-        "http://127.0.0.1:9/vé", "http://localhost:9/v1?q=é", "http://localhost:9/v 1",
-        "http://local host:9/v1", "http://localhost:9/v1\x7f", "http://a..test/v1",
-        "http://.test/v1",
-    ])
+        "http://127.0.0.1:9/vé": "is not printable ASCII without spaces",
+        "http://localhost:9/v1?q=é": "is not printable ASCII without spaces",
+        "http://localhost:9/v 1": "is not printable ASCII without spaces",
+        "http://local host:9/v1": "is not printable ASCII without spaces",
+        "http://localhost:9/v1\x7f": "is not printable ASCII without spaces",
+        "http://a..test/v1": "has a host, 'a..test', that the IDNA codec refuses",
+        "http://.test/v1": "has a host, '.test', that the IDNA codec refuses",
+    }
+
+    @pytest.mark.parametrize("url", MALFORMED_URLS)
     def test_malformed_url_fails_when_built(self, monkeypatch, url):
-        with pytest.raises(ValueError, match=r"^no http or https endpoint configured \(got "):
+        message = f"endpoint {url!r} {self.MALFORMED_URLS[url]}"
+        with pytest.raises(ValueError) as caught:
             HttpCompletionClient(url=url)
+        assert str(caught.value) == message
         monkeypatch.setenv("CLAIMDECOMP_ENDPOINT_URL", url)
-        with pytest.raises(ValueError, match="no http or https endpoint"):
+        with pytest.raises(ValueError) as caught:
             HttpCompletionClient()
+        assert str(caught.value) == message
 
     def test_file_url_fails_when_built(self, tmp_path):
         target = tmp_path / "f.json"
         target.write_text('{"choices": [{"text": "x"}]}', encoding="utf-8")
-        with pytest.raises(ValueError, match="no http or https endpoint configured"):
+        with pytest.raises(ValueError, match="is not an http or https URL"):
             HttpCompletionClient(url=target.as_uri())
 
     @pytest.mark.parametrize("key", ["abc\ndef", "abc\rdef", "tab\tkey", "kéy"])

@@ -175,6 +175,11 @@ class TestFluencyRewrite:
         client = MockCompletionClient(default=" Good sentence.\nExtra line.")
         assert fluency_rewrite(client, "x") == "Good sentence."
 
+    def test_rewrite_sends_the_decomposer_settings(self):
+        client = MockCompletionClient(default="Good sentence.")
+        fluency_rewrite(client, "x")
+        assert [(r.max_tokens, r.temperature) for r in client.calls] == [(512, 0.7)]
+
     def test_empty_utterance_rejected(self):
         with pytest.raises(ValueError):
             fluency_rewrite(MockCompletionClient(), "")

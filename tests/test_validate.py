@@ -7,6 +7,7 @@ from claimdecomp import (KnowledgeDoc, MockCompletionClient, build_index,
                          nli_entails)
 from claimdecomp.decompose import Subclaim
 from claimdecomp.llm import CHARS_PER_TOKEN, CachingClient, ContextLengthError
+from claimdecomp.retrieval import DEFAULT_TOP_K
 from claimdecomp.validate import (CONTEXT_KNOWLEDGE_SOURCE,
                                   CONTEXT_ORIGINAL_SENTENCE, VALIDATOR_SETTINGS,
                                   NliVerdict, StaticNliClient, ValidateError,
@@ -207,6 +208,14 @@ class TestJudgeFacts:
         client = MockCompletionClient(default="True")
         judge_facts(client, self._index(), [claim("a very unique claim")])
         assert client.calls[0].prompt.count("a very unique claim") == 1
+
+    def test_context_holds_the_top_five_chunks(self):
+        doc = KnowledgeDoc("T", " ".join(f"composer w{i}" for i in range(8)))
+        index = build_index([doc], 2)
+        judgments = judge_facts(MockCompletionClient(default="True"), index,
+                                [claim("composer claim")])
+        assert len(index.chunks) == 8
+        assert len(judgments[0].context_snapshot.split("\n\n")) == DEFAULT_TOP_K == 5
 
 
 class TestValidatorId:
