@@ -14,7 +14,6 @@ import csv
 import gc
 import itertools
 import json
-import logging
 import math
 import os
 import sys
@@ -37,8 +36,6 @@ from .metrics import (MethodReport, MetricsError, method_report, pearson,
 from .retrieval import (DEFAULT_CHUNK_WORDS, DEFAULT_TOP_K, RetrievalError, build_index,
                         load_index, save_index, search)
 from .validate import SupportJudgment, judge_decomposition, judge_facts
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -205,12 +202,15 @@ def _item(record: dict) -> Subclaim | SupportJudgment:
     return SupportJudgment(claim=claim, **record) if record else claim
 
 
-def _load(outdir: Path, stage: str, method: str) -> list | None:
+def _load(outdir: Path, stage: str, method: str, required: bool = True) -> list | None:
     """The Subclaims, for ``decompose``, or SupportJudgments that ``stage``
-    wrote for ``method``, in file order; None when there is no file. A line
+    wrote for ``method``, in file order. No file is a ConfigError saying to
+    run ``stage`` first, or None when the file is not ``required``. A line
     that is not a valid record stops the stage naming the path and line."""
     path = jsonl_path(outdir, stage, method)
     if not path.exists():
+        if required:
+            raise ConfigError(f"missing {path}; run {stage} first")
         return None
     kinds = _CLAIM_TYPES if stage == "decompose" else _JUDGMENT_TYPES
     items = []
@@ -247,47 +247,64 @@ def jsonl_path(outdir: Path, stage: str, method: str) -> Path:
 
 # --- commands --------------------------------------------------------------------
 
-# A stage's counts of degraded paths, printed in this order when it is done.
+# A stage's counts of the paths it degraded, its one report of them: printed
+# in this order when the stage ends, however it ends.
 WARNINGS = {
     "empty_sentences": "sentences decomposed to no subclaims",
+    "empty_methods": "methods produced no subclaims; their columns are omitted",
     "unparseable": "unparseable validator answers counted as unsupported",
     "empty_context": "claims had an empty context (nothing retrieved, or no room left in "
                      "the validator window) and count as unsupported",
     "unfiltered_passages": "passages have no sentence-supported subclaims; "
                            "filtered factscore counts them as 0",
+    "resent": "endpoint attempts failed transiently and were sent again",
+    "torn_entries": "cache entries cut short by an interrupted write were left out",
+    "unreadable_entries": "unreadable cache entries were treated as misses",
 }
 
 
-def _warn(counts: Counter[str]) -> None:
-    for key, message in WARNINGS.items():
-        if counts[key]:
-            print(f"warning: {counts[key]} {message}")
+def _client_counts(client: CompletionClient) -> Counter[str]:
+    """The failures the throttle of ``client`` sent again, and the entries
+    its cache left out; none for a client without them."""
+    cache = getattr(client, "cache", None)
+    throttle = getattr(getattr(client, "inner", client), "throttle", None)
+    return Counter(resent=getattr(throttle, "resent", 0), torn_entries=getattr(cache, "torn", 0),
+                   unreadable_entries=len(getattr(cache, "unreadable", ())))
 
 
 def run_stage(stage: str, cfg: RunConfig) -> int:
     """Run ``decompose``, ``decompscore`` or ``factscore`` with the stage's one
     request pool: ``cfg.max_inflight`` threads, the only concurrency in the
     pipeline. Its ordered map returns results in submission order, so the
-    outputs do not depend on the pool's width."""
+    outputs do not depend on the pool's width. The stage's WARNINGS counts
+    print once, when it ends, with exit 2 or 3 too."""
     for key in ("max_inflight", "chunk_words"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.cache_only and not cfg.cache_dir:
         raise ConfigError("--cache-only needs --cache-dir")
-    with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
-        if stage == "decompose":
-            return cmd_decompose(cfg, pool.map)
-        return cmd_judge(stage, cfg, pool.map)
+    client = _build_client(cfg, "decomposer" if stage == "decompose" else "validator")
+    counts: Counter[str] = Counter()
+    try:
+        with ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
+            if stage == "decompose":
+                return cmd_decompose(cfg, client, pool.map, counts)
+            return cmd_judge(stage, cfg, client, pool.map, counts)
+    finally:
+        counts.update(_client_counts(client))
+        for key, message in WARNINGS.items():
+            if counts[key]:
+                print(f"warning: {counts[key]} {message}")
 
 
-def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
+def cmd_decompose(cfg: RunConfig, client: CompletionClient, map_fn: MapFn,
+                  counts: Counter[str]) -> int:
     passages = _load_passages(cfg)
     if cfg.parses:
         from .conllu import parse_conllu_file
 
         passages = attach_parses(passages, parse_conllu_file(cfg.parses))
     methods = _resolve_methods(cfg)
-    client = _build_client(cfg, "decomposer")
     outdir = Path(cfg.output_dir)
 
     # Every method's passages go through the pool as one batch, and only a
@@ -295,7 +312,6 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
     # sends only the requests the response log has not answered yet.
     rest = iter(list(map_fn(lambda job: decompose_passage(*job, client),
                             [(method, p) for method in methods.values() for p in passages])))
-    counts: Counter[str] = Counter()
     for name in methods:
         decomposed = list(itertools.islice(rest, len(passages)))
         counts["empty_sentences"] += sum(
@@ -304,19 +320,11 @@ def cmd_decompose(cfg: RunConfig, map_fn: MapFn) -> int:
         path = jsonl_path(outdir, "decompose", name)
         _write_jsonl(path, [claim for claims in decomposed for claim in claims])
         print(f"decompose[{name}]: {path}")
-    _warn(counts)
     return EXIT_OK
 
 
-def _load_subclaims(outdir: Path, method: str) -> list[Subclaim]:
-    claims = _load(outdir, "decompose", method)
-    if claims is None:
-        raise ConfigError(f"missing subclaims file {jsonl_path(outdir, 'decompose', method)}; "
-                          "run decompose first")
-    return claims
-
-
-def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
+def cmd_judge(stage: str, cfg: RunConfig, client: CompletionClient, map_fn: MapFn,
+              counts: Counter[str]) -> int:
     """Judge every subclaim, write the judgments and the stage's report CSVs.
     ``decompscore`` judges against the sentence a subclaim came from,
     ``factscore`` against knowledge retrieved for it. Every method's requests
@@ -331,37 +339,31 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
             index = build_index(load_knowledge(cfg.knowledge), cfg.chunk_words)
         else:
             raise ConfigError("factscore needs --index or --knowledge")
-    client = _build_client(cfg, "validator")
     outdir = Path(cfg.output_dir)
 
     # A subclaim's group is its source sentence's key. Judgments are written
     # in sorted group order; the stable sort keeps the file order in a group.
     group = attrgetter("generator", "topic", "sentence_index")
     loaded: dict[str, list[Subclaim]] = {}
-    sentence_judgments: dict[str, list[SupportJudgment] | None] = {}
+    sentence_judgments: dict[str, list[SupportJudgment]] = {}
     for name in cfg.methods:
-        claims = _load_subclaims(outdir, name)
+        claims = _load(outdir, "decompose", name)
         if not claims:
-            logger.warning("method %s produced no subclaims; column omitted", name)
+            counts["empty_methods"] += 1
             continue
         if missing := sorted({group(c) for c in claims} - sentences.keys()):
             raise ConfigError(f"no source sentence for subclaim group {missing[0]}")
         if stage == "factscore":
             sentence_judgments[name] = _load(outdir, "decompscore", name)
-            if sentence_judgments[name] is None:
-                logger.warning("no sentence judgments for %s; filtered scores use "
-                               "zero-supported counts", name)
-            else:
-                # raises on a subclaim without a sentence judgment, before any request
-                results_from_judgments(claims, sentence_judgments=sentence_judgments[name])
+            # raises on a subclaim without a sentence judgment, before any request
+            results_from_judgments(claims, sentence_judgments=sentence_judgments[name])
         loaded[name] = claims
     batch = [claim for claims in loaded.values() for claim in sorted(claims, key=group)]
-    stats: Counter[str] = Counter()
     if stage == "decompscore":
         judged = judge_decomposition(
-            client, [(c, sentences[group(c)]) for c in batch], stats=stats, map_fn=map_fn)
+            client, [(c, sentences[group(c)]) for c in batch], stats=counts, map_fn=map_fn)
     else:
-        judged = judge_facts(client, index, batch, stats=stats, map_fn=map_fn)
+        judged = judge_facts(client, index, batch, stats=counts, map_fn=map_fn)
 
     reports: dict[str, MethodReport] = {}
     rest = iter(judged)
@@ -374,10 +376,9 @@ def cmd_judge(stage: str, cfg: RunConfig, map_fn: MapFn) -> int:
         else:
             results = results_from_judgments(claims, sentence_judgments=sentence_judgments[name],
                                              knowledge_judgments=judgments)
-            stats["unfiltered_passages"] += sum(r.n_supported_by_sentence == 0 for r in results)
+            counts["unfiltered_passages"] += sum(r.n_supported_by_sentence == 0 for r in results)
         reports[name] = method_report(results)
 
-    _warn(stats)
     for filename, rows in _report_files(stage, reports).items():
         _write_csv(outdir / filename, rows)
     print(f"{stage}: {outdir / REPORT_COLUMNS[stage][0][0]}")
@@ -497,12 +498,10 @@ def audit_outputs(outdir: str | Path, methods: list[str]) -> None:
     outdir = Path(outdir)
     reports: dict[str, MethodReport] = {}
     for name in methods:
-        sentence = _load(outdir, "decompscore", name)
-        if sentence is None:
-            raise ConfigError(f"missing {jsonl_path(outdir, 'decompscore', name)}")
         results = results_from_judgments(
-            _load_subclaims(outdir, name), sentence_judgments=sentence,
-            knowledge_judgments=_load(outdir, "factscore", name))
+            _load(outdir, "decompose", name),
+            sentence_judgments=_load(outdir, "decompscore", name),
+            knowledge_judgments=_load(outdir, "factscore", name, required=False))
         reports[name] = method_report(results)
 
     for stage in REPORT_COLUMNS:

@@ -274,12 +274,14 @@ def _json_object(where: str, data: bytes | str) -> dict:
 
 @contextmanager
 def _replacing(path: Path) -> Iterator[Path]:
-    """A temp file beside ``path`` for the block to write. It is renamed over
-    ``path`` when the block ends and removed when the block raises, so a
-    reader of ``path`` never sees a partial file. A missing parent directory
-    is made first."""
+    """A temp file beside ``path``, ``.<name>.tmp``, for the block to write.
+    It is renamed over ``path`` when the block ends and removed when the
+    block raises, so a reader of ``path`` never sees a partial file. Its one
+    name per target lets the next write truncate and rename what a killed
+    run left; two runs that write one target at once are not supported. A
+    missing parent directory is made first."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
         yield tmp
         os.replace(tmp, path)

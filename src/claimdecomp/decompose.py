@@ -14,7 +14,6 @@ is returned as its own single subclaim.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 import re
 import typing
@@ -31,8 +30,6 @@ from .llm import (CHARS_PER_TOKEN, CompletionClient, ContextLengthError,
 # without parses never imports them
 if typing.TYPE_CHECKING:
     from .predarg import PredArgMethod
-
-logger = logging.getLogger(__name__)
 
 # The decomposer's one sampling and window setting, fixed like the
 # validator's: every prompted method and predpatt's rewrites read it.
@@ -338,10 +335,7 @@ def _prompted_claim_texts(config: MethodConfig, sentence_text: str, parse,
             # The endpoint's window is smaller than estimated: one example fewer.
             cap = assembled.static_used + assembled.retrieved_used - 1
             continue
-        claims = parse_subclaims(response.text)
-        if not claims:
-            logger.debug("empty decomposition for sentence: %.60s", sentence_text)
-        return claims
+        return parse_subclaims(response.text)
     # Over budget, or rejected by the endpoint, with no example left: the
     # sentence itself becomes the single subclaim.
     return [" ".join(sentence_text.split())]

@@ -8,7 +8,6 @@ POST ``{model, prompt, max_tokens, temperature}`` returning
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import threading
@@ -25,8 +24,6 @@ from .corpus import CorpusError, _check_fields, _json_object
 
 if typing.TYPE_CHECKING:  # imported where a request is sent, so a run that sends none skips it
     import http.client
-
-logger = logging.getLogger(__name__)
 
 ENDPOINT_URL_ENV = "CLAIMDECOMP_ENDPOINT_URL"
 API_KEY_ENV = "CLAIMDECOMP_API_KEY"
@@ -169,13 +166,16 @@ class Throttle:
     spends nothing needs another request in flight, and only answers grow
     the window, so against an endpoint that answers nothing the window
     falls to 1 within log2(width) halvings and every later failure spends a
-    retry. Waits go through ``time.sleep``, one warning per decision.
+    retry. Waits go through ``time.sleep``. ``resent`` counts the failures
+    sent again: the endpoint's answers fix it, while whether each one halved
+    the window or held the workers depends on timing.
     """
 
     def __init__(self) -> None:
         self.window = math.inf
         self.in_flight = 0
         self.held_until = -math.inf
+        self.resent = 0
         self._changed = threading.Condition()
 
     def send(self, complete: Callable[[CompletionRequest], CompletionResponse],
@@ -221,18 +221,16 @@ class Throttle:
         with self._changed:
             in_flight, self.in_flight = self.in_flight, self.in_flight - 1
             self._changed.notify_all()
-            if error.retry_after_s is None and in_flight > 1:
-                self.window = min(self.window, max(1.0, in_flight / 2))
-                logger.warning("completion attempt failed (%s) with %d in flight; "
-                               "window halved to %.3g", error, in_flight, self.window)
-                return 0
-            if tries >= MAX_RETRIES:
+            halve = error.retry_after_s is None and in_flight > 1
+            if not halve and tries >= MAX_RETRIES:
                 raise CompletionError(f"retries exhausted: {error}") from error
+            self.resent += 1
+            if halve:
+                self.window = min(self.window, max(1.0, in_flight / 2))
+                return 0
             hold_s = (BACKOFF_S * 2 ** tries if error.retry_after_s is None
                       else error.retry_after_s)
             self.held_until = max(self.held_until, time.monotonic() + hold_s)
-            logger.warning("completion attempt %d failed (%s); all workers held %.2f s",
-                           tries + 1, error, hold_s)
             return 1
 
 
@@ -253,16 +251,18 @@ class ResponseCache:
     request field, so distinct requests never conflate. The log is read
     once, when the cache is built, and indexed by key: a later line for a
     key wins, a line is parsed when it is read, and one that is no entry is
-    a logged miss. A last line with no newline, a write cut short, is left
-    out. Each put is one ``O_APPEND`` write of one line, so writers in any
-    process never interleave within an entry; the first put opens the log,
-    so a cache that never puts makes no file. A directory with per-file
+    a miss whose key ``unreadable`` collects. A last line with no newline, a
+    write cut short, is left out, and ``torn`` counts it. Each put is one
+    ``O_APPEND`` write of one line, so writers in any process never
+    interleave within an entry; the first put opens the log, so a cache
+    that never puts makes no file. A directory with per-file
     ``*.json`` entries, an older layout, and no log raises CorpusError.
     """
 
     def __init__(self, cache_dir: str | Path):
         self._fd: int | None = None
-        self._opening = threading.Lock()
+        self._lock = threading.Lock()
+        self.unreadable: set[bytes] = set()
         self.path = Path(cache_dir) / "responses.jsonl"
         try:
             data = self.path.read_bytes()
@@ -272,26 +272,23 @@ class ResponseCache:
                                   f"layout; remove it or use another --cache-dir") from None
             data = b""
         *lines, torn = data.split(b"\n")
-        if torn:
-            logger.warning("%s ends inside an entry, a write cut short; that entry is "
-                           "left out", self.path)
-        self._torn = bool(torn)  # so the first put ends that line before its own
+        self.torn = int(torn != b"")  # the first put ends that line before its own
         # the key sits at a fixed offset, so lines are indexed without parsing
         self._lines = {line[_KEY_AT:_KEY_AT + _KEY_LEN]: line
                        for line in lines if line.startswith(_KEY_PREFIX)}
 
     def get(self, request: CompletionRequest) -> Outcome | None:
-        key = cache_key(request)
-        line = self._lines.get(key.encode())
+        key = cache_key(request).encode()
+        line = self._lines.get(key)
         if line is None:
             return None
-        where = f"cache entry {key} in {self.path}"
         try:
-            entry = _json_object(where, line)
+            entry = _json_object("", line)
             rejected = _REJECTED in entry
-            _check_fields(where, entry, {_REJECTED: str} if rejected else _RESPONSE_TYPES)
-        except CorpusError as exc:
-            logger.warning("unreadable %s; treated as a miss", exc)
+            _check_fields("", entry, {_REJECTED: str} if rejected else _RESPONSE_TYPES)
+        except CorpusError:
+            with self._lock:  # the pool's workers read at once
+                self.unreadable.add(key)
             return None
         if rejected:
             return ContextLengthError(entry[_REJECTED])
@@ -309,11 +306,11 @@ class ResponseCache:
 
     def _log(self) -> int:
         """The log's descriptor, opened for appending by the first put."""
-        with self._opening:
+        with self._lock:
             if self._fd is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-                if self._torn:
+                if self.torn:
                     os.write(self._fd, b"\n")
             return self._fd
 

@@ -14,15 +14,12 @@ generators.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from .decompose import Subclaim
 from .validate import SupportJudgment
-
-logger = logging.getLogger(__name__)
 
 
 class MetricsError(ValueError):
@@ -89,8 +86,6 @@ def fact_score(results: list[PassageResult], use_filter: bool = False) -> float:
         else:
             numerator, denominator = r.n_supported_by_knowledge, r.n_subclaims
         if denominator == 0:
-            logger.debug("passage %s/%s has zero denominator; scoring 0",
-                         r.generator, r.topic)
             scores.append(0.0)
         else:
             scores.append(numerator / denominator)

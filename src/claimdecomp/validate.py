@@ -17,7 +17,6 @@ Every request uses ``VALIDATOR_SETTINGS``, and every judgment's
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ from .llm import (CHARS_PER_TOKEN, CompletionClient, GenerationSettings, MapFn, 
 # Unused here, but perfbench/tracer.py wraps validate.complete_text by name.
 from .llm import complete_text  # noqa: F401
 from .retrieval import DEFAULT_TOP_K, Index, search
-
-logger = logging.getLogger(__name__)
 
 CONTEXT_ORIGINAL_SENTENCE = "original_sentence"
 CONTEXT_KNOWLEDGE_SOURCE = "knowledge_source"
@@ -84,7 +81,6 @@ def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
     verdicts = []
     for context, claim in pairs:
         if not context:
-            logger.debug("empty context for claim %.60s", claim)
             if stats is not None:
                 stats["empty_context"] += 1
             verdicts.append((context, False))
@@ -92,7 +88,6 @@ def _verdicts(client: CompletionClient, pairs: list[tuple[str, str]],
         text = next(responses).text
         verdict = parse_verdict(text)
         if verdict is None:
-            logger.debug("unparseable validator answer %r for claim %.60s", text[:40], claim)
             if stats is not None:
                 stats["unparseable"] += 1
         verdicts.append((context, verdict is True))

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import logging
 import math
 import os
 import shutil
@@ -14,13 +13,14 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from importlib import resources
 from operator import setitem
 from pathlib import Path
 
 import pytest
 
-from claimdecomp import cli, predarg, validate
+from claimdecomp import cli, llm, predarg, validate
 from claimdecomp.llm import (API_KEY_ENV, ENDPOINT_URL_ENV, CompletionError,
                              CompletionResponse, HttpCompletionClient, MockCompletionClient)
 from claimdecomp.metrics import MetricsError
@@ -155,13 +155,24 @@ class TestPipeline:
         resumed = (resumed_dir / "subclaims-rnd.jsonl").read_text(encoding="utf-8")
         assert resumed == full
 
-    def test_five_methods_match_golden_digests(self, data_dir, tmp_path):
+    def test_five_methods_match_golden_digests(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         methods = ("factscore", "wice", "chen", "fs2")  # after _common's rnd
-        run_pipeline(data_dir, out, [*(arg for name in methods for arg in ("--method", name)),
-                                     "--max-inflight", "1"])
+        extra = [*(arg for name in methods for arg in ("--method", name)), "--max-inflight", "1"]
+        stdout = {}
+        for stage, more in (("decompose", []), ("decompscore", []), ("factscore", [
+                "--knowledge", str(data_dir / "knowledge_small.jsonl")])):
+            assert cli.main([stage, *_common(data_dir, out, [*extra, *more])]) == 0
+            stdout[stage] = capsys.readouterr().out
         assert {name: hashlib.sha256(data).hexdigest()
                 for name, data in _tree_bytes(out).items()} == GOLDEN_DIGESTS
+        # each stage's whole stdout: the fixture degrades no path, so no count
+        assert stdout == {
+            "decompose": "".join(f"decompose[{name}]: {out / f'subclaims-{name}.jsonl'}\n"
+                                 for name in ("rnd", *methods)),
+            "decompscore": f"decompscore: {out / 'decompscore.csv'}\n",
+            "factscore": f"factscore: {out / 'factscore.csv'}\n",
+        }
 
     def test_audit_recomputes_every_cell(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -224,7 +235,8 @@ class TestPipeline:
         (out / "sentence-judgments-rnd.jsonl").unlink()
         with pytest.raises(cli.ConfigError) as caught:
             cli.audit_outputs(out, ["rnd"])
-        assert str(caught.value) == f"missing {out / 'sentence-judgments-rnd.jsonl'}"
+        assert str(caught.value) == \
+            f"missing {out / 'sentence-judgments-rnd.jsonl'}; run decompscore first"
 
     def test_audit_names_a_report_file_that_is_not_utf8(self, data_dir, tmp_path):
         out = tmp_path / "out"
@@ -250,6 +262,15 @@ class TestPipeline:
         assert rows[0] == ["generator", "rnd"]
         assert rows[-1][0] == "macro-average"
         assert {r[0] for r in rows[1:-1]} == {"alpha", "beta"}
+
+    def test_rerun_replaces_the_temp_file_of_a_killed_run(self, data_dir, tmp_path):
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert cli.main(["decompose", *_common(data_dir, clean)]) == 0
+        out.mkdir()
+        # a run killed between writing its temp file and renaming it over the output
+        (out / ".subclaims-rnd.jsonl.tmp").write_text("partial", encoding="utf-8")
+        assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        assert _tree_bytes(out) == _tree_bytes(clean)
 
     @pytest.mark.parametrize("fail", ["judgments", "report"])
     def test_failed_write_leaves_the_earlier_file_whole(self, data_dir, tmp_path, monkeypatch,
@@ -453,21 +474,20 @@ class TestExitCodes:
         ("http://proxy:notaport", "Port could not be cast to integer value as 'notaport'"),
         ("http://[::1", "Invalid IPv6 URL"),
     ], ids=["port", "ipv6"])
-    def test_malformed_proxy_setting_is_not_retried(self, data_dir, tmp_path, capsys, caplog,
+    def test_malformed_proxy_setting_is_not_retried(self, data_dir, tmp_path, capsys,
                                                     monkeypatch, setting, message):
         for name in ("no_proxy", "NO_PROXY"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("http_proxy", setting)
         out, cache = tmp_path / "out", tmp_path / "cache"
         started = time.monotonic()
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
-                           "--method", "rnd", "--endpoint", "http://127.0.0.1:9/v1",
-                           "--max-inflight", "2", "--output-dir", str(out),
-                           "--cache-dir", str(cache)])
-        # exit 2 at the first connection: no attempt warning and no hold
-        assert rc == 2 and caplog.records == [] and time.monotonic() - started < 1.0
-        assert capsys.readouterr().err == f"error: http_proxy {setting!r}: {message}\n"
+        rc = cli.main(["decompose", "--generations", str(data_dir / "generations_small.jsonl"),
+                       "--method", "rnd", "--endpoint", "http://127.0.0.1:9/v1",
+                       "--max-inflight", "2", "--output-dir", str(out),
+                       "--cache-dir", str(cache)])
+        # exit 2 at the first connection: no attempt sent again and no hold
+        assert rc == 2 and time.monotonic() - started < 1.0
+        assert capsys.readouterr() == ("", f"error: http_proxy {setting!r}: {message}\n")
         assert not out.exists() and not cache.exists()
 
     @pytest.mark.parametrize("method", ["predpatt", "conllu"])
@@ -897,6 +917,27 @@ def _mock_clients(monkeypatch, n=math.inf) -> list[FailingOnCall]:
     return clients
 
 
+class FirstAttemptThrottledHandler(BaseHTTPRequestHandler):
+    """Answers "True" to each completion request, except the first attempt
+    at each prompt that contains ``server.marker``: that gets a bare 429,
+    and the prompt is added to ``server.throttled``."""
+
+    def do_POST(self):
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+        with self.server.lock:
+            refused = self.server.marker in prompt and prompt not in self.server.throttled
+            if refused:
+                self.server.throttled.add(prompt)
+        data = b"slow down" if refused else b'{"choices": [{"text": "True"}]}'
+        self.send_response(429 if refused else 200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
 class TestStagePool:
     @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
     def test_outputs_independent_of_max_inflight(self, data_dir, tmp_path, cache):
@@ -1015,13 +1056,16 @@ class TestStagePool:
         capsys.readouterr()
         monkeypatch.setattr(cli, "_build_client", build_client)
         assert cli.main(["decompscore", *_common(data_dir, out)]) == 2
-        assert "missing subclaims file" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"error: missing {out / 'subclaims-rnd.jsonl'}; run decompose first\n"
 
     @pytest.mark.parametrize("stage", ["decompscore", "factscore"])
     def test_endpoint_failure_in_judgment_stage(self, data_dir, tmp_path, capsys,
                                                 monkeypatch, stage):
         out = tmp_path / "out"
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        if stage == "factscore":  # which needs the sentence judgments
+            assert cli.main(["decompscore", *_common(data_dir, out)]) == 0
         build_client = cli._build_client
         monkeypatch.setattr(cli, "_build_client",
                             lambda cfg, role: FailingOnCall(build_client(cfg, role), 3))
@@ -1031,6 +1075,40 @@ class TestStagePool:
         err = capsys.readouterr().err
         assert "endpoint error: injected failure" in err and "Traceback" not in err
         assert not cli.jsonl_path(out, stage, "rnd").exists()
+
+    def test_http_run_reports_resends_as_one_count(self, data_dir, tmp_path, monkeypatch,
+                                                   capsys, caplog):
+        # which failures halve the window and which hold every worker depends
+        # on timing; how many are sent again is fixed by the endpoint's answers
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.01)
+        server = ThreadingHTTPServer(("127.0.0.1", 0), FirstAttemptThrottledHandler)
+        server.lock, server.marker = threading.Lock(), "Ada Example"
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        out = tmp_path / "out"
+        args = ["--generations", str(data_dir / "generations_small.jsonl"), "--method", "rnd",
+                "--output-dir", str(out)]
+        assert cli.main(["decompose", *args, "--mock-responses",
+                         str(data_dir / "mock_responses.json")]) == 0
+        runs = []
+        try:
+            for _ in range(2):
+                server.throttled = set()
+                capsys.readouterr()
+                assert cli.main(["decompscore", *args, "--max-inflight", "4", "--endpoint",
+                                 f"http://127.0.0.1:{server.server_address[1]}/v1"]) == 0
+                runs.append((capsys.readouterr(), _tree_bytes(out), len(server.throttled)))
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        (captured, tree, throttled), again = runs
+        assert again == runs[0] and throttled > 0 and caplog.records == []
+        assert captured == (
+            f"decompscore: {out / 'decompscore.csv'}\n"
+            f"warning: {throttled} endpoint attempts failed transiently and were sent again\n",
+            "")
 
     def test_one_batch_per_judgment_stage(self, data_dir, tmp_path, monkeypatch):
         alone = {}
@@ -1050,7 +1128,7 @@ class TestStagePool:
         run_pipeline(data_dir, out, ["--method", "wice", "--max-inflight", "1"])
         # rnd from _common, then wice: one request batch for each judgment stage
         assert len(batches) == 2
-        assert batches[0] == sum(len(cli._load_subclaims(out, name)) for name in ("rnd", "wice"))
+        assert batches[0] == sum(len(cli._load(out, "decompose", name)) for name in ("rnd", "wice"))
         both = _tree_bytes(out)
         for name in ("rnd", "wice"):
             for stage in cli.JSONL_FILES:
@@ -1065,6 +1143,8 @@ class TestStagePool:
         extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl"),
                  "--cache-dir", str(cache), "--max-inflight", "1"]
         assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
+        if stage == "factscore":  # its sentence judgments, from outside the cache
+            assert cli.main(["decompscore", *_common(data_dir, out)]) == 0
         _mock_clients(monkeypatch, n)
         assert cli.main([stage, *_common(data_dir, out, extra)]) == 3
         assert sum(role == "validator" for role, _ in _cache_content(cache)) == n - 1
@@ -1307,13 +1387,27 @@ class TestIndexCommands:
 
 
 class TestDegenerateInputs:
-    def test_empty_method_column_omitted_with_warning(self, data_dir, tmp_path):
+    def test_empty_method_column_omitted_with_warning(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
         (out / "subclaims-rnd.jsonl").write_text("")
         assert cli.main(["decompscore", *_common(data_dir, out)]) == 0
         header = (out / "decompscore.csv").read_text().splitlines()[0]
         assert header == "generator"
+        assert capsys.readouterr().out == (
+            f"decompscore: {out / 'decompscore.csv'}\n"
+            "warning: 1 methods produced no subclaims; their columns are omitted\n")
+
+    def test_counts_print_when_the_stage_fails(self, data_dir, tmp_path, capsys):
+        # rnd is counted as empty before wice's missing file stops the stage
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "subclaims-rnd.jsonl").write_text("")
+        assert cli.main(["decompscore", *_common(data_dir, out, ["--method", "wice"])]) == 2
+        assert capsys.readouterr() == (
+            "warning: 1 methods produced no subclaims; their columns are omitted\n",
+            f"error: missing {out / 'subclaims-wice.jsonl'}; run decompose first\n")
+        assert [p.name for p in out.iterdir()] == ["subclaims-rnd.jsonl"]
 
     def test_all_true_validator_gives_full_scores(self, data_dir, tmp_path):
         # keep the canned decomposer (its claims retrieve against the topic
@@ -1394,7 +1488,9 @@ class TestDegenerateInputs:
         assert cli.main(["decompscore", *args]) == 0
         capsys.readouterr()
         assert cli.main(["factscore", *args, "--knowledge", str(knowledge)]) == 0
-        assert [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning:")] == [
+        # the table follows the line that names the stage's report
+        assert capsys.readouterr().out.splitlines() == [
+            f"factscore: {tmp_path / 'out' / 'factscore.csv'}",
             "warning: 5 unparseable validator answers counted as unsupported",
             "warning: 10 claims had an empty context (nothing retrieved, or no room left in "
             "the validator window) and count as unsupported",
@@ -1414,20 +1510,16 @@ class TestDegenerateInputs:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "warning: 9 sentences decomposed to no subclaims" in proc.stdout.splitlines()
 
-    def test_factscore_without_sentence_judgments_filters_every_claim(
-            self, data_dir, tmp_path, capsys, caplog):
+    def test_factscore_without_sentence_judgments_exits_2(self, data_dir, tmp_path, capsys):
         out = tmp_path / "out"
         assert cli.main(["decompose", *_common(data_dir, out)]) == 0
+        before = _tree_bytes(out)
         capsys.readouterr()
         extra = ["--knowledge", str(data_dir / "knowledge_small.jsonl")]
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.cli"):
-            assert cli.main(["factscore", *_common(data_dir, out, extra)]) == 0
-        assert "no sentence judgments for rnd" in caplog.text
-        assert "warning: 4 passages have no sentence-supported subclaims" in capsys.readouterr().out
-        for name, zero in (("factscore_raw.csv", False), ("filtered_factscore_raw.csv", True)):
-            rows = cli._read_csv(out / name)
-            assert [row[0] for row in rows] == ["generator", "alpha", "beta", "macro-average"]
-            assert all((float(row[1]) == 0) is zero for row in rows[1:]), name
+        assert cli.main(["factscore", *_common(data_dir, out, extra)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: missing {out / 'sentence-judgments-rnd.jsonl'}; run decompscore first\n")
+        assert _tree_bytes(out) == before
 
 
 class TestValidatorId:
@@ -1502,16 +1594,21 @@ class TestCacheModes:
         assert (tmp_path / "replay" / "subclaims-rnd.jsonl").read_bytes() == \
             (tmp_path / "warm" / "subclaims-rnd.jsonl").read_bytes()
 
-    def test_cache_only_with_unreadable_entry_is_endpoint_error(self, data_dir, tmp_path):
+    def test_cache_only_with_unreadable_entry_is_endpoint_error(self, data_dir, tmp_path,
+                                                                 capsys):
         cache = tmp_path / "cache"
         assert cli.main(["decompose", *_common(data_dir, tmp_path / "warm"),
                          "--cache-dir", str(cache)]) == 0
         log = cache / "decomposer" / "responses.jsonl"
         first, *rest = log.read_bytes().splitlines(keepends=True)
         log.write_bytes(first[:80] + b"\n" + b"".join(rest))  # the key, then no entry
+        capsys.readouterr()
         rc = cli.main(["decompose", *_common(data_dir, tmp_path / "replay"),
                        "--cache-dir", str(cache), "--cache-only"])
         assert rc == 3
+        # counted on exit 3 too; no other entry is unreadable
+        assert capsys.readouterr().out == \
+            "warning: 1 unreadable cache entries were treated as misses\n"
 
     def test_cache_only_with_wrong_typed_entry_is_endpoint_error(self, data_dir, tmp_path,
                                                                   capsys):
@@ -1551,7 +1648,7 @@ class TestCacheModes:
         assert not out.exists() and [p.name for p in old.iterdir()] == [f"{'0' * 64}.json"]
 
     def test_torn_log_line_is_sent_again_then_replays(self, data_dir, tmp_path, monkeypatch,
-                                                      caplog):
+                                                      capsys):
         out, cache = tmp_path / "out", tmp_path / "cache"
         extra = ["--cache-dir", str(cache)]
         assert cli.main(["decompose", *_common(data_dir, out, extra)]) == 0
@@ -1562,9 +1659,10 @@ class TestCacheModes:
         log.write_bytes(b"".join(lines)[:-10])  # cut inside the last line
 
         clients = _mock_clients(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            assert cli.main(["decompscore", *_common(data_dir, out, extra)]) == 0
-        assert caplog.text.count("a write cut short") == 1
+        capsys.readouterr()
+        assert cli.main(["decompscore", *_common(data_dir, out, extra)]) == 0
+        assert [l for l in capsys.readouterr().out.splitlines() if l.startswith("warning:")] == [
+            "warning: 1 cache entries cut short by an interrupted write were left out"]
         assert [client.calls for client in clients] == [1]
         assert _tree_bytes(out) == clean
         # the torn line got its newline, and the entry sent again a line of its own
@@ -1572,11 +1670,8 @@ class TestCacheModes:
         assert now[:-1] == lines[:-1] + [lines[-1][:-10] + b"\n"]
         assert json.loads(now[-1]) == json.loads(lines[-1])
 
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            assert cli.main(["decompscore", *_common(data_dir, out, extra),
-                             "--cache-only"]) == 0
-        assert caplog.text == "" and _tree_bytes(out) == clean
+        assert cli.main(["decompscore", *_common(data_dir, out, extra), "--cache-only"]) == 0
+        assert "warning:" not in capsys.readouterr().out and _tree_bytes(out) == clean
 
 
 class TestConfigFile:

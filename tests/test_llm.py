@@ -1,7 +1,7 @@
 import base64
 import http.client
 import json
-import logging
+import math
 import multiprocessing
 import re
 import sys
@@ -266,12 +266,16 @@ class TestCache:
             complete_all(client, batch)
         assert inner.calls == batch
 
-    def test_wrong_typed_rejection_is_a_logged_miss(self, tmp_path, caplog):
+    def test_wrong_typed_rejection_is_a_logged_miss(self, tmp_path):
         request = req("p")
         _write_entry(tmp_path, request, '"context_length_error": 5}')
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            assert ResponseCache(tmp_path).get(request) is None
-        assert "field 'context_length_error'" in caplog.text
+        cache = ResponseCache(tmp_path)
+        assert cache.get(request) is None
+        assert cache.unreadable == {cache_key(request).encode()}
+        # the field's type alone made it unreadable
+        _write_entry(tmp_path, request, '"context_length_error": "5"}')
+        cache = ResponseCache(tmp_path)
+        assert isinstance(cache.get(request), ContextLengthError) and cache.unreadable == set()
 
     def test_batch_without_cache_maps_every_request(self):
         inner = CountingClient()
@@ -291,25 +295,30 @@ class TestCache:
             t.join()
         assert cache.get(req("p0")).text == "t0"
 
-    def test_unreadable_entry_is_a_logged_miss_then_rewritten(self, tmp_path, caplog):
+    def test_unreadable_entry_is_a_logged_miss_then_rewritten(self, tmp_path):
         request = req("p")
         _write_entry(tmp_path, request, '"text": "out", "finish_re')
         inner = CountingClient("fresh")
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            assert CachingClient(inner, tmp_path).complete(request).text == "fresh"
+        client = CachingClient(inner, tmp_path)
+        assert client.complete(request).text == "fresh"
         assert inner.calls == 1
-        # the warning names the entry's key and its log
-        assert (f"unreadable cache entry {cache_key(request)} in "
-                f"{tmp_path / 'responses.jsonl'}") in caplog.text
+        # the count names the entry by its key, in the log at the cache's path
+        assert client.cache.unreadable == {cache_key(request).encode()}
+        assert client.cache.path == tmp_path / "responses.jsonl"
         assert len(_log_lines(tmp_path)) == 2  # a later line for the key wins
-        assert ResponseCache(tmp_path).get(request).text == "fresh"
+        cache = ResponseCache(tmp_path)
+        assert cache.get(request).text == "fresh" and cache.unreadable == set()
 
-    def test_wrong_typed_entry_is_a_logged_miss(self, tmp_path, caplog):
+    def test_wrong_typed_entry_is_a_logged_miss(self, tmp_path):
         request = req("p")
         _write_entry(tmp_path, request, '"finish_reason": "stop", "text": 5}')
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            assert ResponseCache(tmp_path).get(request) is None
-        assert "unreadable cache entry" in caplog.text and "field 'text'" in caplog.text
+        cache = ResponseCache(tmp_path)
+        assert cache.get(request) is None
+        assert cache.unreadable == {cache_key(request).encode()}
+        # the field's type alone made it unreadable
+        _write_entry(tmp_path, request, '"finish_reason": "stop", "text": "5"}')
+        cache = ResponseCache(tmp_path)
+        assert cache.get(request).text == "5" and cache.unreadable == set()
 
     def test_each_round_writes_its_responses(self, tmp_path, monkeypatch):
         monkeypatch.setattr("claimdecomp.llm.time", FakeClock())
@@ -341,15 +350,14 @@ class TestCache:
         assert {entry["key"] for entry in entries} == {cache_key(req("shared"))}
         assert ResponseCache(tmp_path).get(req("shared")).text.startswith("w")
 
-    def test_torn_last_line_is_left_out_and_ended_by_the_next_put(self, tmp_path, caplog):
+    def test_torn_last_line_is_left_out_and_ended_by_the_next_put(self, tmp_path):
         cache = ResponseCache(tmp_path)
         cache.put(req("a"), CompletionResponse(text="kept"))
         cache.put(req("b"), CompletionResponse(text="torn"))
         log = tmp_path / "responses.jsonl"
         log.write_bytes(log.read_bytes()[:-20])
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            cache = ResponseCache(tmp_path)
-        assert caplog.text.count("a write cut short") == 1
+        cache = ResponseCache(tmp_path)
+        assert cache.torn == 1
         assert cache.get(req("a")).text == "kept" and cache.get(req("b")) is None
         cache.put(req("b"), CompletionResponse(text="again"))
         assert cache.get(req("b")).text == "again"
@@ -357,10 +365,25 @@ class TestCache:
         lines = _log_lines(tmp_path)
         assert len(lines) == 3 and all(line.endswith(b"\n") for line in lines)
         assert json.loads(lines[2])["text"] == "again"
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            assert ResponseCache(tmp_path).get(req("b")).text == "again"
-        assert caplog.text == ""
+        cache = ResponseCache(tmp_path)
+        assert cache.get(req("b")).text == "again"
+        assert (cache.torn, cache.unreadable) == (0, set())
+
+    def test_unreadable_entries_read_at_once_count_once_each(self, tmp_path):
+        # a contended pool reads every entry of a log whose entries are all
+        # unreadable, each many times; a lost update would drop a key
+        requests = [req(f"p{i}") for i in range(16)]
+        (tmp_path / "responses.jsonl").write_text("".join(
+            f'{{"key": "{cache_key(request)}", "text": 5}}\n' for request in requests))
+        cache = ResponseCache(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(cache.get, requests * 8)) == [None] * 128
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.unreadable == {cache_key(request).encode() for request in requests}
 
     def test_cache_that_never_puts_makes_no_file(self, tmp_path):
         role = tmp_path / "role"
@@ -609,42 +632,20 @@ class TestHttpClient:
             assert HttpCompletionClient(url=url).url == url
 
 
-class Logged(logging.Handler):
-    """Sets ``event`` once ``claimdecomp.llm`` logs a record containing
-    ``text``: a throttle decision has been taken."""
-
-    def __init__(self, text):
-        super().__init__()
-        self.text = text
-        self.event = threading.Event()
-
-    def emit(self, record):
-        if self.text in record.getMessage():
-            self.event.set()
-
-
-@pytest.fixture
-def logged():
-    """Attaches ``Logged(text)`` handlers to the ``claimdecomp.llm`` logger."""
-    handlers = []
-
-    def attach(text):
-        handlers.append(Logged(text))
-        logging.getLogger("claimdecomp.llm").addHandler(handlers[-1])
-        return handlers[-1].event
-
-    yield attach
-    for handler in handlers:
-        logging.getLogger("claimdecomp.llm").removeHandler(handler)
+def until(condition, timeout_s):
+    """Wait until ``condition()`` holds, such as a throttle decision having
+    been taken, or ``timeout_s`` has passed."""
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 class TestThrottle:
     @pytest.mark.parametrize("width", [2, 4])
-    def test_bare_429_with_others_in_flight_is_sent_again_at_once(
-            self, monkeypatch, caplog, logged, width):
+    def test_bare_429_with_others_in_flight_is_sent_again_at_once(self, monkeypatch, width):
         # "a" fails while the others are in flight; they answer only once the
         # window has been halved, so "a" cannot have been alone
-        others_sent, halved = threading.Barrier(width), logged("window halved")
+        others_sent = threading.Barrier(width)
         events = []
 
         def post(url, payload, headers):
@@ -655,23 +656,22 @@ class TestThrottle:
                 return reply(status=429)
             if prompt != "a":
                 others_sent.wait(timeout=5)
-                halved.wait(timeout=2)
+                until(lambda: client.throttle.window < math.inf, timeout_s=2)
             events.append(f"answered {prompt}")
             return OK
 
         client = http_client(monkeypatch, post, backoff_s=2.0)
         prompts = ["a"] + [f"p{i}" for i in range(1, width)]
         started = time.monotonic()
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            with ThreadPoolExecutor(max_workers=width) as pool:
-                responses = complete_all(client, [req(p) for p in prompts], pool.map)
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            responses = complete_all(client, [req(p) for p in prompts], pool.map)
         assert [r.text for r in responses] == ["ok"] * width
         assert time.monotonic() - started < 1.0  # no backoff_s wait
-        assert halved.is_set()
+        # one decision, a halving and no hold: the window grown below pins its value
+        assert client.throttle.resent == 1 and client.throttle.held_until == -math.inf
         # in flight: "a" and its width - 1 others, so the window is max(1, width / 2),
         # which admits "a" again once one of the others has answered
         window = max(1, width / 2)
-        assert [r.getMessage().rsplit(" ", 1)[-1] for r in caplog.records] == [f"{window:g}"]
         resent = events.index("sent a", events.index("sent a") + 1)
         assert any(e.startswith("answered p") for e in events[:resent])
         assert events.count("sent a") == 2 and len(events) == 2 * width + 1
@@ -679,10 +679,10 @@ class TestThrottle:
             window += 1 / window
         assert client.throttle.window == pytest.approx(window)
 
-    def test_retry_after_holds_every_worker(self, monkeypatch, caplog, logged):
+    def test_retry_after_holds_every_worker(self, monkeypatch):
         # "a" names a 1 s Retry-After while "b" is in flight; b's worker
         # then takes "c", which waits for the hold like a's retry
-        b_sent, held = threading.Event(), logged("all workers held")
+        b_sent = threading.Event()
         sent = []
 
         def post(url, payload, headers):
@@ -693,19 +693,18 @@ class TestThrottle:
                 return reply(status=429, headers={"Retry-After": "1"})
             if prompt == "b":
                 b_sent.set()
-                held.wait(timeout=0.5)
+                until(lambda: client.throttle.held_until > -math.inf, timeout_s=0.5)
             return OK
 
         client = http_client(monkeypatch, post, backoff_s=0.0)
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                responses = complete_all(client, [req("a"), req("b"), req("c")], pool.map)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            responses = complete_all(client, [req("a"), req("b"), req("c")], pool.map)
         assert [r.text for r in responses] == ["ok"] * 3
-        assert held.is_set()
-        assert [r.getMessage() for r in caplog.records] == \
-            ["completion attempt 1 failed (HTTP 429); all workers held 1.00 s"]
         at = dict(sent)  # each prompt's last send
         failed_at = min(t for prompt, t in sent if prompt == "a")
+        # one decision, a's first failure: a hold of its Retry-After and no halving
+        assert client.throttle.resent == 1 and client.throttle.window == math.inf
+        assert 1.0 <= client.throttle.held_until - failed_at < 1.5
         assert [prompt for prompt, _ in sent].count("a") == 2
         assert at["a"] - failed_at >= 0.99 and at["c"] - failed_at >= 0.99
 
@@ -770,6 +769,7 @@ class TestThrottle:
             sys.setswitchinterval(interval)
         assert [r.text for r in responses] == ["out"] * 64
         assert len(inner.prompts) == 128 and inner.throttle.in_flight == 0
+        assert inner.throttle.resent == 64
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
@@ -1070,19 +1070,18 @@ class TestProxy:
         ("http://proxy..test:3128", "label empty or too long"),
         ("http://pro xy:3128", "URL can't contain control characters"),
     ], ids=["port", "host", "ipv6", "idna", "space"])
-    def test_malformed_setting_is_raised_at_once(self, monkeypatch, caplog, policy, setting,
-                                                 message):
+    def test_malformed_setting_is_raised_at_once(self, monkeypatch, policy, setting, message):
         monkeypatch.setenv("http_proxy", setting)
         policy(backoff_s=5.0)
         client = HttpCompletionClient(url="http://127.0.0.1:9/v1")
         started = time.monotonic()
-        with caplog.at_level(logging.WARNING, logger="claimdecomp.llm"):
-            with pytest.raises(ProxySettingError) as raised:
-                in_a_thread(lambda: send(client, req("a")))
+        with pytest.raises(ProxySettingError) as raised:
+            in_a_thread(lambda: send(client, req("a")))
         assert str(raised.value).startswith(f"http_proxy {setting!r}")
         assert message in str(raised.value)
-        # not retried: no attempt warning, no hold
-        assert caplog.records == [] and time.monotonic() - started < 1.0
+        # not retried: nothing sent again, no hold
+        assert client.throttle.resent == 0 and client.throttle.held_until == -math.inf
+        assert time.monotonic() - started < 1.0
         assert client.throttle.in_flight == 0
 
     def test_no_proxy_host_goes_direct(self, keepalive, monkeypatch):
